@@ -231,9 +231,10 @@ func BenchmarkAblationPhaseSpectral(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Phase: core.PhaseSpectralImag})
 }
 
-// Linear solver: GMRES + block-Jacobi (the paper's iterative path) vs LU.
+// Linear solver: matrix-free GMRES + harmonic preconditioner (the paper's
+// iterative path) vs LU.
 func BenchmarkAblationGMRES(b *testing.B) {
-	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearGMRES})
+	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearMatrixFree})
 }
 
 // Chord-Newton cross-step factorization reuse vs the per-step default.
@@ -246,7 +247,7 @@ func BenchmarkAblationChordNewton(b *testing.B) {
 // matvec reduction, this measures the wall-clock side.
 func BenchmarkAblationGMRESRecycle(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{
-		Trap: true, Linear: core.LinearGMRES, ChordNewton: true, RecycleKrylov: true,
+		Trap: true, Linear: core.LinearMatrixFree, ChordNewton: true, RecycleKrylov: true,
 	})
 }
 
@@ -267,16 +268,17 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 }
 
 // BenchmarkGMRESAllocs is the iterative-path counterpart: the same Fig. 7
-// envelope solved through the supervised linear ladder (GMRES + harmonic
-// preconditioner, pooled Krylov workspaces). With the Arnoldi basis, Givens
-// scratch and the ladder's LU rung all persisting across solves, the
-// allocs/op count pins the pooling — a leak in any per-solve buffer shows up
-// as a baseline regression in `ci.sh bench-check`.
+// envelope solved matrix-free through the supervised linear ladder (GMRES +
+// harmonic preconditioner, pooled Krylov workspaces). With the Arnoldi
+// basis, Givens scratch, operator kernels and preconditioner factors all
+// persisting across solves, the allocs/op count pins the pooling — a leak in
+// any per-solve buffer shows up as a baseline regression in
+// `ci.sh bench-check`.
 func BenchmarkGMRESAllocs(b *testing.B) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	b.ReportAllocs()
-	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearGMRES})
+	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearMatrixFree})
 }
 
 // ------------------------------------------------------- method baselines

@@ -23,9 +23,8 @@ func main() {
 	span := flag.Float64("span", 3e-3, "simulated span in seconds")
 	steps := flag.Int("steps", 0, "WaMPDE t2 steps (default 600)")
 	chord := flag.Bool("chord", true, "carry the chord-Newton factorization across t2 steps")
-	gmres := flag.Bool("gmres", false, "solve the per-step Jacobian systems with preconditioned GMRES instead of dense LU")
-	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly); overrides -gmres")
-	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -gmres/-matfree)")
+	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly)")
+	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -matfree)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -58,7 +57,7 @@ func main() {
 	}
 
 	run, rows, err := wampde.SpeedupReport(wampde.VCORunConfig{T2End: *span, Steps: *steps,
-		ChordNewton: *chord, GMRES: *gmres, MatrixFree: *matfree, RecycleKrylov: *recycle}, 0)
+		ChordNewton: *chord, MatrixFree: *matfree, RecycleKrylov: *recycle}, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "speedup:", err)
 		os.Exit(1)

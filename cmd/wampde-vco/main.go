@@ -43,9 +43,8 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV data files into")
 	steps := flag.Int("steps", 0, "t2 steps (default 400 vacuum / 600 air)")
 	chord := flag.Bool("chord", true, "carry the chord-Newton factorization across t2 steps")
-	gmres := flag.Bool("gmres", false, "solve the per-step Jacobian systems with preconditioned GMRES instead of dense LU")
-	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly); implies an iterative solve and overrides -gmres")
-	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -gmres/-matfree)")
+	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly); implies an iterative solve")
+	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -matfree)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the envelope run (0 = none); on expiry the partial result computed so far is still reported")
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	cfg := wampde.VCORunConfig{Air: *air, Steps: *steps, ChordNewton: *chord,
-		GMRES: *gmres, MatrixFree: *matfree, RecycleKrylov: *recycle}
+		MatrixFree: *matfree, RecycleKrylov: *recycle}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -95,16 +94,15 @@ func main() {
 	if rescues := run.Result.FullNewtonRescues + run.Result.DampedNewtonRescues +
 		run.Result.ContinuationRescues + run.Result.LinearGMRESRescues +
 		run.Result.LinearLURescues + run.Result.StepHalvings; rescues > 0 {
-		fmt.Printf("solve supervision: %d full-Newton, %d damped, %d continuation rescues; %d GMRES->GMRES, %d GMRES->LU (%d sparse) linear rescues; %d step halvings\n",
+		fmt.Printf("solve supervision: %d full-Newton, %d damped, %d continuation rescues; %d GMRES->GMRES, %d GMRES->sparse LU linear rescues; %d step halvings\n",
 			run.Result.FullNewtonRescues, run.Result.DampedNewtonRescues, run.Result.ContinuationRescues,
-			run.Result.LinearGMRESRescues, run.Result.LinearLURescues, run.Result.LinearSparseLURescues,
-			run.Result.StepHalvings)
+			run.Result.LinearGMRESRescues, run.Result.LinearLURescues, run.Result.StepHalvings)
 	}
 	fmt.Printf("WaMPDE envelope: %d t2 steps, %d Newton iterations, %v\n",
 		len(run.Result.T2), run.Result.NewtonIterTotal, run.WallTime)
 	fmt.Printf("Jacobian factorizations: %d (%d chord reuses)\n",
 		run.Result.JacobianEvals, run.Result.JacobianReuses)
-	if *gmres || *matfree {
+	if *matfree {
 		fmt.Printf("GMRES: %d solves, %d matvecs; recycler: %d hits, %d harvests, %d invalidations\n",
 			run.Result.GMRESSolves, run.Result.GMRESMatVecs,
 			run.Result.RecycleHits, run.Result.RecycleHarvests, run.Result.RecycleInvalidations)

@@ -63,9 +63,9 @@ func TestEnvelopeWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRecycleWorkerDeterminism runs the GMRES + Krylov-recycling envelope
-// (the iterative large-system path with chord Newton, as the cmd drivers
-// configure it) at 1, 2 and 8 workers and demands bitwise-identical results:
+// TestRecycleWorkerDeterminism runs the matrix-free GMRES + Krylov-recycling
+// envelope (the iterative large-system path with chord Newton, as the cmd
+// drivers configure it) at 1, 2 and 8 workers and demands bitwise-identical results:
 // the recycler's projection, Arnoldi and harvest arithmetic is all serial, so
 // the worker count may only change how the parallel assembly and
 // preconditioner kernels chunk — which the par contract keeps exact.
@@ -73,7 +73,7 @@ func TestRecycleWorkerDeterminism(t *testing.T) {
 	recycleRun := func() *wampde.VCORun {
 		run, err := wampde.RunPaperVCO(wampde.VCORunConfig{
 			N1: 15, T2End: 20e-6, Steps: 60,
-			ChordNewton: true, GMRES: true, RecycleKrylov: true,
+			ChordNewton: true, MatrixFree: true, RecycleKrylov: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,20 +28,15 @@ type VCORunConfig struct {
 	// suite pins the historical once-per-step factorization bitwise; the cmd
 	// drivers turn it on.
 	ChordNewton bool
-	// GMRES solves the per-step Jacobian systems iteratively (harmonic
-	// preconditioner) instead of by dense LU — core.LinearGMRES, the
-	// large-system path. Off by default.
-	GMRES bool
 	// RecycleKrylov carries a GCRO-DR deflation space across the GMRES
 	// solves (see core.EnvelopeOptions.RecycleKrylov). Only meaningful with
-	// GMRES; off by default so the goldens pin the historical path.
+	// MatrixFree; off by default so the goldens pin the historical path.
 	RecycleKrylov bool
-	// MatrixFree applies the bordered step Jacobian without assembling it —
-	// core.LinearMatrixFree, the spectral-operator path (see DESIGN.md,
-	// "Matrix-free operator"). Implies an iterative solve; takes precedence
-	// over GMRES. Off by default: at the paper's 4-state VCO the assembled
-	// Jacobian is tiny and the dense path is both faster and the one the
-	// goldens pin.
+	// MatrixFree solves the per-step Jacobian systems iteratively, applying
+	// the bordered step Jacobian without assembling it — core.LinearMatrixFree,
+	// the spectral-operator path (see DESIGN.md, "Matrix-free operator").
+	// Off by default: at the paper's 4-state VCO the assembled Jacobian is
+	// tiny and the dense path is both faster and the one the goldens pin.
 	MatrixFree bool
 	// Ctx, when non-nil, makes the run cancelable (see
 	// core.EnvelopeOptions.Ctx). On cancellation RunPaperVCO returns the
@@ -98,9 +93,6 @@ func RunPaperVCO(cfg VCORunConfig) (*VCORun, error) {
 		return nil, fmt.Errorf("wampde: VCO initial condition: %w", err)
 	}
 	linear := core.LinearDenseLU
-	if cfg.GMRES {
-		linear = core.LinearGMRES
-	}
 	if cfg.MatrixFree {
 		linear = core.LinearMatrixFree
 	}

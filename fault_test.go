@@ -115,9 +115,9 @@ func TestFaultArmedFigure7WithinGolden(t *testing.T) {
 	}
 }
 
-// TestFaultArmedFigure7GMRESAllStagnate drives the iterative linear path
+// TestFaultArmedFigure7GMRESAllStagnate drives the matrix-free linear path
 // with GMRES permanently broken: every solve must fall through the ladder to
-// the direct dense-LU rung, and the pipeline must still reproduce Figure 7
+// the direct sparse-LU rung, and the pipeline must still reproduce Figure 7
 // within golden tolerance.
 func TestFaultArmedFigure7GMRESAllStagnate(t *testing.T) {
 	if testing.Short() {
@@ -136,7 +136,7 @@ func TestFaultArmedFigure7GMRESAllStagnate(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Always())
 	defer faultinject.Arm(plan)()
 	res, err := core.Envelope(vco, xhat0, omega0, 60e-6, core.EnvelopeOptions{
-		N1: 17, H2: 60e-6 / 100, Trap: true, Linear: core.LinearGMRES,
+		N1: 17, H2: 60e-6 / 100, Trap: true, Linear: core.LinearMatrixFree,
 	})
 	if err != nil {
 		t.Fatalf("armed envelope failed: %v", err)

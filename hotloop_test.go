@@ -119,7 +119,8 @@ func TestChordNewtonReducesFactorizations(t *testing.T) {
 }
 
 // TestRecycleReducesMatvecs checks the Krylov-recycling acceptance criteria on
-// the Fig. 7 GMRES pipeline (ChordNewton on, the cmd-driver configuration):
+// the Fig. 7 matrix-free pipeline (ChordNewton on, the cmd-driver
+// configuration):
 // carrying the GCRO-DR deflation space across solves must strictly cut the
 // total matvec count, leave the Newton trajectory untouched (every solve still
 // converges to GMRESTol, so the recycled run is the same computation with
@@ -134,7 +135,7 @@ func TestRecycleReducesMatvecs(t *testing.T) {
 	const t2End = 60e-6
 	base := core.EnvelopeOptions{
 		N1: 25, H2: t2End / 400, Trap: true,
-		Linear: core.LinearGMRES, ChordNewton: true,
+		Linear: core.LinearMatrixFree, ChordNewton: true,
 	}
 	recOpt := base
 	recOpt.RecycleKrylov = true

@@ -191,7 +191,10 @@ func TestEnvelopeGMRESMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, err := Envelope(sys, xhat0, omega0, T2/4, EnvelopeOptions{N1: 21, H2: T2 / 200, Linear: LinearGMRES})
+	// The iterative path as the cmd drivers configure it: matrix-free GMRESDR
+	// with chord Newton and Krylov recycling.
+	gm, err := Envelope(sys, xhat0, omega0, T2/4, EnvelopeOptions{N1: 21, H2: T2 / 200,
+		Linear: LinearMatrixFree, ChordNewton: true, RecycleKrylov: true})
 	if err != nil {
 		t.Fatal(err)
 	}

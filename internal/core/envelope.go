@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dae"
 	"repro/internal/fourier"
-	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/newton"
 	"repro/internal/par"
@@ -30,19 +29,17 @@ const (
 	// LinearDenseLU assembles the dense bordered Jacobian and factors it
 	// (the right default at the paper's problem sizes).
 	LinearDenseLU LinearKind = iota
-	// LinearGMRES solves the Jacobian system with restarted GMRES and a
-	// block-Jacobi preconditioner — the paper's §1/§4 "iterative linear
-	// techniques [Saa96]" path for large systems.
-	LinearGMRES
-	// LinearMatrixFree solves the Jacobian system with GMRESDR applied to a
-	// matrix-free operator (core.SpectralOp): the spectral-differentiation
-	// term runs through the cached FFT plans and the device Jacobians apply
-	// block-diagonally per collocation point, so the (N1·n+1)² matrix is
-	// never formed and per-iteration cost is near-linear in circuit size.
-	// The direct-rescue rung of the supervision ladder assembles the same
-	// entries sparsely instead of falling back to dense LU. This is the
-	// scalable path for large circuits (N-stage rings); at the paper's sizes
-	// dense LU remains faster.
+	// LinearMatrixFree is the paper's §1/§4 "iterative linear techniques
+	// [Saa96]" path for large systems: it solves the Jacobian system with
+	// GMRESDR applied to a matrix-free operator (core.SpectralOp), under the
+	// harmonic (envelope) or line-block-Jacobi (quasiperiodic)
+	// preconditioner. The spectral-differentiation term runs through the
+	// cached FFT plans and the device Jacobians apply block-diagonally per
+	// collocation point, so the (N1·n+1)² matrix is never formed and
+	// per-iteration cost is near-linear in circuit size. The direct-rescue
+	// rung of the supervision ladder assembles the same entries sparsely.
+	// This is the scalable path for large circuits (N-stage rings); at the
+	// paper's sizes dense LU remains faster.
 	LinearMatrixFree
 )
 
@@ -86,7 +83,7 @@ type EnvelopeOptions struct {
 	// factorizations and the recycled GMRES harmonic preconditioner are
 	// rebuilt. Default 0.02.
 	OmegaDriftTol float64
-	// RecycleKrylov (LinearGMRES only) carries a GCRO-DR deflation space
+	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation space
 	// across the step solver's GMRES calls: harmonic Ritz vectors harvested
 	// from one solve deflate the slow modes of the next, cutting matvecs
 	// while the linearization holds still — within a step's Newton
@@ -104,7 +101,7 @@ type EnvelopeOptions struct {
 	Ctx context.Context
 	// Warm, when non-nil, is the sweep continuation carrier. On entry a
 	// compatible envelope payload is adopted: the chord LU factors (dense-LU
-	// path, with ChordNewton) or the harmonic preconditioner (GMRES path)
+	// path, with ChordNewton) or the harmonic preconditioner (matrix-free path)
 	// from the neighboring parameter point, plus the GMRESDR deflation space
 	// via krylov.Recycler.Handoff — the handed-off space runs untrusted, so
 	// per-cycle true-residual verification guards the cross-point staleness,
@@ -222,28 +219,11 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 		}
 	}
 
-	asm := newEnvAssembler(sys, n1, n, k, w, c, opt)
 	res := &EnvelopeResult{N1: n1, N: n}
-	// Iterative-path counters are filled on every exit, including early
+	asm := newEnvAssembler(sys, n1, n, k, w, c, opt, &res.Stats)
+	// The recycler's counters are reported on every exit, including early
 	// OnStep stops and step failures, so cost accounting stays honest.
-	defer func() {
-		res.GMRESSolves = asm.linStats.solves
-		res.GMRESMatVecs = asm.linStats.matvecs
-		res.GMRESStagnations = asm.linStats.stagnations
-		res.GMRESBreakdowns = asm.linStats.breakdowns
-		res.LinearGMRESRescues = asm.linStats.gmresRescues
-		res.LinearLURescues = asm.linStats.luRescues
-		res.LinearSparseLURescues = asm.linStats.sparseRescues
-		res.FullNewtonRescues = asm.nlStats.fullRescues
-		res.DampedNewtonRescues = asm.nlStats.deepRescues
-		res.ContinuationRescues = asm.nlStats.continuationRescues
-		res.StepHalvings = asm.nlStats.stepHalvings
-		if asm.rec != nil {
-			res.RecycleHits = asm.rec.Hits
-			res.RecycleHarvests = asm.rec.Harvests
-			res.RecycleInvalidations = asm.rec.Invalidations
-		}
-	}()
+	defer asm.lad.reportRecycler()
 	record := func(t2, omega float64, x []float64) bool {
 		res.T2 = append(res.T2, t2)
 		res.Omega = append(res.Omega, omega)
@@ -298,10 +278,7 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 		// carried at θ=1/2 — so it skips the damping (see Warm).
 		useTrap := opt.Trap && (stepIdx >= 2 || asm.adoptedCarry)
 		resN, err := asm.step(t2, h, x, omega, xNew, &omegaNew, useTrap)
-		res.NewtonIterTotal += resN.Iterations
 		res.LinearSolves += resN.Iterations
-		res.JacobianEvals += resN.JacobianEvals
-		res.JacobianReuses += resN.JacobianReuses
 		if err != nil {
 			// A canceled run is not a numerical failure: return the partial
 			// result immediately instead of burning the deadline on retries.
@@ -322,9 +299,9 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 					WithMsg("envelope step failed at minimum step h=%.3g", h).
 					WithT2(t2).WithStep(stepIdx)
 			}
-			asm.nlStats.stepHalvings++
+			res.StepHalvings++
 			asm.reuse.Invalidate()
-			asm.rec.Invalidate()
+			asm.lad.rec.Invalidate()
 			h /= 2
 			sinceGrow = 0
 			continue
@@ -422,26 +399,25 @@ func envelopeLTE(xOld, xNew, xPrev []float64, omegaOld, omegaNew, omegaPrev,
 // and for trapezoidal t2 integration the ω·D·q and f terms are averaged
 // between the two time levels.
 type envAssembler struct {
-	sys    dae.Autonomous
-	n1     int
-	n      int
-	k      int
-	w      []float64 // phase-row weights
-	c      float64
-	opt    EnvelopeOptions
-	d      []float64 // spectral differentiation matrix (period 1)
-	u      []float64
+	sys dae.Autonomous
+	n1  int
+	n   int
+	k   int
+	w   []float64 // phase-row weights
+	c   float64
+	opt EnvelopeOptions
+	d   []float64 // spectral differentiation matrix (period 1)
+	u   []float64
 	// Per-collocation-point inputs (opt.input2 mode): us holds n1 slots of
 	// NumInputs values each, filled at the point's fast phase; usStart/usEnd
 	// are the continuation-rung blending scratch mirroring uStart/uEnd.
 	// usAtFactor snapshots us at the last Jacobian factorization — the
 	// input-drift gate for cross-step chord reuse (see step).
 	us, usStart, usEnd, usAtFactor []float64
+
 	qPrev  []float64 // q at the previous time level
 	rhsOld []float64 // ω·D·q + f at the previous level (Trap)
 	scale  []float64 // per-row residual scales
-	jq     *la.Dense
-	jf     *la.Dense
 
 	// Per-point device Jacobians, filled in parallel during assembly.
 	jqs []*la.Dense
@@ -454,7 +430,7 @@ type envAssembler struct {
 	qNew    []float64
 	rhsNew  []float64
 	rhsPrev []float64
-	jj      *la.Dense // dense Jacobian; nil until first use (never on matrix-free)
+	jj      *la.Dense // dense Jacobian; nil on the matrix-free path
 	mf      *SpectralOp
 
 	// Persistent solver state: the dense factorization workspace refactored
@@ -471,20 +447,17 @@ type envAssembler struct {
 	// the parameters it was built at.
 	prec                        *harmonicPrec
 	precH, precTheta, precOmega float64
-	// Krylov subspace recycler (RecycleKrylov mode), the supervised linear
-	// escalation ladder the iterative path solves through, and the failure /
-	// rescue counters accumulated across all steps of the run.
-	rec *krylov.Recycler
-	// Warm-adoption state: adoptedCarry marks that cross-point chord/
-	// preconditioner factors were taken from EnvelopeOptions.Warm (which also
-	// switches the trapezoidal startup on); adoptedRec defers the recycler
-	// invalidation at the first fresh linearization so the handed-off
-	// deflation space gets one verified window on the new operator.
+	// adoptedCarry marks that cross-point chord/preconditioner factors were
+	// taken from EnvelopeOptions.Warm (which also switches the trapezoidal
+	// startup on).
 	adoptedCarry bool
-	adoptedRec   bool
+	// The supervision ladders: the linear one the matrix-free path solves
+	// through (it owns the Krylov recycler), and the nonlinear rescue ladder
+	// of every step. t2 is the slow time the current step starts from, read
+	// by the continuation rung's input snapshot.
 	lad          *linearLadder
-	linStats     linearStats
-	nlStats      nonlinearStats
+	nl           *nonlinearLadder
+	t2           float64
 	uStart, uEnd []float64 // continuation-rung input scratch
 	jqAvg, jfAvg *la.Dense
 	precMs       []*la.CDense // per-chunk bin assembly scratch, lo-indexed
@@ -509,7 +482,7 @@ type envAssembler struct {
 	asmOmega           float64
 }
 
-func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, opt EnvelopeOptions) *envAssembler {
+func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, opt EnvelopeOptions, stats *Stats) *envAssembler {
 	a := &envAssembler{
 		sys: sys, n1: n1, n: n, k: k, w: w, c: c, opt: opt,
 		d:       fourier.DiffMatrix(n1),
@@ -517,8 +490,6 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 		qPrev:   make([]float64, n1*n),
 		rhsOld:  make([]float64, n1*n),
 		scale:   make([]float64, n1*n+1),
-		jq:      la.NewDense(n, n),
-		jf:      la.NewDense(n, n),
 		jqs:     make([]*la.Dense, n1),
 		jfs:     make([]*la.Dense, n1),
 		qBuf:    make([]float64, n1*n),
@@ -531,28 +502,12 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 	}
 	// The dense Jacobian and its LU workspace are the dominant memory of a
 	// large run (O((N1·n)²) each); the matrix-free path must never pay for
-	// them, so they are allocated only where a dense assembly can happen
-	// (lazily, from assembleJacobian / the dense jac branch).
+	// them, so only the dense path allocates them.
 	if opt.Linear != LinearMatrixFree {
 		a.jj = la.NewDense(n1*n+1, n1*n+1)
 		a.lu = la.NewLU(n1*n + 1)
 	}
-	if opt.RecycleKrylov && (opt.Linear == LinearGMRES || opt.Linear == LinearMatrixFree) {
-		if opt.Warm != nil && opt.Warm.Rec != nil && opt.Warm.Rec.Size() > 0 {
-			// Cross-point handoff: keep the neighbor's deflation space but run
-			// it untrusted (true-residual verification) for this whole solve;
-			// the first fresh linearization below would otherwise drop it
-			// before it ever deflated anything.
-			a.rec = opt.Warm.Rec.Handoff()
-			a.adoptedRec = true
-		} else {
-			a.rec = krylov.NewRecycler(0)
-			// jac() and buildHarmonicPrec invalidate the space at every
-			// operator or preconditioner change, so the exact-space contract
-			// holds.
-			a.rec.Trusted = true
-		}
-	}
+	a.lad = newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && opt.Linear == LinearMatrixFree, opt.Warm, stats)
 	if ec := opt.Warm.takeEnv(n1, n, opt.Linear); ec != nil {
 		a.adoptedCarry = true
 		if ec.lu != nil {
@@ -564,13 +519,21 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 			a.lastH, a.lastTheta, a.omegaAtFactor = ec.lastH, ec.lastTheta, ec.omegaAtFactor
 		}
 		if ec.prec != nil {
-			// GMRES-path carry: the harmonic preconditioner is reused while ω
+			// Matrix-free carry: the harmonic preconditioner is reused while ω
 			// stays inside OmegaDriftTol of where it was factored.
 			a.prec = ec.prec
 			a.precH, a.precTheta, a.precOmega = ec.precH, ec.precTheta, ec.precOmega
 		}
 	}
-	a.lad = newLinearLadder(opt.GMRESTol, a.rec, &a.linStats)
+	// Every rescue rung restarts from the step's initial iterate with a
+	// fresh Jacobian per iteration (opt.Newton already damps).
+	base := opt.Newton
+	base.Work = a.nws
+	a.nl = &nonlinearLadder{
+		stats: stats, chord: true, base: base,
+		z0:      make([]float64, n1*n+1),
+		restart: a.restartRung, blend: a.blendInputs, restore: a.restoreInputs,
+	}
 	a.uStart = make([]float64, sys.NumInputs())
 	a.uEnd = make([]float64, sys.NumInputs())
 	if opt.input2 != nil {
@@ -771,8 +734,9 @@ func (a *envAssembler) rhs(z []float64, omega float64, out []float64) {
 }
 
 // step solves for (xNew, omegaNew) at t2+h given the previous level. The
-// returned Result aggregates iteration and Jacobian-reuse counts over the
-// chord attempt and, if it failed, the full-Newton retry.
+// returned Result sums the chord attempt and every rescue rung that ran;
+// the nonlinear ladder has already added that Newton work to the run's
+// Stats.
 func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNew []float64, omegaNew *float64, useTrap bool) (newton.Result, error) {
 	n1, n := a.n1, a.n
 	total := n1*n + 1
@@ -856,65 +820,32 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 		if a.opt.Linear == LinearMatrixFree {
 			// Matrix-free linearization: refresh the operator's snapshots and
 			// device-Jacobian slots — no (N1·n+1)² assembly, no factorization.
-			// The harmonic preconditioner works unchanged (it only ever reads
-			// the averaged per-point blocks), and the ladder's direct rescue
-			// assembles sparsely from the same slots.
+			// The harmonic preconditioner averages the same slots, and the
+			// ladder's direct rescue assembles sparsely from them.
 			op := a.matFreeOpFor(z, h, theta)
 			a.omegaAtFactor = z[n1*n]
 			a.snapInputs()
-			if a.adoptedRec {
-				a.adoptedRec = false
-			} else {
-				a.rec.Invalidate()
-			}
-			prec, err := a.harmonicPrecFor(z[:n1*n], z[n1*n], h, theta)
+			a.lad.refresh()
+			prec, err := a.harmonicPrecFor(z[n1*n], h, theta)
 			if err != nil {
 				return nil, err
 			}
-			a.lad.resetMatrixFree(op, prec, op.assembleSparse)
+			a.lad.reset(op, prec, op.assembleSparse)
 			return a.lad, nil
 		}
 		jj := a.assembleJacobian(z, h, theta)
 		a.omegaAtFactor = z[n1*n]
 		a.snapInputs()
-		// A fresh linearization invalidates the Krylov recycler: its carried
-		// space is exact only for the operator it was harvested from, and the
-		// deflation directions amplify like 1/θ_min, so even a small Jacobian
-		// drift can turn them harmful. Newton's factorization-reuse windows
-		// (within a step, and across steps in ChordNewton mode) are where the
-		// operator holds still and the space earns its keep. The one
-		// exception is a deflation space handed off from a neighboring sweep
-		// point: it survives its first linearization here under true-residual
-		// verification (Handoff dropped Trusted), which is exactly the window
-		// where cross-point recycling pays.
-		if a.adoptedRec {
-			a.adoptedRec = false
-		} else {
-			a.rec.Invalidate()
+		if err := a.lu.FactorInto(jj); err != nil {
+			return nil, err
 		}
-		switch a.opt.Linear {
-		case LinearGMRES:
-			// Harmonic (averaged-Jacobian, block-circulant) preconditioner:
-			// the frequency-domain workhorse that makes the iterative path
-			// scale — see internal/core/precond.go.
-			prec, err := a.harmonicPrecFor(z[:n1*n], z[n1*n], h, theta)
-			if err != nil {
-				return nil, err
-			}
-			a.lad.reset(jj, prec)
-			return a.lad, nil
-		default:
-			if err := a.lu.FactorInto(jj); err != nil {
-				return nil, err
-			}
-			return a.lu, nil
-		}
+		return a.lu, nil
 	}
 	// Modified Newton: the Jacobian changes little within one t2 step, so
 	// factor once and reuse the factors across iterations — and, in
 	// ChordNewton mode, across steps while the system keeps its shape. If
-	// the chord iteration stalls (waveform reshaping quickly), retry with a
-	// fresh factorization per iteration before giving up.
+	// the chord iteration stalls (waveform reshaping quickly), the rescue
+	// ladder retries from the same start with fresh factorizations.
 	chordOpts := a.opt.Newton
 	chordOpts.MaxIter = 3 * a.opt.Newton.MaxIter
 	chordOpts.JacobianReuse = true
@@ -935,94 +866,14 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 		a.reuse.Invalidate()
 	}
 	a.lastH, a.lastTheta = h, theta
-	prob := newton.Problem{N: total, Eval: eval, Jacobian: jac}
-	resN, err := newton.Solve(prob, z, chordOpts)
-	acc := func(r newton.Result) {
-		resN.Iterations += r.Iterations
-		resN.JacobianEvals += r.JacobianEvals
-		resN.JacobianReuses += r.JacobianReuses
-		resN.ResidualF, resN.Converged = r.ResidualF, r.Converged
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
-		// Rung 2: full Newton, refreshing the factorization every iteration.
-		// This is byte-for-byte the historical retry — only the chord reuse
-		// state is dropped, not the Krylov recycler — so unarmed runs that
-		// recover here stay bitwise identical to the golden suite.
-		a.nlStats.fullRescues++
-		a.reuse.Invalidate()
-		copy(z, xNew)
-		z[n1*n] = *omegaNew
-		fullOpts := a.opt.Newton
-		fullOpts.Work = a.nws
-		var resF newton.Result
-		resF, err = newton.Solve(prob, z, fullOpts)
-		acc(resF)
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
-		// Rung 3: deep damped Newton — twice the iteration budget and a much
-		// deeper line search, from a fresh linearization (recycled Krylov
-		// space included: it belongs to the iterates that just failed).
-		a.nlStats.deepRescues++
-		a.reuse.Invalidate()
-		a.rec.Invalidate()
-		copy(z, xNew)
-		z[n1*n] = *omegaNew
-		deepOpts := a.opt.Newton
-		deepOpts.Work = a.nws
-		deepOpts.Damping = true
-		deepOpts.MaxIter = 2 * a.opt.Newton.MaxIter
-		deepOpts.MaxHalves = 30
-		var resD newton.Result
-		resD, err = newton.Solve(prob, z, deepOpts)
-		acc(resD)
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
-		// Rung 4: source-stepping continuation, per the paper's §4.1 remark
-		// that any nonlinear method "such as Newton-Raphson or continuation"
-		// may solve the step system. The input b(t2) is blended from the
-		// previous level's value (where xOld solves the system well) toward
-		// the new level's, walking the solution across the step instead of
-		// jumping.
-		a.nlStats.continuationRescues++
-		a.reuse.Invalidate()
-		a.rec.Invalidate()
-		copy(a.uEnd, a.u)
-		copy(a.usEnd, a.us)
-		a.fillInputsInto(t2, a.uStart, a.usStart)
-		copy(z, xNew)
-		z[n1*n] = *omegaNew
-		contOpts := a.opt.Newton
-		contOpts.Work = a.nws
-		var resC newton.Result
-		resC, err = newton.Homotopy(func(lambda float64) newton.Problem {
-			blend := func(zz, r []float64) error {
-				for i := range a.u {
-					a.u[i] = (1-lambda)*a.uStart[i] + lambda*a.uEnd[i]
-				}
-				for i := range a.us {
-					a.us[i] = (1-lambda)*a.usStart[i] + lambda*a.usEnd[i]
-				}
-				return eval(zz, r)
-			}
-			return newton.Problem{N: total, Eval: blend, Jacobian: jac}
-		}, z, contOpts)
-		acc(resC)
-		// Restore the true t2+h inputs exactly.
-		copy(a.u, a.uEnd)
-		copy(a.us, a.usEnd)
-	}
+	a.t2 = t2
+	resN, err := a.nl.solve(newton.Problem{N: total, Eval: eval, Jacobian: jac}, z, chordOpts)
 	if err != nil {
 		if solverr.IsKind(err, solverr.KindCanceled) {
 			return resN, err
 		}
-		k := solverr.KindOf(err)
-		if k == solverr.KindUnknown {
-			k = solverr.KindStagnation
-		}
-		e := solverr.Wrap(k, "core.envelope.step", err).
-			WithMsg("nonlinear ladder exhausted").WithT2(t2).WithResidual(resN.ResidualF)
-		e.Attempt("chord").Attempt("full-newton").Attempt("damped-newton").Attempt("continuation")
-		return resN, e
+		return resN, a.nl.exhausted(err, "core.envelope.step", resN).
+			WithMsg("nonlinear ladder exhausted").WithT2(t2)
 	}
 	if serr := checkState("core.envelope.step", z); serr != nil {
 		return resN, serr
@@ -1036,6 +887,39 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	return resN, nil
 }
 
+// restartRung prepares nonlinear rescue rung r. Every rung drops the chord
+// factorization; rung 2 drops nothing else, so unarmed runs that recover
+// there stay bitwise the historical retry. Later rungs also drop the
+// recycled Krylov space (it belongs to the iterates that just failed), and
+// continuation snapshots the inputs it blends: the previous level's values
+// (where xOld solves the system well) and the new level's.
+func (a *envAssembler) restartRung(r rescueRung) {
+	a.reuse.Invalidate()
+	if r == rungFullNewton {
+		return
+	}
+	a.lad.rec.Invalidate()
+	if r == rungContinuation {
+		copy(a.uEnd, a.u)
+		copy(a.usEnd, a.us)
+		a.fillInputsInto(a.t2, a.uStart, a.usStart)
+	}
+}
+
+// blendInputs walks the step's inputs from the previous level (λ = 0) to
+// the new one (λ = 1), walking the solution across the step instead of
+// jumping.
+func (a *envAssembler) blendInputs(lambda float64) {
+	lerp(a.u, a.uStart, a.uEnd, lambda)
+	lerp(a.us, a.usStart, a.usEnd, lambda)
+}
+
+// restoreInputs puts the true t2+h inputs back exactly.
+func (a *envAssembler) restoreInputs() {
+	copy(a.u, a.uEnd)
+	copy(a.us, a.usEnd)
+}
+
 // assembleJacobian builds the scaled, bordered Jacobian of the step system.
 //
 // The assembly is row-centric so it parallelizes without write conflicts:
@@ -1045,9 +929,6 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 // points m in ascending order, so the result is worker-count independent.
 func (a *envAssembler) assembleJacobian(z []float64, h, theta float64) *la.Dense {
 	n1, n := a.n1, a.n
-	if a.jj == nil {
-		a.jj = la.NewDense(n1*n+1, n1*n+1)
-	}
 	jj := a.jj
 	q := a.qBuf
 	a.sampleQ(z[:n1*n], q)

@@ -38,25 +38,27 @@ type harmonicPrec struct {
 // where they were when it was factored (ω within OmegaDriftTol). A slightly
 // stale preconditioner only costs extra Krylov iterations; the Newton
 // tolerance is unaffected.
-func (a *envAssembler) harmonicPrecFor(z []float64, omega, h, theta float64) (*harmonicPrec, error) {
+func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, error) {
 	if a.prec != nil && h == a.precH && theta == a.precTheta &&
 		abs(omega-a.precOmega) <= a.opt.OmegaDriftTol*abs(a.precOmega) {
 		return a.prec, nil
 	}
-	if err := a.buildHarmonicPrec(z, omega, h, theta); err != nil {
+	if err := a.buildHarmonicPrec(omega, h, theta); err != nil {
 		return nil, err
 	}
 	a.precH, a.precTheta, a.precOmega = h, theta, omega
 	return a.prec, nil
 }
 
-// buildHarmonicPrec (re)factors the per-harmonic systems at the current
-// iterate into the persistent workspace, allocating only on the first call.
-func (a *envAssembler) buildHarmonicPrec(z []float64, omega, h, theta float64) error {
+// buildHarmonicPrec (re)factors the per-harmonic systems into the
+// persistent workspace, allocating only on the first call. It averages the
+// per-point device Jacobian slots, which the caller (matFreeOpFor) has just
+// filled at the current iterate and inputs.
+func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	// Rebuilding the preconditioner redefines the operator M⁻¹J the GMRES
 	// recycler's deflation space was harvested from, so the carried space is
 	// dropped here — the recycler shares the preconditioner's ω-drift gate.
-	a.rec.Invalidate()
+	a.lad.rec.Invalidate()
 	n1, n := a.n1, a.n
 	if a.prec == nil {
 		a.prec = &harmonicPrec{
@@ -88,16 +90,8 @@ func (a *envAssembler) buildHarmonicPrec(z []float64, omega, h, theta float64) e
 			a.precMs[lo] = la.NewCDense(n, n)
 		}
 	}
-	// Device Jacobians at every collocation point, evaluated in parallel into
-	// their per-point slots, then averaged serially in ascending j order so
-	// the float accumulation is worker-count independent.
-	par.For(n1, ptGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			x := z[j*n : (j+1)*n]
-			a.sys.JQ(x, a.jqs[j])
-			a.sys.JF(x, a.uAt(j), a.jfs[j])
-		}
-	})
+	// Average the device Jacobian slots serially in ascending j order so the
+	// float accumulation is worker-count independent.
 	a.jqAvg.Zero()
 	a.jfAvg.Zero()
 	for j := 0; j < n1; j++ {

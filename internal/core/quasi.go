@@ -28,19 +28,18 @@ type QPOptions struct {
 	// Newton iteration from a possibly rough guess, where fresh Jacobians
 	// buy robustness.
 	ChordNewton bool
-	// Linear selects the inner linear solver. LinearGMRES replaces the
-	// global dense LU (O((N1·N2·n)³) per factorization) with restarted
-	// GMRES over a block-Jacobi preconditioner whose blocks are the
-	// per-t2-line systems — the scalable path for fine grids.
-	// LinearMatrixFree goes further: the global Jacobian is never assembled
-	// at all — GMRESDR applies it through the spectral-differentiation FFT
-	// plans and the per-point device blocks (see SpectralOp), with the same
-	// per-line block-Jacobi preconditioner built directly from the device
-	// slots. Memory drops from O((N1·N2·n)²) to O(N1·N2·n).
+	// Linear selects the inner linear solver. LinearMatrixFree replaces the
+	// global dense LU (O((N1·N2·n)³) per factorization) and never assembles
+	// the global Jacobian at all — GMRESDR applies it through the
+	// spectral-differentiation FFT plans and the per-point device blocks
+	// (see SpectralOp), under a block-Jacobi preconditioner whose blocks are
+	// the per-t2-line systems, built directly from the device slots. Memory
+	// drops from O((N1·N2·n)²) to O(N1·N2·n) — the scalable path for fine
+	// grids.
 	Linear   LinearKind
 	GMRESTol float64 // default 1e-10
-	// RecycleKrylov (iterative Linear kinds only) carries a GCRO-DR deflation space
-	// across the global solve's GMRES calls; see
+	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation
+	// space across the global solve's GMRES calls; see
 	// EnvelopeOptions.RecycleKrylov. The space is dropped at every Jacobian
 	// refresh (it is exact only for the linearization it was harvested
 	// from), so it pays inside factorization-reuse windows — i.e. with
@@ -56,7 +55,7 @@ type QPOptions struct {
 	// krylov.Recycler.Handoff, so the stale space runs verified for one
 	// linearization window before the usual refresh-invalidation contract
 	// takes over) and, on success, hands its own space back for the next
-	// sweep point. Only the recycler payload participates: the global dense
+	// sweep point. Only the recycler payload participates: the line-block
 	// factors are grid-shaped and rebuilt per linearization anyway.
 	Warm *WarmStart
 }
@@ -305,36 +304,11 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 		jj = la.NewDense(total, total)
 		flu = la.NewLU(total)
 	}
-	var rec *krylov.Recycler
-	adoptedRec := false
-	if opt.RecycleKrylov && (opt.Linear == LinearGMRES || opt.Linear == LinearMatrixFree) {
-		if opt.Warm != nil && opt.Warm.Rec != nil && opt.Warm.Rec.Size() > 0 {
-			// Warm continuation: adopt the neighboring point's deflation
-			// space untrusted; it gets one verified window below.
-			rec = opt.Warm.Rec.Handoff()
-			adoptedRec = true
-		} else {
-			rec = krylov.NewRecycler(0)
-			// jac() invalidates at every fresh linearization, so the
-			// exact-space contract holds.
-			rec.Trusted = true
-		}
-	}
-	var linSt linearStats
-	var nlSt nonlinearStats
-	lad := newLinearLadder(opt.GMRESTol, rec, &linSt)
+	var st Stats
+	lad := newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && opt.Linear == LinearMatrixFree, opt.Warm, &st)
 	jac := func(z []float64) (newton.LinearSolve, error) {
-		// Fresh linearization: the recycled deflation space no longer matches
-		// the operator (see EnvelopeOptions.RecycleKrylov) and is dropped —
-		// except at the very first linearization of a warm-continued solve,
-		// where the handed-off space is given one verified window against the
-		// new operator before the refresh contract resumes.
-		if adoptedRec {
-			adoptedRec = false
-		} else {
-			rec.Invalidate()
-		}
 		if opt.Linear == LinearMatrixFree {
+			lad.refresh()
 			// Matrix-free linearization: refresh q and the per-point device
 			// blocks (the same parallel kernels the dense assembly uses),
 			// snapshot the operator, and build the line-block preconditioner
@@ -398,7 +372,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 			if err != nil {
 				return nil, err
 			}
-			lad.resetMatrixFree(mfOp, prec, mfOp.assembleSparse)
+			lad.reset(mfOp, prec, mfOp.assembleSparse)
 			return lad, nil
 		}
 		par.For(total, 64, func(lo, hi int) {
@@ -467,18 +441,6 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 				}
 			}
 		})
-		if opt.Linear == LinearGMRES {
-			// One block per t2 line (N1·n unknowns): the stiff t1 coupling
-			// lives inside a line, so line solves make an effective
-			// preconditioner; the D2 cross-line coupling and the bordered
-			// ω rows are left to the Krylov iteration.
-			prec, err := krylov.NewBlockJacobi(jj, N1*n)
-			if err != nil {
-				return nil, err
-			}
-			lad.reset(jj, prec)
-			return lad, nil
-		}
 		if err := flu.FactorInto(jj); err != nil {
 			return nil, err
 		}
@@ -488,98 +450,48 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 	nopt := opt.Newton
 	nopt.Work = newton.NewWorkspace(total)
 	nopt.JacobianReuse = opt.ChordNewton
-	prob := newton.Problem{N: total, Eval: eval, Jacobian: jac}
-	z0 := append([]float64(nil), z...)
-	resN, err := newton.Solve(prob, z, nopt)
-	acc := func(r newton.Result) {
-		resN.Iterations += r.Iterations
-		resN.JacobianEvals += r.JacobianEvals
-		resN.JacobianReuses += r.JacobianReuses
-		resN.ResidualF, resN.Converged = r.ResidualF, r.Converged
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) && opt.ChordNewton {
-		// Rung 2: full (per-iteration refresh) Newton — only meaningful when
-		// the first attempt was a chord iteration.
-		nlSt.fullRescues++
-		rec.Invalidate()
-		copy(z, z0)
-		fullOpts := nopt
-		fullOpts.JacobianReuse = false
-		var r2 newton.Result
-		r2, err = newton.Solve(prob, z, fullOpts)
-		acc(r2)
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
-		// Rung 3: deep damped Newton — double the iteration budget, a much
-		// deeper line search, fresh linearization.
-		nlSt.deepRescues++
-		rec.Invalidate()
-		copy(z, z0)
-		deepOpts := nopt
-		deepOpts.JacobianReuse = false
-		deepOpts.Damping = true
-		deepOpts.MaxIter = 2 * nopt.MaxIter
-		deepOpts.MaxHalves = 30
-		var r3 newton.Result
-		r3, err = newton.Solve(prob, z, deepOpts)
-		acc(r3)
-	}
-	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
-		// Rung 4: source-stepping continuation. At λ=0 every t2 line sees the
-		// t2-averaged input — a constant-bias problem much closer to a plain
-		// oscillator — and λ walks the inputs back to their true T2-periodic
-		// values. (§4.1: the step system may be solved by "Newton-Raphson or
-		// continuation".)
-		nlSt.continuationRescues++
-		rec.Invalidate()
-		copy(z, z0)
-		usOrig := make([][]float64, N2)
-		uMean := make([]float64, sys.NumInputs())
-		for j2 := 0; j2 < N2; j2++ {
-			usOrig[j2] = append([]float64(nil), us[j2]...)
-			for i, v := range us[j2] {
-				uMean[i] += v / float64(N2)
+	// The rescue rungs refresh the Jacobian every iteration, each from the
+	// guess, with a fresh linearization: the recycled Krylov space belongs to
+	// the iterates that just failed. Continuation starts every t2 line at the
+	// t2-averaged input — a constant-bias problem much closer to a plain
+	// oscillator — and λ walks the inputs back to their true T2-periodic
+	// values.
+	rescueOpts := nopt
+	rescueOpts.JacobianReuse = false
+	var usOrig [][]float64
+	var uMean []float64
+	nl := &nonlinearLadder{
+		stats: &st, chord: opt.ChordNewton, base: rescueOpts,
+		z0: make([]float64, total),
+		restart: func(r rescueRung) {
+			lad.rec.Invalidate()
+			if r != rungContinuation {
+				return
 			}
-		}
-		contOpts := nopt
-		contOpts.JacobianReuse = false
-		contOpts.Damping = true
-		var r4 newton.Result
-		r4, err = newton.Homotopy(func(lambda float64) newton.Problem {
-			blend := func(zz, r []float64) error {
-				for j2 := 0; j2 < N2; j2++ {
-					for i := range us[j2] {
-						us[j2][i] = (1-lambda)*uMean[i] + lambda*usOrig[j2][i]
-					}
+			usOrig = make([][]float64, N2)
+			uMean = make([]float64, sys.NumInputs())
+			for j2 := 0; j2 < N2; j2++ {
+				usOrig[j2] = append([]float64(nil), us[j2]...)
+				for i, v := range us[j2] {
+					uMean[i] += v / float64(N2)
 				}
-				return eval(zz, r)
 			}
-			return newton.Problem{N: total, Eval: blend, Jacobian: jac}
-		}, z, contOpts)
-		acc(r4)
-		for j2 := 0; j2 < N2; j2++ { // restore the true inputs exactly
-			copy(us[j2], usOrig[j2])
-		}
+		},
+		blend: func(lambda float64) {
+			for j2 := 0; j2 < N2; j2++ {
+				lerp(us[j2], uMean, usOrig[j2], lambda)
+			}
+		},
+		restore: func() {
+			for j2 := 0; j2 < N2; j2++ {
+				copy(us[j2], usOrig[j2])
+			}
+		},
 	}
+	resN, err := nl.solve(newton.Problem{N: total, Eval: eval, Jacobian: jac}, z, nopt)
 	build := func() *QPResult {
-		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2), Omega: make([]float64, N2)}
-		res.NewtonIterTotal = resN.Iterations
-		res.JacobianEvals = resN.JacobianEvals
-		res.JacobianReuses = resN.JacobianReuses
-		res.GMRESSolves = linSt.solves
-		res.GMRESMatVecs = linSt.matvecs
-		res.GMRESStagnations = linSt.stagnations
-		res.GMRESBreakdowns = linSt.breakdowns
-		res.LinearGMRESRescues = linSt.gmresRescues
-		res.LinearLURescues = linSt.luRescues
-		res.LinearSparseLURescues = linSt.sparseRescues
-		res.FullNewtonRescues = nlSt.fullRescues
-		res.DampedNewtonRescues = nlSt.deepRescues
-		res.ContinuationRescues = nlSt.continuationRescues
-		if rec != nil {
-			res.RecycleHits = rec.Hits
-			res.RecycleHarvests = rec.Harvests
-		}
+		lad.reportRecycler()
+		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2), Omega: make([]float64, N2), Stats: st}
 		for j2 := 0; j2 < N2; j2++ {
 			res.X[j2] = make([][]float64, N1)
 			for j1 := 0; j1 < N1; j1++ {
@@ -596,24 +508,14 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 			// result so a deadline still yields something inspectable.
 			return build(), err
 		}
-		k := solverr.KindOf(err)
-		if k == solverr.KindUnknown {
-			k = solverr.KindStagnation
-		}
-		e := solverr.Wrap(k, "core.quasi", err).
-			WithMsg("quasiperiodic solve failed").WithResidual(resN.ResidualF)
-		if opt.ChordNewton {
-			e.Attempt("chord")
-		}
-		e.Attempt("full-newton").Attempt("damped-newton").Attempt("continuation")
-		return nil, e
+		return nil, nl.exhausted(err, "core.quasi", resN).WithMsg("quasiperiodic solve failed")
 	}
 	if serr := checkState("core.quasi", z); serr != nil {
 		return nil, serr
 	}
-	if opt.Warm != nil && rec != nil {
+	if opt.Warm != nil && lad.rec != nil {
 		// Hand the deflation space to the next sweep point.
-		opt.Warm.Rec = rec
+		opt.Warm.Rec = lad.rec
 	}
 	return build(), nil
 }

@@ -8,27 +8,19 @@ import (
 	"repro/internal/wave"
 )
 
-// EnvelopeResult is the output of the envelope-following WaMPDE solver: the
-// bivariate waveform x̂(t1, t2) sampled on N1 warped-time points at each
-// accepted t2 point, the local frequency ω(t2), and the accumulated warping
-// phase φ(t2) = ∫ω (in cycles, since the t1 period is normalized to 1).
-type EnvelopeResult struct {
-	N1, N int // t1 grid size and state dimension
-
-	T2    []float64   // accepted t2 points
-	X     [][]float64 // X[k][j*N+i]: state i at t1-sample j, t2 = T2[k]
-	Omega []float64   // local frequency (Hz when t is in seconds)
-	Phi   []float64   // warping phase in cycles, Phi[0] = 0
-
+// Stats is the cost and supervision accounting both WaMPDE solvers report.
+// The quasiperiodic solve has no t2 steps, so its step counters (LinearSolves,
+// Rejected, StepHalvings) stay zero.
+type Stats struct {
 	NewtonIterTotal int // cumulative Newton iterations (cost accounting)
 	LinearSolves    int // cumulative linear solves
 	Rejected        int // error-controlled step rejections (Adaptive mode)
-	// JacobianEvals counts Jacobian assemblies + factorizations across all
-	// steps; JacobianReuses counts Newton iterations that recycled a stale
-	// chord factorization instead (see EnvelopeOptions.ChordNewton).
+	// JacobianEvals counts Jacobian assemblies + factorizations; JacobianReuses
+	// counts Newton iterations that recycled a stale chord factorization
+	// instead (see EnvelopeOptions.ChordNewton).
 	JacobianEvals  int
 	JacobianReuses int
-	// Iterative-path accounting (LinearGMRES only; zero under dense LU):
+	// Iterative-path accounting (LinearMatrixFree only; zero under dense LU):
 	// GMRESMatVecs is the total operator applications across GMRESSolves
 	// linear solves, the headline cost of the iterative path. The Recycle*
 	// counters report the Krylov subspace recycler's activity (see
@@ -47,14 +39,29 @@ type EnvelopeResult struct {
 	GMRESBreakdowns    int // iterative solves that broke down
 	LinearGMRESRescues int // linear rung 2: deflation-free GMRES restarts
 	LinearLURescues    int // linear rung 3: direct factorization fallbacks
-	// LinearSparseLURescues counts the subset of LinearLURescues that ran
-	// through the sparse LU — matrix-free operators, and assembled systems
-	// past the dense-rescue size threshold (see LinearMatrixFree).
+	// LinearSparseLURescues counts the direct rescues that ran through the
+	// sparse LU — today every one of them; kept apart from LinearLURescues
+	// because the served supervision body reports both.
 	LinearSparseLURescues int
 	FullNewtonRescues     int // nonlinear rung 2: full Newton after chord
 	DampedNewtonRescues   int // nonlinear rung 3: deep damped Newton
 	ContinuationRescues   int // nonlinear rung 4: source-stepping continuation
 	StepHalvings          int // ladder exhausted; t2 step halved and reset
+}
+
+// EnvelopeResult is the output of the envelope-following WaMPDE solver: the
+// bivariate waveform x̂(t1, t2) sampled on N1 warped-time points at each
+// accepted t2 point, the local frequency ω(t2), and the accumulated warping
+// phase φ(t2) = ∫ω (in cycles, since the t1 period is normalized to 1).
+type EnvelopeResult struct {
+	N1, N int // t1 grid size and state dimension
+
+	T2    []float64   // accepted t2 points
+	X     [][]float64 // X[k][j*N+i]: state i at t1-sample j, t2 = T2[k]
+	Omega []float64   // local frequency (Hz when t is in seconds)
+	Phi   []float64   // warping phase in cycles, Phi[0] = 0
+
+	Stats
 }
 
 // Slice returns the t1 waveform (N1 samples) of state i at t2 index k.
@@ -148,23 +155,7 @@ type QPResult struct {
 	X         [][][]float64 // X[j2][j1] = state vector at (t1_j1, t2_j2)
 	Omega     []float64     // ω at the N2 slow-time points
 
-	NewtonIterTotal int // Newton iterations of the one global solve
-	JacobianEvals   int // Jacobian assemblies + factorizations
-	JacobianReuses  int // iterations that recycled a stale factorization
-	// Iterative-path accounting, as in EnvelopeResult (QPOptions.Linear).
-	GMRESSolves     int
-	GMRESMatVecs    int
-	RecycleHits     int
-	RecycleHarvests int
-	// Supervision accounting, as in EnvelopeResult.
-	GMRESStagnations      int
-	GMRESBreakdowns       int
-	LinearGMRESRescues    int
-	LinearLURescues       int
-	LinearSparseLURescues int
-	FullNewtonRescues     int
-	DampedNewtonRescues   int
-	ContinuationRescues   int
+	Stats
 }
 
 // OmegaMean returns the average local frequency ω₀ of eq. (21).

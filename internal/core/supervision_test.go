@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ import (
 //   - SiteGMRESStagnate fires once per linear-ladder rung-1 call (GMRESDR
 //     without a recycler delegates to GMRES before its own site check), so
 //     Times(1) exercises the deflation-free GMRES rescue and Times(2) the
-//     direct dense-LU rung.
+//     direct sparse-LU rung.
 //
 // Plans are armed only after InitialCondition: the IC's own transient and
 // shooting Newton solves would otherwise consume the planned firings.
@@ -152,7 +153,7 @@ func TestFaultNewtonPersistentFailureReportsTrail(t *testing.T) {
 
 func TestFaultGMRESRescue(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(1))
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 0 {
 		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 0)",
@@ -165,7 +166,7 @@ func TestFaultGMRESRescue(t *testing.T) {
 
 func TestFaultGMRESDoubleFailureLURescue(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(2))
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 1 {
 		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 1)",
@@ -181,9 +182,9 @@ func TestFaultGMRESDoubleFailureLURescue(t *testing.T) {
 
 func TestFaultGMRESAlwaysFailsStillConverges(t *testing.T) {
 	// With the iterative rungs permanently broken, every solve must land on
-	// the direct dense-LU rung — and the run must still complete cleanly.
+	// the direct sparse-LU rung — and the run must still complete cleanly.
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Always())
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.GMRESSolves == 0 {
 		t.Fatal("no linear solves recorded")
@@ -200,8 +201,8 @@ func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
 	// with the complete recovery trail.
 	plan := faultinject.NewPlan().
 		Fail(faultinject.SiteGMRESStagnate, faultinject.Always()).
-		Fail(faultinject.SiteDenseLUSingular, faultinject.Always())
-	_, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+		Fail(faultinject.SiteSparseLUSingular, faultinject.Always())
+	_, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	if err == nil {
 		t.Fatal("want an error when every linear rung fails")
 	}
@@ -209,7 +210,7 @@ func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
 		t.Fatalf("error chain should carry the singular classification: %v", err)
 	}
 	trail := strings.Join(solverr.TrailOf(err), " ")
-	for _, rung := range []string{"gmresdr", "gmres", "dense-lu", "chord", "continuation"} {
+	for _, rung := range []string{"gmresdr", "gmres", "sparse-lu", "chord", "continuation"} {
 		if !strings.Contains(trail, rung) {
 			t.Fatalf("recovery trail %q missing rung %q", trail, rung)
 		}
@@ -237,6 +238,98 @@ func TestFaultResidualNaNRescued(t *testing.T) {
 	requireHealthy(t, res, err)
 	if res.FullNewtonRescues != 1 {
 		t.Fatalf("FullNewtonRescues = %d, want 1", res.FullNewtonRescues)
+	}
+}
+
+// supervisedQP builds an unarmed quasiperiodic guess for the test VCO from
+// three slow periods of envelope following, arms plan, and runs the global
+// solve on a 15×9 grid. The envelope bootstrap runs before arming so its
+// Newton solves do not consume the planned firings.
+func supervisedQP(t *testing.T, plan *faultinject.Plan, opt QPOptions) (*QPResult, error) {
+	t.Helper()
+	const T2 = 80.0
+	sys := testVCO(T2)
+	xhat0, omega0 := solveIC(t, sys, 15)
+	env, err := Envelope(sys, xhat0, omega0, 3*T2, EnvelopeOptions{N1: 15, H2: T2 / 150, Trap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guess, err := GuessFromEnvelope(env, T2, 15, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.N1, opt.N2 = 15, 9
+	defer faultinject.Arm(plan)()
+	return Quasiperiodic(sys, T2, guess, opt)
+}
+
+// The quasiperiodic ladder is the envelope's without the chord rung when
+// ChordNewton is off: the first attempt already refreshes the Jacobian every
+// iteration, so one injected failure lands on the deep damped rung directly.
+func TestFaultQPNewtonRescues(t *testing.T) {
+	cases := []struct {
+		chord            bool
+		fails            int
+		full, deep, cont int
+	}{
+		{chord: true, fails: 1, full: 1},
+		{chord: true, fails: 2, full: 1, deep: 1},
+		{chord: true, fails: 3, full: 1, deep: 1, cont: 1},
+		{chord: false, fails: 1, deep: 1},
+		{chord: false, fails: 2, deep: 1, cont: 1},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("chord=%v/fails=%d", tc.chord, tc.fails), func(t *testing.T) {
+			plan := faultinject.NewPlan().Fail(faultinject.SiteNewtonFail, faultinject.Times(tc.fails))
+			res, err := supervisedQP(t, plan, QPOptions{ChordNewton: tc.chord})
+			if err != nil {
+				t.Fatalf("supervised quasiperiodic solve failed: %v", err)
+			}
+			for j2, w := range res.Omega {
+				if !(w > 0) {
+					t.Fatalf("ω[%d] = %v, want positive", j2, w)
+				}
+			}
+			if res.FullNewtonRescues != tc.full || res.DampedNewtonRescues != tc.deep || res.ContinuationRescues != tc.cont {
+				t.Fatalf("rescues (full, deep, cont) = (%d, %d, %d), want (%d, %d, %d)",
+					res.FullNewtonRescues, res.DampedNewtonRescues, res.ContinuationRescues,
+					tc.full, tc.deep, tc.cont)
+			}
+		})
+	}
+}
+
+// An exhausted quasiperiodic ladder reports every rung it ran; the chord
+// rung appears in the trail only when the first attempt was a chord solve.
+func TestFaultQPLadderExhaustedTrail(t *testing.T) {
+	for _, chord := range []bool{true, false} {
+		t.Run(fmt.Sprintf("chord=%v", chord), func(t *testing.T) {
+			plan := faultinject.NewPlan().Fail(faultinject.SiteNewtonFail, faultinject.Always())
+			res, err := supervisedQP(t, plan, QPOptions{ChordNewton: chord})
+			if err == nil {
+				t.Fatal("want an error when every Newton solve fails")
+			}
+			if res != nil {
+				t.Fatal("a failed (non-canceled) solve must not return a result")
+			}
+			if !solverr.IsKind(err, solverr.KindStagnation) {
+				t.Fatalf("error kind = %v, want stagnation in chain: %v", solverr.KindOf(err), err)
+			}
+			trail := solverr.TrailOf(err)
+			joined := strings.Join(trail, " ")
+			for _, rung := range []string{"full-newton", "damped-newton", "continuation"} {
+				if !strings.Contains(joined, rung) {
+					t.Fatalf("recovery trail %q missing rung %q", joined, rung)
+				}
+			}
+			hasChord := false
+			for _, r := range trail {
+				hasChord = hasChord || r == "chord"
+			}
+			if hasChord != chord {
+				t.Fatalf("trail %q: chord present = %v, want %v", joined, hasChord, chord)
+			}
+		})
 	}
 }
 

@@ -101,8 +101,8 @@ func (w *WarmStart) SetEnvelopeIC(xhat []float64, omega float64, n1 int) {
 // by the carrier's consumer.
 //
 // Dense-LU mode carries the chord factorization and its newton.ReuseState;
-// GMRES mode carries the harmonic preconditioner (the chord state references
-// the dead assembler's ladder and is dropped). Either way the adopting
+// matrix-free mode carries the harmonic preconditioner (the chord state
+// references the dead assembler's ladder and is dropped). Either way the adopting
 // assembler takes ownership and mutates the factors in place, which is why
 // takeEnv pops the payload instead of sharing it.
 type envCarry struct {
@@ -136,7 +136,7 @@ func (w *WarmStart) takeEnv(n1, n int, linear LinearKind) *envCarry {
 // the next sweep point can adopt it: the final bivariate waveform and
 // frequency as an envelope IC, the recycler's deflation space, and the
 // linear-path-specific factors — the chord LU plus its Newton reuse state in
-// dense mode, the harmonic preconditioner in GMRES mode (the dense chord
+// dense mode, the harmonic preconditioner in matrix-free mode (the chord
 // state would dangle into this run's dead ladder, so it is never carried on
 // the iterative path).
 func (a *envAssembler) harvestInto(w *WarmStart, xhat []float64, omega float64) {
@@ -144,7 +144,7 @@ func (a *envAssembler) harvestInto(w *WarmStart, xhat []float64, omega float64) 
 		return
 	}
 	w.SetEnvelopeIC(xhat, omega, a.n1)
-	w.Rec = a.rec
+	w.Rec = a.lad.rec
 	ec := &envCarry{
 		n1:            a.n1,
 		n:             a.n,

@@ -61,7 +61,7 @@ func TestWarmStartPayloadGates(t *testing.T) {
 
 	// takeEnv pops and drops incompatible payloads.
 	w.env = &envCarry{n1: 25, n: 3, linear: LinearDenseLU}
-	if ec := w.takeEnv(25, 3, LinearGMRES); ec != nil {
+	if ec := w.takeEnv(25, 3, LinearMatrixFree); ec != nil {
 		t.Fatal("linear-path mismatch adopted")
 	}
 	if w.env != nil {
@@ -177,25 +177,25 @@ func TestEnvelopeWarmCarrierMatchesCold(t *testing.T) {
 	}
 }
 
-// TestEnvelopeWarmGMRESCarriesRecycler checks the iterative path: the donor's
-// deflation space and harmonic preconditioner ride the carrier, and the
-// adopted run still matches the dense oracle.
+// TestEnvelopeWarmGMRESCarriesRecycler checks the iterative (matrix-free)
+// path: the donor's deflation space and harmonic preconditioner ride the
+// carrier, and the adopted run still matches the dense oracle.
 func TestEnvelopeWarmGMRESCarriesRecycler(t *testing.T) {
 	T2 := 60.0
 	sysA := testVCO(300)
 	xhatA, omegaA := solveIC(t, sysA, 25)
 	opt := EnvelopeOptions{N1: 25, H2: T2 / 60, Trap: true, ChordNewton: true,
-		Linear: LinearGMRES, RecycleKrylov: true}
+		Linear: LinearMatrixFree, RecycleKrylov: true}
 	ws := &WarmStart{}
 	opt.Warm = ws
 	if _, err := Envelope(sysA, xhatA, omegaA, T2, opt); err != nil {
 		t.Fatal(err)
 	}
 	if ws.Rec == nil || ws.Rec.Size() == 0 {
-		t.Fatal("donor GMRES run did not harvest a deflation space")
+		t.Fatal("donor matrix-free run did not harvest a deflation space")
 	}
 	if ws.env == nil || ws.env.lu != nil {
-		t.Fatal("GMRES carry must hold no dense chord factors")
+		t.Fatal("matrix-free carry must hold no dense chord factors")
 	}
 
 	sysB := testVCO(300)
@@ -215,13 +215,13 @@ func TestEnvelopeWarmGMRESCarriesRecycler(t *testing.T) {
 	wEnd := warm.Omega[len(warm.Omega)-1]
 	dEnd := dense.Omega[len(dense.Omega)-1]
 	if d := math.Abs(wEnd - dEnd); d > 1e-3*dEnd {
-		t.Fatalf("warm GMRES envelope diverged from dense oracle: %v vs %v", wEnd, dEnd)
+		t.Fatalf("warm matrix-free envelope diverged from dense oracle: %v vs %v", wEnd, dEnd)
 	}
 }
 
 // TestQuasiperiodicWarmDensePathInert checks the carrier is advisory on the
 // quasiperiodic dense path: a Warm with a stale recycler payload threads
-// through untouched (only the GMRES path adopts it), and the solve result is
+// through untouched (only the matrix-free path adopts it), and the solve result is
 // identical to the cold one.
 func TestQuasiperiodicWarmDensePathInert(t *testing.T) {
 	if testing.Short() {

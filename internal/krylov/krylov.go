@@ -1,5 +1,5 @@
 // Package krylov implements matrix-free iterative linear solvers — GMRES(m)
-// and BiCGStab — with Jacobi, block-Jacobi and ILU(0) preconditioners.
+// and the recycling GMRESDR — with a block-Jacobi preconditioner.
 // Paper §1/§4 (citing Saad): "the use of iterative linear techniques enables
 // large systems to be handled efficiently"; these solvers back the
 // large-system path of the WaMPDE Newton iterations.
@@ -14,8 +14,8 @@ import (
 	"repro/internal/solverr"
 )
 
-// Operator applies a linear map y = A x. Implemented by dense and CSR
-// matrices via adapters, and matrix-free by the WaMPDE Jacobian.
+// Operator applies a linear map y = A x. Implemented matrix-free by the
+// WaMPDE Jacobian, and by dense matrices via DenseOp.
 type Operator interface {
 	Dim() int
 	Apply(x, y []float64)
@@ -131,7 +131,7 @@ type Result struct {
 	Converged  bool
 	// MatVecs counts operator applications (the dominant cost at scale):
 	// one per inner iteration plus one true-residual evaluation per restart
-	// cycle. BiCGStab performs two per iteration.
+	// cycle.
 	MatVecs int
 	// Recycled is the number of carried deflation vectors the solve started
 	// from (GMRESDR only; zero for the plain solvers).
@@ -266,94 +266,4 @@ func GMRES(a Operator, b, x []float64, opt Options) (Result, error) {
 		solverr.Wrap(solverr.KindStagnation, "krylov.gmres", ErrNoConvergence).
 			WithMsg("GMRES(%d) hit iteration cap", m).WithIter(total).WithResidual(res).
 			WithResidualHistory(append([]float64(nil), ws.hist...))
-}
-
-// BiCGStab solves A x = b by the preconditioned BiCGStab iteration.
-func BiCGStab(a Operator, b, x []float64, opt Options) (Result, error) {
-	n := a.Dim()
-	if len(b) != n || len(x) != n {
-		return Result{}, solverr.New(solverr.KindBadInput, "krylov.bicgstab",
-			"dims: n=%d len(b)=%d len(x)=%d", n, len(b), len(x))
-	}
-	opt = opt.withDefaults(n)
-	if n == 0 {
-		return Result{Converged: true}, nil
-	}
-	bnorm := la.Norm2(b)
-	if bnorm == 0 {
-		la.Fill(x, 0)
-		return Result{Converged: true}, nil
-	}
-	mv := 0
-	r := make([]float64, n)
-	a.Apply(x, r)
-	mv++
-	la.Sub(r, b, r)
-	rhat := make([]float64, n)
-	la.Copy(rhat, r)
-	p := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	t := make([]float64, n)
-	ph := make([]float64, n)
-	sh := make([]float64, n)
-
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	res := la.Norm2(r) / bnorm
-	for it := 1; it <= opt.MaxIter; it++ {
-		rhoNew := la.Dot(rhat, r)
-		if rhoNew == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false, MatVecs: mv},
-				solverr.Wrap(solverr.KindBreakdown, "krylov.bicgstab", ErrNoConvergence).
-					WithMsg("rho breakdown").WithIter(it).WithResidual(res)
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		opt.Prec.Precondition(p, ph)
-		a.Apply(ph, v)
-		mv++
-		den := la.Dot(rhat, v)
-		if den == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false, MatVecs: mv},
-				solverr.Wrap(solverr.KindBreakdown, "krylov.bicgstab", ErrNoConvergence).
-					WithMsg("orthogonality breakdown").WithIter(it).WithResidual(res)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if res = la.Norm2(s) / bnorm; res <= opt.Tol {
-			la.Axpy(alpha, ph, x)
-			return Result{Iterations: it, Residual: res, Converged: true, MatVecs: mv}, nil
-		}
-		opt.Prec.Precondition(s, sh)
-		a.Apply(sh, t)
-		mv++
-		tt := la.Dot(t, t)
-		if tt == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false, MatVecs: mv},
-				solverr.Wrap(solverr.KindBreakdown, "krylov.bicgstab", ErrNoConvergence).
-					WithMsg("stabilization breakdown").WithIter(it).WithResidual(res)
-		}
-		omega = la.Dot(t, s) / tt
-		la.Axpy(alpha, ph, x)
-		la.Axpy(omega, sh, x)
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if res = la.Norm2(r) / bnorm; res <= opt.Tol {
-			return Result{Iterations: it, Residual: res, Converged: true, MatVecs: mv}, nil
-		}
-		if omega == 0 {
-			return Result{Iterations: it, Residual: res, Converged: false, MatVecs: mv},
-				solverr.Wrap(solverr.KindBreakdown, "krylov.bicgstab", ErrNoConvergence).
-					WithMsg("omega breakdown").WithIter(it).WithResidual(res)
-		}
-	}
-	return Result{Iterations: opt.MaxIter, Residual: res, Converged: false, MatVecs: mv},
-		solverr.Wrap(solverr.KindStagnation, "krylov.bicgstab", ErrNoConvergence).
-			WithMsg("hit iteration cap").WithIter(opt.MaxIter).WithResidual(res)
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/la"
-	"repro/internal/sparse"
 )
 
 func randomSPDish(rng *rand.Rand, n int) *la.Dense {
@@ -149,59 +148,14 @@ func TestGMRESNonConvergenceReported(t *testing.T) {
 	}
 }
 
-func TestBiCGStabSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 25
-	a := DenseOp{randomSPDish(rng, n)}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	res, err := BiCGStab(a, b, x, Options{Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || residual(a, x, b) > 1e-9 {
-		t.Fatalf("BiCGStab failed: %+v residual %v", res, residual(a, x, b))
-	}
-}
-
-func TestJacobiPreconditionerHelps(t *testing.T) {
-	// Badly scaled diagonal system: Jacobi should fix it almost instantly.
-	n := 40
-	m := la.NewDense(n, n)
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d := math.Pow(10, float64(i%8))
-		m.Set(i, i, d)
-		diag[i] = d
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	xPlain := make([]float64, n)
-	resPlain, _ := GMRES(DenseOp{m}, b, xPlain, Options{Tol: 1e-10, MaxIter: 200})
-	xPrec := make([]float64, n)
-	resPrec, err := GMRES(DenseOp{m}, b, xPrec, Options{Tol: 1e-10, Prec: NewJacobi(diag)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resPrec.Converged {
-		t.Fatal("preconditioned solve did not converge")
-	}
-	if resPrec.Iterations > resPlain.Iterations && resPlain.Converged {
-		t.Fatalf("Jacobi should not be slower: %d vs %d", resPrec.Iterations, resPlain.Iterations)
-	}
-}
-
 func TestBlockJacobiPreconditioner(t *testing.T) {
 	// Block-diagonal matrix: block-Jacobi is an exact inverse -> 1 iteration.
 	n, bs := 12, 3
 	m := la.NewDense(n, n)
+	blocks := make([]*la.Dense, 0, n/bs)
 	rng := rand.New(rand.NewSource(5))
 	for s := 0; s < n; s += bs {
+		blk := la.NewDense(bs, bs)
 		for i := 0; i < bs; i++ {
 			for j := 0; j < bs; j++ {
 				v := rng.NormFloat64()
@@ -209,10 +163,12 @@ func TestBlockJacobiPreconditioner(t *testing.T) {
 					v += 5
 				}
 				m.Set(s+i, s+j, v)
+				blk.Set(i, j, v)
 			}
 		}
+		blocks = append(blocks, blk)
 	}
-	prec, err := NewBlockJacobi(m, bs)
+	prec, err := NewBlockJacobiFromBlocks(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,81 +187,13 @@ func TestBlockJacobiPreconditioner(t *testing.T) {
 }
 
 func TestBlockJacobiRejectsBadInput(t *testing.T) {
-	if _, err := NewBlockJacobi(la.NewDense(2, 3), 1); err == nil {
-		t.Fatal("expected error for non-square")
+	if _, err := NewBlockJacobiFromBlocks([]*la.Dense{la.Identity(2), la.NewDense(2, 3)}); err == nil {
+		t.Fatal("expected error for a non-square block")
 	}
-	if _, err := NewBlockJacobi(la.Identity(2), 0); err == nil {
-		t.Fatal("expected error for zero block size")
+	if _, err := NewBlockJacobiFromBlocks(nil); err == nil {
+		t.Fatal("expected error for no blocks")
 	}
-}
-
-func buildPoisson1D(n int) *sparse.CSR {
-	tr := sparse.NewTriplet(n, n)
-	for i := 0; i < n; i++ {
-		tr.Add(i, i, 2)
-		if i > 0 {
-			tr.Add(i, i-1, -1)
-		}
-		if i+1 < n {
-			tr.Add(i, i+1, -1)
-		}
-	}
-	return tr.ToCSR()
-}
-
-func TestILU0OnPoisson(t *testing.T) {
-	n := 64
-	c := buildPoisson1D(n)
-	prec, err := NewILU0(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	// For a tridiagonal matrix ILU(0) is a complete LU: one GMRES iteration.
-	x := make([]float64, n)
-	res, err := GMRES(CSROp{c}, b, x, Options{Tol: 1e-10, Prec: prec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 2 {
-		t.Fatalf("ILU(0) on tridiagonal should converge in ~1 iter, took %d", res.Iterations)
-	}
-	if r := residual(CSROp{c}, x, b); r > 1e-9 {
-		t.Fatalf("residual %v", r)
-	}
-}
-
-func TestILU0MissingDiagonal(t *testing.T) {
-	tr := sparse.NewTriplet(2, 2)
-	tr.Add(0, 1, 1)
-	tr.Add(1, 0, 1)
-	if _, err := NewILU0(tr.ToCSR()); err == nil {
-		t.Fatal("expected missing-diagonal error")
-	}
-}
-
-func TestFuncOp(t *testing.T) {
-	op := FuncOp{N: 2, F: func(x, y []float64) { y[0], y[1] = 2*x[0], 3*x[1] }}
-	x := make([]float64, 2)
-	if _, err := GMRES(op, []float64{4, 9}, x, Options{Tol: 1e-13}); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-10 || math.Abs(x[1]-3) > 1e-10 {
-		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestBiCGStabZeroRHS(t *testing.T) {
-	a := DenseOp{la.Identity(3)}
-	x := []float64{1, 2, 3}
-	res, err := BiCGStab(a, make([]float64, 3), x, Options{})
-	if err != nil || !res.Converged {
-		t.Fatalf("%v %+v", err, res)
-	}
-	if la.Norm2(x) != 0 {
-		t.Fatal("expected zero solution")
+	if _, err := NewBlockJacobiFromBlocks([]*la.Dense{la.NewDense(2, 2)}); err == nil {
+		t.Fatal("expected error for a singular block")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/la"
 	"repro/internal/par"
-	"repro/internal/sparse"
 )
 
 // DenseOp adapts *la.Dense to the Operator interface.
@@ -17,50 +16,6 @@ func (d DenseOp) Dim() int { return d.M.Rows }
 
 // Apply computes y = M x.
 func (d DenseOp) Apply(x, y []float64) { d.M.MulVec(x, y) }
-
-// CSROp adapts *sparse.CSR to the Operator interface.
-type CSROp struct{ M *sparse.CSR }
-
-// Dim returns the operator dimension.
-func (c CSROp) Dim() int { return c.M.Rows }
-
-// Apply computes y = M x.
-func (c CSROp) Apply(x, y []float64) { c.M.MulVec(x, y) }
-
-// FuncOp wraps a closure as an Operator, for matrix-free products.
-type FuncOp struct {
-	N int
-	F func(x, y []float64)
-}
-
-// Dim returns the operator dimension.
-func (f FuncOp) Dim() int { return f.N }
-
-// Apply invokes the wrapped closure.
-func (f FuncOp) Apply(x, y []float64) { f.F(x, y) }
-
-// jacobiPrec scales by the inverse diagonal.
-type jacobiPrec struct{ invDiag []float64 }
-
-// NewJacobi builds a Jacobi (diagonal) preconditioner from the matrix
-// diagonal. Zero diagonal entries are treated as 1 (no scaling).
-func NewJacobi(diag []float64) Preconditioner {
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		if d == 0 {
-			inv[i] = 1
-		} else {
-			inv[i] = 1 / d
-		}
-	}
-	return jacobiPrec{invDiag: inv}
-}
-
-func (p jacobiPrec) Precondition(r, z []float64) {
-	for i := range r {
-		z[i] = r[i] * p.invDiag[i]
-	}
-}
 
 // blockJacobiPrec inverts contiguous diagonal blocks with dense LU.
 type blockJacobiPrec struct {
@@ -78,58 +33,13 @@ func blockGrain(blockSize int) int {
 	return g
 }
 
-// NewBlockJacobi builds a block-Jacobi preconditioner from a dense matrix
-// using contiguous blocks of the given size (the last block may be smaller).
-// In the WaMPDE Jacobian, blocks of size n (circuit unknowns per collocation
-// point) capture the dominant algebraic coupling. The blocks are extracted
-// and factored independently on the worker pool.
-func NewBlockJacobi(m *la.Dense, blockSize int) (Preconditioner, error) {
-	if m.Rows != m.Cols {
-		return nil, errors.New("krylov: block-Jacobi needs a square matrix")
-	}
-	if blockSize <= 0 {
-		return nil, errors.New("krylov: block size must be positive")
-	}
-	n := m.Rows
-	nBlocks := (n + blockSize - 1) / blockSize
-	p := &blockJacobiPrec{
-		offsets: make([]int, nBlocks+1),
-		facts:   make([]*la.LU, nBlocks),
-	}
-	for b := 0; b < nBlocks; b++ {
-		p.offsets[b] = b * blockSize
-	}
-	p.offsets[nBlocks] = n
-	err := par.ForErr(nBlocks, blockGrain(blockSize), func(lo, hi int) error {
-		for b := lo; b < hi; b++ {
-			start, end := p.offsets[b], p.offsets[b+1]
-			blk := la.NewDense(end-start, end-start)
-			for i := start; i < end; i++ {
-				for j := start; j < end; j++ {
-					blk.Set(i-start, j-start, m.At(i, j))
-				}
-			}
-			f, err := la.FactorLU(blk)
-			if err != nil {
-				return fmt.Errorf("krylov: block [%d:%d): %w", start, end, err)
-			}
-			p.facts[b] = f
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // NewBlockJacobiFromBlocks builds a block-Jacobi preconditioner from
 // pre-assembled contiguous diagonal blocks (block b covers the unknowns
 // after blocks 0..b-1). Matrix-free operators use this: they can produce
 // their diagonal blocks directly from per-point device Jacobians without
-// ever assembling the full matrix NewBlockJacobi would extract them from.
-// The blocks are not modified; factoring spreads over the worker pool with
-// the same deterministic chunk layout as NewBlockJacobi.
+// ever assembling the full matrix. The blocks are not modified; factoring
+// spreads over the worker pool with a chunk layout that depends on the block
+// size only, so the result is worker-count independent.
 func NewBlockJacobiFromBlocks(blocks []*la.Dense) (Preconditioner, error) {
 	if len(blocks) == 0 {
 		return nil, errors.New("krylov: block-Jacobi needs at least one block")
@@ -172,96 +82,4 @@ func (p *blockJacobiPrec) Precondition(r, z []float64) {
 			f.Solve(r[bLo:bHi], z[bLo:bHi])
 		}
 	})
-}
-
-// ilu0Prec is an incomplete LU factorization with zero fill (ILU(0)).
-type ilu0Prec struct {
-	n      int
-	rowPtr []int
-	colIdx []int
-	val    []float64
-	diag   []int // index of the diagonal entry within each row
-}
-
-// NewILU0 computes the ILU(0) preconditioner of a CSR matrix. The matrix
-// must have a structurally nonzero diagonal.
-func NewILU0(a *sparse.CSR) (Preconditioner, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("krylov: ILU(0) needs a square matrix")
-	}
-	n := a.Rows
-	p := &ilu0Prec{
-		n:      n,
-		rowPtr: append([]int(nil), a.RowPtr...),
-		colIdx: append([]int(nil), a.ColIdx...),
-		val:    append([]float64(nil), a.Val...),
-		diag:   make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		p.diag[i] = -1
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			if p.colIdx[k] == i {
-				p.diag[i] = k
-				break
-			}
-		}
-		if p.diag[i] < 0 {
-			return nil, fmt.Errorf("krylov: ILU(0) missing diagonal in row %d", i)
-		}
-	}
-	// IKJ variant restricted to the existing pattern.
-	colPos := make([]int, n) // scatter of row i's column -> index, -1 if absent
-	for i := range colPos {
-		colPos[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			colPos[p.colIdx[k]] = k
-		}
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			j := p.colIdx[k]
-			if j >= i {
-				break // row entries are sorted; only strictly-lower part here
-			}
-			dj := p.val[p.diag[j]]
-			if dj == 0 {
-				return nil, fmt.Errorf("%w: ILU(0) zero pivot in row %d", sparse.ErrSingular, j)
-			}
-			lij := p.val[k] / dj
-			p.val[k] = lij
-			for kk := p.diag[j] + 1; kk < p.rowPtr[j+1]; kk++ {
-				jj := p.colIdx[kk]
-				if pos := colPos[jj]; pos >= 0 {
-					p.val[pos] -= lij * p.val[kk]
-				}
-			}
-		}
-		for k := p.rowPtr[i]; k < p.rowPtr[i+1]; k++ {
-			colPos[p.colIdx[k]] = -1
-		}
-		if p.val[p.diag[i]] == 0 {
-			return nil, fmt.Errorf("%w: ILU(0) zero pivot in row %d", sparse.ErrSingular, i)
-		}
-	}
-	return p, nil
-}
-
-func (p *ilu0Prec) Precondition(r, z []float64) {
-	n := p.n
-	// Forward solve L y = r (L unit lower, stored strictly below diagonal).
-	for i := 0; i < n; i++ {
-		s := r[i]
-		for k := p.rowPtr[i]; k < p.diag[i]; k++ {
-			s -= p.val[k] * z[p.colIdx[k]]
-		}
-		z[i] = s
-	}
-	// Backward solve U z = y.
-	for i := n - 1; i >= 0; i-- {
-		s := z[i]
-		for k := p.diag[i] + 1; k < p.rowPtr[i+1]; k++ {
-			s -= p.val[k] * z[p.colIdx[k]]
-		}
-		z[i] = s / p.val[p.diag[i]]
-	}
 }

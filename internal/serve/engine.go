@@ -318,7 +318,7 @@ func (CircuitEngine) rippleEnvelope(ctx context.Context, sys *circuit.System, c 
 		eo.Phi[i] = res.Phi[j]
 	}
 	out.Envelope = eo
-	out.Supervision = envelopeSupervision(res)
+	out.Supervision = supervision(res.Stats)
 	return err
 }
 
@@ -356,7 +356,7 @@ func (e CircuitEngine) envelope(ctx context.Context, sys *circuit.System, c *Can
 		eo.Phi[i] = res.Phi[j]
 	}
 	out.Envelope = eo
-	out.Supervision = envelopeSupervision(res)
+	out.Supervision = supervision(res.Stats)
 	return err
 }
 
@@ -397,7 +397,7 @@ func (e CircuitEngine) quasiperiodic(ctx context.Context, sys *circuit.System, c
 		OmegaMean: res.OmegaMean(),
 		Omega:     append([]float64(nil), res.Omega...),
 	}
-	out.Supervision = qpSupervision(res)
+	out.Supervision = supervision(res.Stats)
 	return err
 }
 
@@ -507,41 +507,28 @@ func decimate(n int) []int {
 	return append(idx, n-1)
 }
 
-// envelopeSupervision flattens the envelope run's supervision counters for
-// the response body. Only non-zero counters are emitted (the common
-// all-converged case reports an empty map, elided by omitempty).
-func envelopeSupervision(r *core.EnvelopeResult) map[string]int {
+// supervision flattens a WaMPDE solve's supervision counters for the
+// response body. Only non-zero counters are emitted (the common
+// all-converged case reports an empty map, elided by omitempty), so a
+// quasiperiodic solve, which has no t2 steps, never reports the step keys.
+// The keys are part of the content-addressed body: renaming one splits the
+// persisted cache.
+func supervision(s core.Stats) map[string]int {
 	return prune(map[string]int{
-		"newton_iter_total":        r.NewtonIterTotal,
-		"linear_solves":            r.LinearSolves,
-		"rejected_steps":           r.Rejected,
-		"jacobian_evals":           r.JacobianEvals,
-		"jacobian_reuses":          r.JacobianReuses,
-		"gmres_stagnations":        r.GMRESStagnations,
-		"gmres_breakdowns":         r.GMRESBreakdowns,
-		"linear_gmres_rescues":     r.LinearGMRESRescues,
-		"linear_lu_rescues":        r.LinearLURescues,
-		"linear_sparse_lu_rescues": r.LinearSparseLURescues,
-		"full_newton_rescues":      r.FullNewtonRescues,
-		"damped_newton_rescues":    r.DampedNewtonRescues,
-		"continuation_rescues":     r.ContinuationRescues,
-		"step_halvings":            r.StepHalvings,
-	})
-}
-
-func qpSupervision(r *core.QPResult) map[string]int {
-	return prune(map[string]int{
-		"newton_iter_total":        r.NewtonIterTotal,
-		"jacobian_evals":           r.JacobianEvals,
-		"jacobian_reuses":          r.JacobianReuses,
-		"gmres_stagnations":        r.GMRESStagnations,
-		"gmres_breakdowns":         r.GMRESBreakdowns,
-		"linear_gmres_rescues":     r.LinearGMRESRescues,
-		"linear_lu_rescues":        r.LinearLURescues,
-		"linear_sparse_lu_rescues": r.LinearSparseLURescues,
-		"full_newton_rescues":      r.FullNewtonRescues,
-		"damped_newton_rescues":    r.DampedNewtonRescues,
-		"continuation_rescues":     r.ContinuationRescues,
+		"newton_iter_total":        s.NewtonIterTotal,
+		"linear_solves":            s.LinearSolves,
+		"rejected_steps":           s.Rejected,
+		"jacobian_evals":           s.JacobianEvals,
+		"jacobian_reuses":          s.JacobianReuses,
+		"gmres_stagnations":        s.GMRESStagnations,
+		"gmres_breakdowns":         s.GMRESBreakdowns,
+		"linear_gmres_rescues":     s.LinearGMRESRescues,
+		"linear_lu_rescues":        s.LinearLURescues,
+		"linear_sparse_lu_rescues": s.LinearSparseLURescues,
+		"full_newton_rescues":      s.FullNewtonRescues,
+		"damped_newton_rescues":    s.DampedNewtonRescues,
+		"continuation_rescues":     s.ContinuationRescues,
+		"step_halvings":            s.StepHalvings,
 	})
 }
 
