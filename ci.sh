@@ -13,10 +13,10 @@
 #   bench       hot-loop benchmark snapshot: runs the envelope, quasiperiodic
 #               and allocation-budget benchmarks with -benchmem and writes the
 #               parsed numbers (ns/op, B/op, allocs/op) to a baseline file
-#               (second argument, default BENCH_pr12.json) via cmd/benchjson.
+#               (second argument, default BENCH_pr14.json) via cmd/benchjson.
 #               Not part of "all" — timings are machine-specific, so refresh
 #               the baseline deliberately. Historical baselines (BENCH_pr2.json,
-#               BENCH_pr3.json, BENCH_pr4.json) stay committed; pass the
+#               BENCH_pr3.json, BENCH_pr4.json, BENCH_pr12.json) stay committed; pass the
 #               filename to overwrite one explicitly.
 #   bench-check rerun the same benchmarks and compare against the committed
 #               baseline with cmd/benchjson -check: an allocs/op regression
@@ -114,7 +114,7 @@ set -eu
 cd "$(dirname "$0")"
 
 tier="${1:-all}"
-benchfile="${2:-BENCH_pr12.json}"
+benchfile="${2:-BENCH_pr14.json}"
 benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|BenchmarkAblationGMRESRecycle$|BenchmarkQuasiperiodicWaMPDE$|BenchmarkHotLoopAllocs$|BenchmarkGMRESAllocs$'
 
 if [ "$tier" = 1 ] || [ "$tier" = all ]; then

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dae"
+	"repro/internal/solverr"
 	"repro/internal/transient"
 	"repro/internal/wave"
 )
@@ -361,6 +362,100 @@ func TestQuasiperiodicBadArgs(t *testing.T) {
 	g.X[0] = make([][]float64, 2)
 	if _, err := Quasiperiodic(sys, 10, g, QPOptions{N1: 15, N2: 15}); err == nil {
 		t.Fatal("shape mismatch should fail")
+	}
+}
+
+// Every multi-time entry point validates its inputs before any solve: a
+// malformed or non-finite input is a typed bad-input error, never a panic
+// or a rescue-ladder failure.
+func TestMultiTimeInputsRejected(t *testing.T) {
+	sys := testVCO(10)
+	n, n1, n2 := sys.Dim(), 5, 4
+	x := make([]float64, n1*n)
+	grid := func(edit func(g *QPGuess)) *QPGuess {
+		g := &QPGuess{X: make([][][]float64, n2), Omega: []float64{1, 1, 1, 1}}
+		for j2 := range g.X {
+			g.X[j2] = make([][]float64, n1)
+			for j1 := range g.X[j2] {
+				g.X[j2][j1] = make([]float64, n)
+			}
+		}
+		if edit != nil {
+			edit(g)
+		}
+		return g
+	}
+	env := EnvelopeOptions{N1: n1, H2: 1}
+	qp := QPOptions{N1: n1, N2: n2}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"envelope/t2End=NaN", func() error { _, err := Envelope(sys, x, 1, nan, env); return err }},
+		{"envelope/t2End=Inf", func() error { _, err := Envelope(sys, x, 1, inf, env); return err }},
+		{"envelope/H2=NaN", func() error {
+			_, err := Envelope(sys, x, 1, 10, EnvelopeOptions{N1: n1, H2: nan})
+			return err
+		}},
+		{"envelope/omega0=NaN", func() error { _, err := Envelope(sys, x, nan, 10, env); return err }},
+		{"envelope/omega0=Inf", func() error { _, err := Envelope(sys, x, inf, 10, env); return err }},
+		{"envelope/short-xhat0", func() error { _, err := Envelope(sys, x[1:], 1, 10, env); return err }},
+		{"forced/omega=NaN", func() error { _, err := ForcedEnvelope(sys, nil, x, nan, 10, env); return err }},
+		{"forced/omega=0", func() error { _, err := ForcedEnvelope(sys, nil, x, 0, 10, env); return err }},
+		{"forced/t2End=NaN", func() error { _, err := ForcedEnvelope(sys, nil, x, 1, nan, env); return err }},
+		{"qp/T2=NaN", func() error { _, err := Quasiperiodic(sys, nan, grid(nil), qp); return err }},
+		{"qp/nil-guess", func() error { _, err := Quasiperiodic(sys, 10, nil, qp); return err }},
+		{"qp/short-grid", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X = g.X[1:] }), qp)
+			return err
+		}},
+		{"qp/short-line", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X[1] = g.X[1][1:] }), qp)
+			return err
+		}},
+		{"qp/state-count", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X[2][3] = make([]float64, n+1) }), qp)
+			return err
+		}},
+		{"qp/omega=0", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.Omega[1] = 0 }), qp)
+			return err
+		}},
+		{"qp/omega=NaN", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.Omega[3] = nan }), qp)
+			return err
+		}},
+		{"qp/short-omega", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.Omega = g.Omega[1:] }), qp)
+			return err
+		}},
+		{"qp/value=NaN", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X[1][2][0] = nan }), qp)
+			return err
+		}},
+		{"qp/value=Inf", func() error {
+			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X[3][4][2] = inf }), qp)
+			return err
+		}},
+		{"forcedqp/omega=NaN", func() error { _, err := ForcedQuasiperiodic(sys, nil, nil, nan, 10, qp); return err }},
+		{"forcedqp/T2=NaN", func() error { _, err := ForcedQuasiperiodic(sys, nil, nil, 1, nan, qp); return err }},
+		{"forcedqp/short-line", func() error {
+			_, err := ForcedQuasiperiodic(sys, nil, grid(func(g *QPGuess) { g.X[1] = g.X[1][1:] }).X, 1, 10, qp)
+			return err
+		}},
+		{"forcedqp/value=NaN", func() error {
+			_, err := ForcedQuasiperiodic(sys, nil, grid(func(g *QPGuess) { g.X[0][0][1] = nan }).X, 1, 10, qp)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			if !solverr.IsKind(err, solverr.KindBadInput) {
+				t.Fatalf("err = %v, want a %v error", err, solverr.KindBadInput)
+			}
+		})
 	}
 }
 

@@ -5,21 +5,10 @@ import (
 	"math"
 
 	"repro/internal/dae"
-	"repro/internal/fourier"
 	"repro/internal/la"
 	"repro/internal/newton"
-	"repro/internal/par"
 	"repro/internal/solverr"
 )
-
-// ptGrain is how many collocation points one parallel chunk owns in the
-// per-point kernels (device evaluations, Jacobian row blocks). Grids up to
-// one grain collapse to a single chunk and run serially; the value must not
-// depend on the worker count (see package par's determinism contract).
-const ptGrain = 16
-
-// dqGrain chunks the rows of the (D⊗I)·q spectral product.
-const dqGrain = 32
 
 // LinearKind selects the linear solver used inside the per-step Newton
 // iterations.
@@ -116,19 +105,6 @@ type EnvelopeOptions struct {
 	// bit-inexact relative to cold runs; nil Warm (the default) is the
 	// historical path the golden suite pins bitwise.
 	Warm *WarmStart
-
-	// omegaPin (> 0) switches the solver into forced (unwarped-MPDE) mode:
-	// ω is pinned to this value instead of being solved for, and the phase
-	// row becomes the trivial equation ω − omegaPin = 0 — the driven-system
-	// corner of the MPDE where the fast period is set by the source (a PWM
-	// switching clock), not by an autonomous oscillation. Set only through
-	// ForcedEnvelope; zero (the default) is the autonomous WaMPDE path.
-	omegaPin float64
-	// input2, when non-nil, evaluates the inputs per collocation point:
-	// input2(tau, t2, u) fills u at normalized fast phase tau = j/N1 and
-	// slow time t2. nil (the default) keeps the historical slow-only
-	// Input(t2) evaluation shared by all collocation points.
-	input2 func(tau, t2 float64, u []float64)
 }
 
 func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
@@ -177,50 +153,50 @@ func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 // b(t2).
 func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt EnvelopeOptions) (*EnvelopeResult, error) {
 	opt = opt.withDefaults()
-	n := sys.Dim()
-	n1 := opt.N1
-	if len(xhat0) != n1*n {
-		return nil, solverr.New(solverr.KindBadInput, "core.envelope",
-			"len(xhat0)=%d, want N1·n=%d", len(xhat0), n1*n)
-	}
-	if opt.H2 <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.envelope", "EnvelopeOptions.H2 must be positive")
-	}
-	if t2End <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.envelope", "t2End must be positive")
-	}
-	if omega0 <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.envelope", "omega0 must be positive")
-	}
-	if err := solverr.CheckFinite("core.envelope", xhat0); err != nil {
+	if err := checkEnvelopeArgs(sys.Dim(), xhat0, omega0, t2End, opt); err != nil {
 		return nil, err
 	}
-	var k int
-	var w []float64
-	var c float64
-	if opt.omegaPin > 0 {
-		// Forced mode: ω is pinned, so there is no phase condition on the
-		// waveform — the weights are all zero and k is an unused placeholder.
-		k = 0
-		w = make([]float64, n1)
-	} else {
-		k = sys.OscVar()
-		if k < 0 || k >= n {
-			return nil, ErrNeedOscillation
-		}
-		var err error
-		w, c, err = phaseRow(opt.Phase, n1, opt.Anchor)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Phase == PhaseFixValue {
-			// Anchor must be consistent with the IC to avoid a phase jump.
-			c = xhat0[0*n+k]
-		}
+	bord, err := phaseBorder(sys, opt.Phase, opt.Anchor, opt.N1, xhat0)
+	if err != nil {
+		return nil, err
 	}
+	return envelope(sys, bord, lineInputs{sys: sys}, xhat0, omega0, t2End, opt)
+}
 
+// checkEnvelopeArgs validates an envelope run's inputs before any solve.
+func checkEnvelopeArgs(n int, xhat0 []float64, omega0, t2End float64, opt EnvelopeOptions) error {
+	const stage = "core.envelope"
+	if len(xhat0) != opt.N1*n {
+		return solverr.New(solverr.KindBadInput, stage,
+			"len(xhat0)=%d, want N1·n=%d", len(xhat0), opt.N1*n)
+	}
+	if err := positive(stage, "EnvelopeOptions.H2", opt.H2); err != nil {
+		return err
+	}
+	if err := positive(stage, "t2End", t2End); err != nil {
+		return err
+	}
+	if err := positive(stage, "omega0", omega0); err != nil {
+		return err
+	}
+	return solverr.CheckFinite(stage, xhat0)
+}
+
+// positive rejects a parameter that is not a positive finite number; the
+// negated comparison also catches NaN.
+func positive(stage, name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return solverr.New(solverr.KindBadInput, stage, "%s must be positive and finite, got %v", name, v)
+	}
+	return nil
+}
+
+// envelope runs the t2 loop of Envelope and ForcedEnvelope over a one-line
+// grid with the given border and inputs.
+func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega0, t2End float64, opt EnvelopeOptions) (*EnvelopeResult, error) {
+	n1, n := opt.N1, sys.Dim()
 	res := &EnvelopeResult{N1: n1, N: n}
-	asm := newEnvAssembler(sys, n1, n, k, w, c, opt, &res.Stats)
+	asm := newEnvAssembler(sys, bord, in, opt, &res.Stats)
 	// The recycler's counters are reported on every exit, including early
 	// OnStep stops and step failures, so cost accounting stays honest.
 	defer asm.lad.reportRecycler()
@@ -306,37 +282,23 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 			sinceGrow = 0
 			continue
 		}
-		if opt.Adaptive && havePrev && stepIdx >= 2 {
+		// Accept. An adaptive step first checks its local error and, once
+		// accepted, proposes the next step within [hMin, H2] from it.
+		adapt := opt.Adaptive && havePrev && stepIdx >= 2
+		fac := 2.0
+		if adapt {
 			errNorm := envelopeLTE(x, xNew, xPrev, omega, omegaNew, omegaPrev,
 				t2, t2Prev, h, opt.AbsTol, opt.RelTol)
 			if errNorm > 1 && h > hMin {
 				res.Rejected++
-				fac := 0.9 * math.Pow(1/errNorm, 1.0/3)
-				h = math.Max(h*math.Max(fac, 0.2), hMin)
+				shrink := 0.9 * math.Pow(1/errNorm, 1.0/3)
+				h = math.Max(h*math.Max(shrink, 0.2), hMin)
 				sinceGrow = 0
 				continue
 			}
-			// Accept; propose the next step within [hMin, H2].
-			fac := 2.0
 			if errNorm > 0 {
 				fac = math.Min(0.9*math.Pow(1/errNorm, 1.0/3), 2)
 			}
-			if xPrev == nil {
-				xPrev = make([]float64, len(x))
-			}
-			copy(xPrev, x)
-			t2Prev, omegaPrev = t2, omega
-			havePrev = true
-			t2 += h
-			stepIdx++
-			copy(x, xNew)
-			omega = omegaNew
-			if !record(t2, omega, x) {
-				asm.harvestInto(opt.Warm, x, omega)
-				return res, nil
-			}
-			h = math.Min(math.Max(h*fac, hMin), opt.H2)
-			continue
 		}
 		if xPrev == nil {
 			xPrev = make([]float64, len(x))
@@ -349,10 +311,12 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 		copy(x, xNew)
 		omega = omegaNew
 		if !record(t2, omega, x) {
-			asm.harvestInto(opt.Warm, x, omega)
-			return res, nil
+			break
 		}
-		if h < opt.H2 {
+		switch {
+		case adapt:
+			h = math.Min(math.Max(h*fac, hMin), opt.H2)
+		case h < opt.H2:
 			sinceGrow++
 			if sinceGrow >= 4 {
 				h = math.Min(2*h, opt.H2)
@@ -390,48 +354,26 @@ func envelopeLTE(xOld, xNew, xPrev []float64, omegaOld, omegaNew, omegaPrev,
 	return worst
 }
 
-// envAssembler evaluates and solves one implicit t2 step of the WaMPDE.
-// Unknowns z = [x̂ samples (N1·n); ω]; equations: N1·n collocation rows
-// plus the phase row. Collocation row (j, i), Backward Euler:
+// envAssembler drives the one-line grid through implicit t2 steps: BE
 //
 //	ω·Σ_m D[j,m]·q_i(x_m) + (q_i(x_j) − q_i(x_jᵖʳᵉᵛ))/h + f_i(x_j, u) = 0
 //
-// and for trapezoidal t2 integration the ω·D·q and f terms are averaged
-// between the two time levels.
+// or trapezoidal (the ω·D·q and f terms averaged between the levels), plus
+// the border. It owns what is the envelope's own: the step (stepAxis), the
+// row scales, the chord carry, the harmonic preconditioner and the warm
+// carry.
 type envAssembler struct {
-	sys dae.Autonomous
-	n1  int
-	n   int
-	k   int
-	w   []float64 // phase-row weights
-	c   float64
+	g   *grid
+	st  stepAxis
+	in  lineInputs
 	opt EnvelopeOptions
-	d   []float64 // spectral differentiation matrix (period 1)
-	u   []float64
-	// Per-collocation-point inputs (opt.input2 mode): us holds n1 slots of
-	// NumInputs values each, filled at the point's fast phase; usStart/usEnd
-	// are the continuation-rung blending scratch mirroring uStart/uEnd.
-	// usAtFactor snapshots us at the last Jacobian factorization — the
-	// input-drift gate for cross-step chord reuse (see step).
-	us, usStart, usEnd, usAtFactor []float64
 
-	qPrev  []float64 // q at the previous time level
 	rhsOld []float64 // ω·D·q + f at the previous level (Trap)
-	scale  []float64 // per-row residual scales
-
-	// Per-point device Jacobians, filled in parallel during assembly.
-	jqs []*la.Dense
-	jfs []*la.Dense
-
-	// Reused per-step scratch (hot path).
-	qBuf    []float64
-	fBuf    []float64 // per-point F scratch, one n-slot per collocation point
-	z       []float64
-	qNew    []float64
-	rhsNew  []float64
-	rhsPrev []float64
-	jj      *la.Dense // dense Jacobian; nil on the matrix-free path
-	mf      *SpectralOp
+	zOld   []float64 // [x̂; ω] at the previous level
+	z      []float64
+	// usAtFactor: per-point inputs at the last factorization, for the
+	// chord's input-drift gate (nil for slow-only inputs).
+	usAtFactor []float64
 
 	// Persistent solver state: the dense factorization workspace refactored
 	// in place every Jacobian refresh, the Newton iteration scratch, and the
@@ -461,53 +403,28 @@ type envAssembler struct {
 	uStart, uEnd []float64 // continuation-rung input scratch
 	jqAvg, jfAvg *la.Dense
 	precMs       []*la.CDense // per-chunk bin assembly scratch, lo-indexed
-
-	// Cached parallel kernels. Closures handed to par.For escape (the
-	// parallel path stores them in goroutines), so building them at each
-	// call site would allocate on every evaluation; instead each kernel is
-	// built once here and its per-call inputs travel through the fields
-	// below. Safe because the assembler serves one solve at a time and
-	// par.For establishes happens-before on goroutine start.
-	sampleFn           func(lo, hi int)
-	sampleZ, sampleOut []float64
-	dqFn               func(lo, hi int)
-	dqIn, dqOut        []float64
-	rhsFn              func(lo, hi int)
-	rhsZ, rhsOut       []float64
-	rhsOmega           float64
-	devJacFn           func(lo, hi int)
-	rowFn              func(lo, hi int)
-	asmZ, asmDq        []float64
-	asmH, asmTheta     float64
-	asmOmega           float64
 }
 
-func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, opt EnvelopeOptions, stats *Stats) *envAssembler {
+func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOptions, stats *Stats) *envAssembler {
+	n1, n := opt.N1, sys.Dim()
+	nx := n1 * n
 	a := &envAssembler{
-		sys: sys, n1: n1, n: n, k: k, w: w, c: c, opt: opt,
-		d:       fourier.DiffMatrix(n1),
-		u:       make([]float64, sys.NumInputs()),
-		qPrev:   make([]float64, n1*n),
-		rhsOld:  make([]float64, n1*n),
-		scale:   make([]float64, n1*n+1),
-		jqs:     make([]*la.Dense, n1),
-		jfs:     make([]*la.Dense, n1),
-		qBuf:    make([]float64, n1*n),
-		fBuf:    make([]float64, n1*n),
-		z:       make([]float64, n1*n+1),
-		qNew:    make([]float64, n1*n),
-		rhsNew:  make([]float64, n1*n),
-		rhsPrev: make([]float64, n1*n),
-		nws:     newton.NewWorkspace(n1*n + 1),
+		in: in, opt: opt,
+		st:     stepAxis{prev: make([]float64, nx)},
+		rhsOld: make([]float64, nx),
+		zOld:   make([]float64, nx+1),
+		z:      make([]float64, nx+1),
+		nws:    newton.NewWorkspace(nx + 1),
 	}
 	// The dense Jacobian and its LU workspace are the dominant memory of a
 	// large run (O((N1·n)²) each); the matrix-free path must never pay for
 	// them, so only the dense path allocates them.
-	if opt.Linear != LinearMatrixFree {
-		a.jj = la.NewDense(n1*n+1, n1*n+1)
-		a.lu = la.NewLU(n1*n + 1)
+	dense := opt.Linear != LinearMatrixFree
+	a.g = newGrid(sys, n1, 1, &a.st, bord, in, dense)
+	if dense {
+		a.lu = la.NewLU(nx + 1)
 	}
-	a.lad = newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && opt.Linear == LinearMatrixFree, opt.Warm, stats)
+	a.lad = newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && !dense, opt.Warm, stats)
 	if ec := opt.Warm.takeEnv(n1, n, opt.Linear); ec != nil {
 		a.adoptedCarry = true
 		if ec.lu != nil {
@@ -531,152 +448,16 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 	base.Work = a.nws
 	a.nl = &nonlinearLadder{
 		stats: stats, chord: true, base: base,
-		z0:      make([]float64, n1*n+1),
+		z0:      make([]float64, nx+1),
 		restart: a.restartRung, blend: a.blendInputs, restore: a.restoreInputs,
 	}
-	a.uStart = make([]float64, sys.NumInputs())
-	a.uEnd = make([]float64, sys.NumInputs())
-	if opt.input2 != nil {
-		a.us = make([]float64, n1*sys.NumInputs())
-		a.usStart = make([]float64, n1*sys.NumInputs())
-		a.usEnd = make([]float64, n1*sys.NumInputs())
-		a.usAtFactor = make([]float64, n1*sys.NumInputs())
-	}
-	for j := 0; j < n1; j++ {
-		a.jqs[j] = la.NewDense(n, n)
-		a.jfs[j] = la.NewDense(n, n)
-	}
-	a.sampleFn = func(lo, hi int) {
-		z, out := a.sampleZ, a.sampleOut
-		for j := lo; j < hi; j++ {
-			a.sys.Q(z[j*n:(j+1)*n], out[j*n:(j+1)*n])
-		}
-	}
-	a.dqFn = func(lo, hi int) {
-		q, out := a.dqIn, a.dqOut
-		for j := lo; j < hi; j++ {
-			row := a.d[j*n1 : (j+1)*n1]
-			for i := 0; i < n; i++ {
-				out[j*n+i] = 0
-			}
-			for m, wgt := range row {
-				if wgt == 0 {
-					continue
-				}
-				qm := q[m*n : (m+1)*n]
-				dst := out[j*n : (j+1)*n]
-				for i := 0; i < n; i++ {
-					dst[i] += wgt * qm[i]
-				}
-			}
-		}
-	}
-	a.rhsFn = func(lo, hi int) {
-		z, out, omega := a.rhsZ, a.rhsOut, a.rhsOmega
-		q := a.qBuf
-		f := a.fBuf[lo*n : lo*n+n]
-		for j := lo; j < hi; j++ {
-			drow := a.d[j*n1 : (j+1)*n1]
-			dst := out[j*n : (j+1)*n]
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
-			for m, wgt := range drow {
-				if wgt == 0 {
-					continue
-				}
-				qm := q[m*n : (m+1)*n]
-				for i := 0; i < n; i++ {
-					dst[i] += wgt * qm[i]
-				}
-			}
-			a.sys.F(z[j*n:(j+1)*n], a.uAt(j), f)
-			for i := 0; i < n; i++ {
-				dst[i] = omega*dst[i] + f[i]
-			}
-		}
-	}
-	a.devJacFn = func(lo, hi int) {
-		z := a.asmZ
-		for m := lo; m < hi; m++ {
-			xm := z[m*n : (m+1)*n]
-			a.sys.JQ(xm, a.jqs[m])
-			a.sys.JF(xm, a.uAt(m), a.jfs[m])
-		}
-	}
-	a.rowFn = func(lo, hi int) {
-		jj, dq := a.jj, a.asmDq
-		h, theta, omega := a.asmH, a.asmTheta, a.asmOmega
-		for j := lo; j < hi; j++ {
-			for r := 0; r < n; r++ {
-				row := jj.Row(j*n + r)
-				for cc := range row {
-					row[cc] = 0
-				}
-			}
-			// ω·D coupling: rows (j,·) pick up θ·ω·D[j,m]·JQ(x_m).
-			for m := 0; m < n1; m++ {
-				wgt := theta * omega * a.d[j*n1+m]
-				if wgt == 0 {
-					continue
-				}
-				jq := a.jqs[m]
-				for r := 0; r < n; r++ {
-					row := jj.Row(j*n + r)
-					jqRow := jq.Row(r)
-					for cc := 0; cc < n; cc++ {
-						row[m*n+cc] += wgt * jqRow[cc]
-					}
-				}
-			}
-			// Diagonal block JQ/h + θ·JF, the ∂/∂ω column θ·(D·q), and the
-			// row scaling that matches the scaled residual.
-			jq, jf := a.jqs[j], a.jfs[j]
-			for r := 0; r < n; r++ {
-				row := jj.Row(j*n + r)
-				jqRow := jq.Row(r)
-				jfRow := jf.Row(r)
-				for cc := 0; cc < n; cc++ {
-					row[j*n+cc] += jqRow[cc]/h + theta*jfRow[cc]
-				}
-				row[n1*n] = theta * dq[j*n+r]
-				s := a.scale[j*n+r]
-				for cc := range row {
-					row[cc] /= s
-				}
-			}
-		}
+	a.uStart = make([]float64, len(a.g.us))
+	a.uEnd = make([]float64, len(a.g.us))
+	if in.input2 != nil {
+		a.usAtFactor = make([]float64, len(a.g.us))
 	}
 	return a
 }
-
-// uAt returns the input vector seen by collocation point j: the shared
-// slow-only vector a.u, or point j's slot of the per-point grid in
-// opt.input2 mode.
-func (a *envAssembler) uAt(j int) []float64 {
-	if a.opt.input2 == nil {
-		return a.u
-	}
-	nIn := len(a.u)
-	return a.us[j*nIn : (j+1)*nIn]
-}
-
-// fillInputsInto evaluates the inputs at slow time t2 into u (slow-only
-// mode) or the per-point grid us (input2 mode, one evaluation per
-// collocation point at its normalized fast phase j/N1).
-func (a *envAssembler) fillInputsInto(t2 float64, u, us []float64) {
-	if a.opt.input2 == nil {
-		a.sys.Input(t2, u)
-		return
-	}
-	nIn := len(a.u)
-	for j := 0; j < a.n1; j++ {
-		a.opt.input2(float64(j)/float64(a.n1), t2, us[j*nIn:(j+1)*nIn])
-	}
-}
-
-// fillInputs evaluates the inputs at t2 into the assembler's live slots.
-func (a *envAssembler) fillInputs(t2 float64) { a.fillInputsInto(t2, a.u, a.us) }
 
 // inputDriftTol is the per-point input change that retires cross-step
 // chord factors. Inputs are O(1) control levels (e.g. PWM values in
@@ -686,51 +467,15 @@ func (a *envAssembler) fillInputs(t2 float64) { a.fillInputsInto(t2, a.u, a.us) 
 // the refactorization it tried to save.
 const inputDriftTol = 1e-2
 
-// snapInputs records the per-point inputs the Jacobian was factored at.
-func (a *envAssembler) snapInputs() {
-	if a.opt.input2 != nil {
-		copy(a.usAtFactor, a.us)
-	}
-}
-
 // inputsDrifted reports whether the per-point inputs have moved past
-// inputDriftTol since the last factorization. Slow-only runs (no input2)
-// have constant per-step inputs and never drift.
+// inputDriftTol since the last factorization.
 func (a *envAssembler) inputsDrifted() bool {
-	if a.opt.input2 == nil {
-		return false
-	}
-	for i, u := range a.us {
-		if abs(u-a.usAtFactor[i]) > inputDriftTol {
+	for i, u := range a.usAtFactor {
+		if abs(a.g.us[i]-u) > inputDriftTol {
 			return true
 		}
 	}
 	return false
-}
-
-// sampleQ evaluates q at all collocation points into out, in parallel
-// chunks of points (each point writes only its own n-slot).
-func (a *envAssembler) sampleQ(z, out []float64) {
-	a.sampleZ, a.sampleOut = z, out
-	par.For(a.n1, ptGrain, a.sampleFn)
-}
-
-// dTimesQ computes (D⊗I)·q into out given sampled q. Output rows are
-// independent, so they compute in parallel; each row accumulates its D
-// weights in the same m order at any worker count.
-func (a *envAssembler) dTimesQ(q, out []float64) {
-	a.dqIn, a.dqOut = q, out
-	par.For(a.n1, dqGrain, a.dqFn)
-}
-
-// rhs computes ω·D·q(x) + f(x,u) into out. After q is sampled, each
-// collocation point's spectral row and device F evaluation are fused into
-// one parallel pass; a chunk starting at point lo uses fBuf[lo·n:lo·n+n] as
-// its private F scratch, so chunks never share device scratch.
-func (a *envAssembler) rhs(z []float64, omega float64, out []float64) {
-	a.sampleQ(z, a.qBuf)
-	a.rhsZ, a.rhsOut, a.rhsOmega = z, out, omega
-	par.For(a.n1, ptGrain, a.rhsFn)
 }
 
 // step solves for (xNew, omegaNew) at t2+h given the previous level. The
@@ -738,25 +483,31 @@ func (a *envAssembler) rhs(z []float64, omega float64, out []float64) {
 // the nonlinear ladder has already added that Newton work to the run's
 // Stats.
 func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNew []float64, omegaNew *float64, useTrap bool) (newton.Result, error) {
-	n1, n := a.n1, a.n
-	total := n1*n + 1
-	a.fillInputs(t2)
-	a.sampleQ(xOld, a.qPrev)
+	g := a.g
+	nx := g.nx
+	copy(a.zOld, xOld)
+	a.zOld[nx] = omegaOld
+	omegas := a.zOld[nx:]
+	a.in.fill(g.us, g.n1, 0, t2)
+	g.sample(xOld, a.st.prev)
 	theta := 1.0 // BE
+	a.st.old = nil
 	if useTrap {
 		theta = 0.5
-		a.rhs(xOld, omegaOld, a.rhsOld)
+		g.rhsAt(xOld, omegas, a.rhsOld)
+		a.st.old = a.rhsOld
 	}
-	a.fillInputs(t2 + h)
+	a.st.h, a.st.th = h, theta
+	a.in.fill(g.us, g.n1, 0, t2+h)
 
 	// Residual scales from the previous level, so the Newton tolerance is
-	// effectively relative per row.
-	rhsNow := a.rhsPrev
-	a.rhs(xOld, omegaOld, rhsNow)
+	// effectively relative per row (g.rhs is scratch until the first
+	// residual evaluation).
+	g.rhsAt(xOld, omegas, g.rhs)
 	maxScale := 0.0
-	for j := 0; j < n1*n; j++ {
-		s := abs(a.qPrev[j])/h + abs(rhsNow[j])
-		a.scale[j] = s
+	for j := 0; j < nx; j++ {
+		s := abs(a.st.prev[j])/h + abs(g.rhs[j])
+		g.scale[j] = s
 		if s > maxScale {
 			maxScale = s
 		}
@@ -768,74 +519,37 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	if floor == 0 {
 		floor = 1
 	}
-	for j := 0; j < n1*n; j++ {
-		if a.scale[j] < floor {
-			a.scale[j] = floor
+	for j := 0; j < nx; j++ {
+		if g.scale[j] < floor {
+			g.scale[j] = floor
 		}
 	}
-	sPhase := 0.0
-	if a.opt.omegaPin > 0 {
-		// Pinned ω: the phase row is ω − ωPin, so its natural scale is ωPin
-		// itself (the residual becomes relative frequency error).
-		sPhase = a.opt.omegaPin
-	} else {
-		for j := 0; j < n1; j++ {
-			sPhase += abs(a.w[j]) * (1 + abs(xOld[j*n+a.k]))
-		}
-	}
-	if sPhase == 0 {
-		sPhase = 1
-	}
-	a.scale[n1*n] = sPhase
+	g.scale[nx] = g.borderScale(a.zOld, 0)
 
 	z := a.z
 	copy(z, xNew)
-	z[n1*n] = *omegaNew
+	z[nx] = *omegaNew
 
-	qNew := a.qNew
-	rhsNew := a.rhsNew
-	eval := func(z, r []float64) error {
-		omega := z[n1*n]
-		a.sampleQ(z[:n1*n], qNew)
-		a.rhs(z[:n1*n], omega, rhsNew)
-		for j := 0; j < n1*n; j++ {
-			v := (qNew[j]-a.qPrev[j])/h + theta*rhsNew[j]
-			if useTrap {
-				v += (1 - theta) * a.rhsOld[j]
-			}
-			r[j] = v / a.scale[j]
-		}
-		if a.opt.omegaPin > 0 {
-			r[n1*n] = (omega - a.opt.omegaPin) / a.scale[n1*n]
-			return nil
-		}
-		ph := -a.c
-		for j := 0; j < n1; j++ {
-			ph += a.w[j] * z[j*n+a.k]
-		}
-		r[n1*n] = ph / a.scale[n1*n]
-		return nil
-	}
 	jac := func(z []float64) (newton.LinearSolve, error) {
 		if a.opt.Linear == LinearMatrixFree {
 			// Matrix-free linearization: refresh the operator's snapshots and
 			// device-Jacobian slots — no (N1·n+1)² assembly, no factorization.
 			// The harmonic preconditioner averages the same slots, and the
 			// ladder's direct rescue assembles sparsely from them.
-			op := a.matFreeOpFor(z, h, theta)
-			a.omegaAtFactor = z[n1*n]
-			a.snapInputs()
+			op := g.operator(z)
+			a.omegaAtFactor = z[nx]
+			copy(a.usAtFactor, g.us)
 			a.lad.refresh()
-			prec, err := a.harmonicPrecFor(z[n1*n], h, theta)
+			prec, err := a.harmonicPrecFor(z[nx], h, theta)
 			if err != nil {
 				return nil, err
 			}
 			a.lad.reset(op, prec, op.assembleSparse)
 			return a.lad, nil
 		}
-		jj := a.assembleJacobian(z, h, theta)
-		a.omegaAtFactor = z[n1*n]
-		a.snapInputs()
+		jj := g.jacobian(z)
+		a.omegaAtFactor = z[nx]
+		copy(a.usAtFactor, g.us)
 		if err := a.lu.FactorInto(jj); err != nil {
 			return nil, err
 		}
@@ -867,7 +581,7 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	}
 	a.lastH, a.lastTheta = h, theta
 	a.t2 = t2
-	resN, err := a.nl.solve(newton.Problem{N: total, Eval: eval, Jacobian: jac}, z, chordOpts)
+	resN, err := a.nl.solve(newton.Problem{N: nx + 1, Eval: g.residual, Jacobian: jac}, z, chordOpts)
 	if err != nil {
 		if solverr.IsKind(err, solverr.KindCanceled) {
 			return resN, err
@@ -878,12 +592,12 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	if serr := checkState("core.envelope.step", z); serr != nil {
 		return resN, serr
 	}
-	if z[n1*n] <= 0 {
+	if z[nx] <= 0 {
 		return resN, solverr.New(solverr.KindStagnation, "core.envelope.step",
-			"local frequency went non-positive (ω=%g)", z[n1*n]).WithT2(t2)
+			"local frequency went non-positive (ω=%g)", z[nx]).WithT2(t2)
 	}
-	copy(xNew, z[:n1*n])
-	*omegaNew = z[n1*n]
+	copy(xNew, z[:nx])
+	*omegaNew = z[nx]
 	return resN, nil
 }
 
@@ -900,71 +614,18 @@ func (a *envAssembler) restartRung(r rescueRung) {
 	}
 	a.lad.rec.Invalidate()
 	if r == rungContinuation {
-		copy(a.uEnd, a.u)
-		copy(a.usEnd, a.us)
-		a.fillInputsInto(a.t2, a.uStart, a.usStart)
+		copy(a.uEnd, a.g.us)
+		a.in.fill(a.uStart, a.g.n1, 0, a.t2)
 	}
 }
 
 // blendInputs walks the step's inputs from the previous level (λ = 0) to
 // the new one (λ = 1), walking the solution across the step instead of
 // jumping.
-func (a *envAssembler) blendInputs(lambda float64) {
-	lerp(a.u, a.uStart, a.uEnd, lambda)
-	lerp(a.us, a.usStart, a.usEnd, lambda)
-}
+func (a *envAssembler) blendInputs(lambda float64) { lerp(a.g.us, a.uStart, a.uEnd, lambda) }
 
 // restoreInputs puts the true t2+h inputs back exactly.
-func (a *envAssembler) restoreInputs() {
-	copy(a.u, a.uEnd)
-	copy(a.us, a.usEnd)
-}
-
-// assembleJacobian builds the scaled, bordered Jacobian of the step system.
-//
-// The assembly is row-centric so it parallelizes without write conflicts:
-// the per-point device Jacobians JQ/JF are evaluated into private slots on
-// the worker pool, then each collocation point fills (zeroes, accumulates,
-// and scales) exactly its own n rows — gathering the ω·D coupling from all
-// points m in ascending order, so the result is worker-count independent.
-func (a *envAssembler) assembleJacobian(z []float64, h, theta float64) *la.Dense {
-	n1, n := a.n1, a.n
-	jj := a.jj
-	q := a.qBuf
-	a.sampleQ(z[:n1*n], q)
-	dq := a.rhsNew // reused as D·q scratch; rewritten on the next eval
-	a.dTimesQ(q, dq)
-
-	a.asmZ, a.asmDq = z, dq
-	a.asmH, a.asmTheta, a.asmOmega = h, theta, z[n1*n]
-
-	// Per-point device Jacobians into their own slots.
-	par.For(n1, ptGrain, a.devJacFn)
-
-	// Row blocks: point j owns rows j·n..j·n+n-1 of the bordered system.
-	par.For(n1, ptGrain, a.rowFn)
-
-	// Phase row: ω-identity in pinned mode, the wᵀ waveform condition
-	// otherwise.
-	{
-		row := jj.Row(n1 * n)
-		for cc := range row {
-			row[cc] = 0
-		}
-		if a.opt.omegaPin > 0 {
-			row[n1*n] = 1
-		} else {
-			for j := 0; j < n1; j++ {
-				row[j*n+a.k] = a.w[j]
-			}
-		}
-		s := a.scale[n1*n]
-		for cc := range row {
-			row[cc] /= s
-		}
-	}
-	return jj
-}
+func (a *envAssembler) restoreInputs() { copy(a.g.us, a.uEnd) }
 
 func abs(x float64) float64 {
 	if x < 0 {

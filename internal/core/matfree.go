@@ -4,92 +4,93 @@ import (
 	"math"
 
 	"repro/internal/fourier"
-	"repro/internal/la"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
 // This file implements the matrix-free linear-solve path (LinearMatrixFree):
-// the bordered WaMPDE step Jacobian is never materialized. Its action
+// the bordered Jacobian of a collocation grid is never materialized. Its
+// action on the rows of point p on line l,
 //
-//	J·[δx; δω] = scale⁻¹·( θ·ω·(D⊗I)·JQ·δx + (JQ/h + θ·JF)·δx + θ·(D·q)·δω ;
-//	              wᵀ·δx_k )
+//	J·[δx; δω] = scale⁻¹·( T·JQ·δx + θ·ω_l·(D1⊗I)·JQ·δx + θ·JF·δx
+//	              + θ·(D1·q)·δω_l ;  border·[δx; δω] )
 //
-// decomposes into three structured pieces: the block-diagonal device
-// Jacobians JQ/JF applied per collocation point (the slots the parallel
-// assembler already fills), the spectral differentiation D applied through
-// the cached FFT plans in O(n·N1·log N1), and a rank-one ω border column plus
-// the phase row. GMRESDR consumes the operator through krylov.Operator, with
-// the existing harmonic (envelope) and line-block-Jacobi (quasiperiodic)
-// preconditioners — both of which only ever needed the averaged/per-line
-// blocks, not the assembled matrix. The direct-rescue rung of the
-// supervision ladder assembles the same entries sparsely (assembleSparse)
-// and factors them with the sparse LU, so even total escalation stays far
-// from the O((N1·n)³) dense wall. See DESIGN.md, "Matrix-free operator".
+// applies the per-point device Jacobians block-diagonally, D1 through the
+// cached FFT plans in O(n·N1·log N1), and the t2 axis's term T (JQ·δx/h for
+// an envelope step, an FFT along N2 on the periodic grid). The
+// preconditioners only need the averaged or per-line blocks, and the
+// ladder's direct-rescue rung assembles the same entries sparsely and
+// factors them with the sparse LU, far from the O((N1·n)³) dense wall. See
+// DESIGN.md, "Matrix-free operator".
 
-// SpectralOp is the matrix-free bordered Jacobian of one envelope t2 step.
-// It snapshots everything the dense assembly freezes at factorization time —
-// the row scales, D·q border column, ω, h and θ — so chord-Newton reuse
-// semantics are identical to the dense path; the per-point JQ/JF slots are
-// shared with the assembler and are only rewritten when the operator is
-// rebuilt at a new linearization.
+// SpectralOp is the matrix-free bordered Jacobian of a grid: one envelope
+// t2 step (one line) or the global quasiperiodic system (N2 lines). It
+// snapshots everything the dense assembly freezes at factorization time —
+// the row scales, the D1·q border columns and the per-line ω — so
+// chord-Newton reuse semantics are identical to the dense path; the
+// per-point JQ/JF slots are the grid's, rewritten only when the operator is
+// rebuilt at a new linearization. The t2 axis is read live: drivers change
+// it (a new step size or integrator weight) only together with a new
+// linearization, which the envelope's chord gates enforce.
 type SpectralOp struct {
-	n1, n, k        int
-	h, theta, omega float64
-	pin             bool // pinned-ω (forced) mode: phase row is the ω identity
-	d               []float64 // dense D, for the sparse-rescue assembly only
-	w               []float64 // phase-row weights (immutable)
-	scale           []float64 // row scales, snapshot at build
-	dq              []float64 // D·q at the linearization point, owned
-	jqs, jfs        []*la.Dense
+	g             *grid
+	omegas, scale []float64 // per-line ω and row scales, snapshot at build
+	dq            []float64 // D1·q at the linearization point, owned
 
-	// Apply scratch: block products and the per-state spectral rows.
+	// Apply scratch: the block products JQ·x (overwritten in place by its
+	// t2 term) and JF·x, and the per-(line, state) spectral rows along t1.
 	qv, jfv []float64
-	spec    [][]complex128 // n rows × n1, state-major like harmonicPrec
+	spec    [][]complex128 // lines·n rows × n1
 
-	// Cached parallel kernels (see envAssembler: closures handed to par.For
-	// escape, so they are built once and fed through the fields below).
+	// Cached parallel kernels (see grid: closures handed to par.For escape,
+	// so they are built once and fed through the fields below).
 	blockFn, gatherFn, combineFn func(lo, hi int)
 	ax, ay                       []float64
 }
 
-func newSpectralOp(n1, n, k int, d, w []float64) *SpectralOp {
+func newSpectralOp(g *grid) *SpectralOp {
+	n, n1, nx := g.n, g.n1, g.nx
+	blk := make([]float64, 2*nx)
 	op := &SpectralOp{
-		n1: n1, n: n, k: k, d: d, w: w,
-		scale: make([]float64, n1*n+1),
-		dq:    make([]float64, n1*n),
-		qv:    make([]float64, n1*n),
-		jfv:   make([]float64, n1*n),
-		spec:  make([][]complex128, n),
+		g:      g,
+		omegas: make([]float64, g.lines),
+		scale:  make([]float64, nx+g.lines),
+		dq:     make([]float64, nx),
+		qv:     blk[:nx],
+		jfv:    blk[nx:],
+		spec:   make([][]complex128, g.lines*n),
 	}
 	for i := range op.spec {
 		op.spec[i] = make([]complex128, n1)
 	}
 	op.blockFn = func(lo, hi int) {
 		x := op.ax
-		for j := lo; j < hi; j++ {
-			xj := x[j*n : (j+1)*n]
-			op.jqs[j].MulVec(xj, op.qv[j*n:(j+1)*n])
-			op.jfs[j].MulVec(xj, op.jfv[j*n:(j+1)*n])
+		for p := lo; p < hi; p++ {
+			xp := x[p*n : (p+1)*n]
+			g.jqs[p].MulVec(xp, op.qv[p*n:(p+1)*n])
+			g.jfs[p].MulVec(xp, op.jfv[p*n:(p+1)*n])
 		}
 	}
+	// spec row l·n+i holds state i along the t1 axis of line l.
 	op.gatherFn = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := op.spec[i]
+		for rr := lo; rr < hi; rr++ {
+			l, i := rr/n, rr%n
+			row := op.spec[rr]
 			for j := 0; j < n1; j++ {
-				row[j] = complex(op.qv[j*n+i], 0)
+				row[j] = complex(op.qv[(l*n1+j)*n+i], 0)
 			}
 		}
 	}
 	op.combineFn = func(lo, hi int) {
 		x, y := op.ax, op.ay
-		h, theta, omega := op.h, op.theta, op.omega
-		domega := x[n1*n]
-		for j := lo; j < hi; j++ {
+		theta := g.t2.theta()
+		for p := lo; p < hi; p++ {
+			l, j := p/n1, p%n1
+			omega, domega := op.omegas[l], x[nx+l]
 			for r := 0; r < n; r++ {
-				idx := j*n + r
-				y[idx] = (op.qv[idx]/h + theta*op.jfv[idx] +
-					theta*omega*real(op.spec[r][j]) +
+				idx := p*n + r
+				y[idx] = (op.qv[idx] + theta*op.jfv[idx] +
+					theta*omega*real(op.spec[l*n+r][j]) +
 					theta*op.dq[idx]*domega) / op.scale[idx]
 			}
 		}
@@ -97,81 +98,91 @@ func newSpectralOp(n1, n, k int, d, w []float64) *SpectralOp {
 	return op
 }
 
+// operator (re)builds the grid's matrix-free operator at the iterate z: it
+// samples q, refreshes the per-point device Jacobian slots (the same
+// parallel kernels the dense assembly uses), computes the D1·q border
+// columns and snapshots the row scales and ω. No dense matrix is touched.
+func (g *grid) operator(z []float64) *SpectralOp {
+	if g.op == nil {
+		g.op = newSpectralOp(g)
+	}
+	op := g.op
+	g.linearize(z)
+	g.d1q(g.q, op.dq)
+	copy(op.scale, g.scale)
+	copy(op.omegas, z[g.nx:])
+	return op
+}
+
 // Dim implements krylov.Operator.
-func (op *SpectralOp) Dim() int { return op.n1*op.n + 1 }
+func (op *SpectralOp) Dim() int { return op.g.nx + op.g.lines }
 
 // Apply implements krylov.Operator: y = J·x without forming J. The spectral
-// term runs through the cached FFT plans with DiffSamples' convention
-// (i·2πk symbol, unpaired Nyquist bin zeroed), so it matches the dense
-// DiffMatrix application to roundoff; every other term is evaluated with the
-// same arithmetic as the dense row assembly. All chunk layouts are
-// grain-only, so the product is bitwise worker-count independent.
+// terms run through the cached FFT plans with DiffSamples' convention
+// (i·2πk symbol, unpaired Nyquist bin zeroed), so they match the dense
+// DiffMatrix application to roundoff; the t2 pass transforms along N2 only
+// on a periodic grid. Every other term is evaluated with the same arithmetic
+// as the dense row assembly. All chunk layouts are grain-only, so the
+// product is bitwise worker-count independent.
 func (op *SpectralOp) Apply(x, y []float64) {
-	n1, n := op.n1, op.n
+	g := op.g
 	op.ax, op.ay = x, y
-	par.For(n1, ptGrain, op.blockFn)
-	par.For(n, 1, op.gatherFn)
+	par.For(g.points(), ptGrain, op.blockFn)
+	par.For(len(op.spec), 1, op.gatherFn)
 	fourier.FFTRows(op.spec)
-	spectralDiffRows(op.spec, n1)
+	spectralDiffRows(op.spec, g.n1)
 	fourier.IFFTRows(op.spec)
-	par.For(n1, ptGrain, op.combineFn)
-	if op.pin {
-		y[n1*n] = x[n1*n] / op.scale[n1*n]
-		return
+	g.t2.apply(g, op.qv, op.qv)
+	par.For(g.points(), ptGrain, op.combineFn)
+	for l := 0; l < g.lines; l++ {
+		y[g.nx+l] = g.borderDot(l, x, 0) / op.scale[g.nx+l]
 	}
-	acc := 0.0
-	for j := 0; j < n1; j++ {
-		acc += op.w[j] * x[j*n+op.k]
-	}
-	y[n1*n] = acc / op.scale[n1*n]
 }
 
 // assembleSparse emits the bordered Jacobian's nonzero entries — the same
 // values the operator applies — into tr, for the supervision ladder's
-// sparse-LU direct-rescue rung. It uses the dense D (not the FFT) so the
-// factored matrix is the exact dense Jacobian; the ω column and phase row
-// are emitted unconditionally to keep the symbolic pattern stable across
-// refactorizations.
+// sparse-LU direct-rescue rung. It uses the dense D1 (not the FFT) so the
+// factored matrix is the exact dense Jacobian; the ω columns and border
+// rows are emitted unconditionally to keep the symbolic pattern stable
+// across refactorizations.
 func (op *SpectralOp) assembleSparse(tr *sparse.Triplet) {
-	n1, n := op.n1, op.n
-	h, theta, omega := op.h, op.theta, op.omega
-	for m := 0; m < n1; m++ {
-		jq := op.jqs[m]
+	g := op.g
+	n, n1, nx := g.n, g.n1, g.nx
+	theta := g.t2.theta()
+	for p := 0; p < g.points(); p++ {
+		j := p % n1
+		tw := theta * op.omegas[p/n1]
+		jq := g.jqs[p]
 		for r := 0; r < n; r++ {
 			for c, v := range jq.Row(r) {
 				if v == 0 {
 					continue
 				}
-				tr.Add(m*n+r, m*n+c, v/h/op.scale[m*n+r])
-				for j := 0; j < n1; j++ {
-					wgt := theta * omega * op.d[j*n1+m]
+				g.t2.emitJQ(g, p, r, c, v, op.scale, tr)
+				for jr := 0; jr < n1; jr++ {
+					wgt := tw * g.d1[jr*n1+j]
 					if wgt == 0 {
 						continue
 					}
-					tr.Add(j*n+r, m*n+c, wgt*v/op.scale[j*n+r])
+					row := (p-j+jr)*n + r
+					tr.Add(row, p*n+c, wgt*v/op.scale[row])
 				}
 			}
 		}
-		jf := op.jfs[m]
 		for r := 0; r < n; r++ {
-			for c, v := range jf.Row(r) {
-				if v == 0 {
-					continue
+			row := p*n + r
+			for c, v := range g.jfs[p].Row(r) {
+				if v != 0 {
+					tr.Add(row, p*n+c, theta*v/op.scale[row])
 				}
-				tr.Add(m*n+r, m*n+c, theta*v/op.scale[m*n+r])
 			}
+			tr.Add(row, nx+p/n1, theta*op.dq[row]/op.scale[row])
 		}
 	}
-	for j := 0; j < n1; j++ {
-		for r := 0; r < n; r++ {
-			tr.Add(j*n+r, n1*n, theta*op.dq[j*n+r]/op.scale[j*n+r])
+	for l := 0; l < g.lines; l++ {
+		for t, w := range g.bord.w {
+			tr.Add(nx+l, g.bcol(l, t), w/op.scale[nx+l])
 		}
-		if !op.pin {
-			tr.Add(n1*n, j*n+op.k, op.w[j]/op.scale[n1*n])
-		}
-	}
-	if op.pin {
-		tr.Add(n1*n, n1*n, 1/op.scale[n1*n])
 	}
 }
 
@@ -193,235 +204,4 @@ func spectralDiffRows(rows [][]complex128, m int) {
 			}
 		}
 	})
-}
-
-// matFreeOpFor (re)builds the envelope matrix-free operator at the iterate
-// z: it samples q, computes the D·q border column, refreshes the per-point
-// device Jacobian slots (the same parallel kernel the dense assembly uses)
-// and snapshots the row scales and step parameters. No (n1·n+1)² matrix is
-// touched.
-func (a *envAssembler) matFreeOpFor(z []float64, h, theta float64) *SpectralOp {
-	n1, n := a.n1, a.n
-	if a.mf == nil {
-		a.mf = newSpectralOp(n1, n, a.k, a.d, a.w)
-		a.mf.jqs, a.mf.jfs = a.jqs, a.jfs
-	}
-	op := a.mf
-	a.sampleQ(z[:n1*n], a.qBuf)
-	a.dTimesQ(a.qBuf, op.dq)
-	a.asmZ = z
-	par.For(n1, ptGrain, a.devJacFn)
-	copy(op.scale, a.scale)
-	op.h, op.theta, op.omega = h, theta, z[n1*n]
-	op.pin = a.opt.omegaPin > 0
-	return op
-}
-
-// qpSpectralOp is the quasiperiodic analogue of SpectralOp: the matrix-free
-// bordered Jacobian of the global N1×N2 collocation system, with per-line
-// frequencies ω_{j2}. The t1 spectral term transforms along the N1 axis per
-// (j2, state) pair, the t2 term along the N2 axis per (j1, state) pair; the
-// device blocks apply pointwise and the N2 ω border columns are the
-// precomputed D1·q line sums.
-type qpSpectralOp struct {
-	n, N1, N2, nx, k int
-	t2               float64
-	d1, d2           []float64
-	w                []float64
-	omegas           []float64 // per-line ω snapshot
-	scale            []float64
-	dq1              []float64 // Σ_j1 D1[j1r,j1]·q(j1,j2r), per point, owned
-	jqs, jfs         []*la.Dense
-
-	qv, jfv   []float64
-	spec1     [][]complex128 // N2·n rows × N1 (t1 transforms)
-	spec2     [][]complex128 // N1·n rows × N2 (t2 transforms)
-	blockFn   func(lo, hi int)
-	gather1Fn func(lo, hi int)
-	gather2Fn func(lo, hi int)
-	combineFn func(lo, hi int)
-	buildQ    []float64 // live q reference during build
-	dq1Fn     func(lo, hi int)
-	ax, ay    []float64
-}
-
-func newQPSpectralOp(n, N1, N2, k int, t2 float64, d1, d2, w []float64, jqs, jfs []*la.Dense) *qpSpectralOp {
-	nx := N1 * N2 * n
-	op := &qpSpectralOp{
-		n: n, N1: N1, N2: N2, nx: nx, k: k, t2: t2,
-		d1: d1, d2: d2, w: w, jqs: jqs, jfs: jfs,
-		omegas: make([]float64, N2),
-		scale:  make([]float64, nx+N2),
-		dq1:    make([]float64, nx),
-		qv:     make([]float64, nx),
-		jfv:    make([]float64, nx),
-		spec1:  make([][]complex128, N2*n),
-		spec2:  make([][]complex128, N1*n),
-	}
-	for i := range op.spec1 {
-		op.spec1[i] = make([]complex128, N1)
-	}
-	for i := range op.spec2 {
-		op.spec2[i] = make([]complex128, N2)
-	}
-	op.blockFn = func(lo, hi int) {
-		x := op.ax
-		for p := lo; p < hi; p++ {
-			xp := x[p*n : (p+1)*n]
-			op.jqs[p].MulVec(xp, op.qv[p*n:(p+1)*n])
-			op.jfs[p].MulVec(xp, op.jfv[p*n:(p+1)*n])
-		}
-	}
-	// spec1 row j2·n+i holds state i along the t1 axis of line j2.
-	op.gather1Fn = func(lo, hi int) {
-		for rr := lo; rr < hi; rr++ {
-			j2, i := rr/n, rr%n
-			row := op.spec1[rr]
-			for j1 := 0; j1 < N1; j1++ {
-				row[j1] = complex(op.qv[qpIdx(j1, j2, i, n, N1)], 0)
-			}
-		}
-	}
-	// spec2 row j1·n+i holds state i along the t2 axis at t1 index j1.
-	op.gather2Fn = func(lo, hi int) {
-		for rr := lo; rr < hi; rr++ {
-			j1, i := rr/n, rr%n
-			row := op.spec2[rr]
-			for j2 := 0; j2 < N2; j2++ {
-				row[j2] = complex(op.qv[qpIdx(j1, j2, i, n, N1)], 0)
-			}
-		}
-	}
-	op.combineFn = func(lo, hi int) {
-		x, y := op.ax, op.ay
-		for p := lo; p < hi; p++ {
-			j2r, j1r := p/N1, p%N1
-			omega := op.omegas[j2r]
-			for i := 0; i < n; i++ {
-				idx := p*n + i
-				y[idx] = (omega*real(op.spec1[j2r*n+i][j1r]) +
-					real(op.spec2[j1r*n+i][j2r])/op.t2 +
-					op.jfv[idx] +
-					op.dq1[idx]*x[nx+j2r]) / op.scale[idx]
-			}
-		}
-	}
-	op.dq1Fn = func(lo, hi int) {
-		q := op.buildQ
-		for p := lo; p < hi; p++ {
-			j2r, j1r := p/N1, p%N1
-			dst := op.dq1[p*n : (p+1)*n]
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
-			for j1 := 0; j1 < N1; j1++ {
-				wgt := d1[j1r*N1+j1]
-				if wgt == 0 {
-					continue
-				}
-				qb := qpIdx(j1, j2r, 0, n, N1)
-				for i := 0; i < n; i++ {
-					dst[i] += wgt * q[qb+i]
-				}
-			}
-		}
-	}
-	return op
-}
-
-// Dim implements krylov.Operator.
-func (op *qpSpectralOp) Dim() int { return op.nx + op.N2 }
-
-// Apply implements krylov.Operator for the quasiperiodic system; see
-// SpectralOp.Apply for the determinism argument.
-func (op *qpSpectralOp) Apply(x, y []float64) {
-	n, N1, N2, nx := op.n, op.N1, op.N2, op.nx
-	op.ax, op.ay = x, y
-	par.For(N1*N2, qpGrain, op.blockFn)
-	par.For(N2*n, 1, op.gather1Fn)
-	fourier.FFTRows(op.spec1)
-	spectralDiffRows(op.spec1, N1)
-	fourier.IFFTRows(op.spec1)
-	par.For(N1*n, 1, op.gather2Fn)
-	fourier.FFTRows(op.spec2)
-	spectralDiffRows(op.spec2, N2)
-	fourier.IFFTRows(op.spec2)
-	par.For(N1*N2, qpGrain, op.combineFn)
-	for j2 := 0; j2 < N2; j2++ {
-		acc := 0.0
-		for j1 := 0; j1 < N1; j1++ {
-			acc += op.w[j1] * x[qpIdx(j1, j2, op.k, n, N1)]
-		}
-		y[nx+j2] = acc / op.scale[nx+j2]
-	}
-}
-
-// build snapshots the linearization state: per-line frequencies, row scales
-// and the D1·q border columns (q is read live during the call only).
-func (op *qpSpectralOp) build(z, q, scale []float64) {
-	copy(op.scale, scale)
-	for j2 := 0; j2 < op.N2; j2++ {
-		op.omegas[j2] = z[op.nx+j2]
-	}
-	op.buildQ = q
-	par.For(op.N1*op.N2, qpGrain, op.dq1Fn)
-	op.buildQ = nil
-}
-
-// assembleSparse emits the quasiperiodic Jacobian sparsely for the
-// direct-rescue rung, mirroring the dense assembly's entries exactly.
-func (op *qpSpectralOp) assembleSparse(tr *sparse.Triplet) {
-	n, N1, N2, nx := op.n, op.N1, op.N2, op.nx
-	for p := 0; p < N1*N2; p++ {
-		j2, j1 := p/N1, p%N1
-		omega := op.omegas[j2]
-		jq := op.jqs[p]
-		for r := 0; r < n; r++ {
-			for c, v := range jq.Row(r) {
-				if v == 0 {
-					continue
-				}
-				// t1 line: column point (j1, j2) feeds rows (j1r, j2).
-				for j1r := 0; j1r < N1; j1r++ {
-					wgt := omega * op.d1[j1r*N1+j1]
-					if wgt == 0 {
-						continue
-					}
-					row := qpIdx(j1r, j2, r, n, N1)
-					tr.Add(row, qpIdx(j1, j2, c, n, N1), wgt*v/op.scale[row])
-				}
-				// t2 line: column point (j1, j2) feeds rows (j1, j2r).
-				for j2r := 0; j2r < N2; j2r++ {
-					wgt := op.d2[j2r*N2+j2] / op.t2
-					if wgt == 0 {
-						continue
-					}
-					row := qpIdx(j1, j2r, r, n, N1)
-					tr.Add(row, qpIdx(j1, j2, c, n, N1), wgt*v/op.scale[row])
-				}
-			}
-		}
-		jf := op.jfs[p]
-		for r := 0; r < n; r++ {
-			for c, v := range jf.Row(r) {
-				if v == 0 {
-					continue
-				}
-				row := p*n + r
-				tr.Add(row, p*n+c, v/op.scale[row])
-			}
-		}
-	}
-	for p := 0; p < N1*N2; p++ {
-		j2 := p / N1
-		for i := 0; i < n; i++ {
-			row := p*n + i
-			tr.Add(row, nx+j2, op.dq1[row]/op.scale[row])
-		}
-	}
-	for j2 := 0; j2 < N2; j2++ {
-		for j1 := 0; j1 < N1; j1++ {
-			tr.Add(nx+j2, qpIdx(j1, j2, op.k, n, N1), op.w[j1]/op.scale[nx+j2])
-		}
-	}
 }

@@ -13,265 +13,290 @@ import (
 	"repro/internal/sparse"
 )
 
-// These tests pin the matrix-free operators against the dense assembly they
-// replace: SpectralOp.Apply (and its quasiperiodic analogue) must reproduce
-// assembleJacobian·v to spectral-vs-FFT roundoff on random states, stay
-// bitwise identical across worker counts, and emit exactly the dense entries
-// through assembleSparse for the supervision ladder's sparse-LU rescue rung.
+// The operator oracle suite. One grid kernel serves every multi-time solve,
+// so one suite covers both grid shapes (one envelope step line; N2
+// periodic lines), both borders (phase row; pinned ω, with per-point
+// inputs) and both N1 parities (the even-N1 Nyquist bin of the FFT path;
+// periodic grids pair each with the other parity along N2). In every case
+// the dense assembly is checked against a central finite difference of the
+// residual — an independent reference — and the matrix-free Apply and the
+// sparse rescue emission against the dense assembly; Apply must also be
+// bitwise identical at any worker count.
 
-// envOraclePair builds two assemblers (dense and matrix-free) frozen at the
-// same random linearization: same state, input, row scales and step
-// parameters. n1 covers both parities so the even-N1 Nyquist-bin handling of
-// the FFT path is exercised.
-func envOraclePair(t *testing.T, rng *rand.Rand, n1 int) (*la.Dense, *SpectralOp, int) {
+type oracleCase struct {
+	name      string
+	n1, lines int
+	pinned    bool
+}
+
+var oracleGroups = []struct {
+	parity string
+	cases  []oracleCase
+}{
+	{"odd", []oracleCase{{"step-phase", 25, 1, false}, {"step-pinned", 25, 1, true}, {"periodic-phase", 7, 4, false}, {"periodic-pinned", 7, 4, true}}},
+	{"even", []oracleCase{{"step-phase", 24, 1, false}, {"step-pinned", 24, 1, true}, {"periodic-phase", 8, 5, false}, {"periodic-pinned", 8, 5, true}}},
+}
+
+// forEachOracle runs check on a grid frozen at a random state, inputs and
+// row scales for every oracle case, as subtests parity/case.
+func forEachOracle(t *testing.T, check func(t *testing.T, rng *rand.Rand, g *grid, z []float64)) {
+	for _, grp := range oracleGroups {
+		t.Run(grp.parity, func(t *testing.T) {
+			for _, c := range grp.cases {
+				t.Run(c.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(100*c.n1 + c.lines)))
+					g, z := oracleGrid(t, rng, c)
+					check(t, rng, g, z)
+				})
+			}
+		})
+	}
+}
+
+func oracleGrid(t *testing.T, rng *rand.Rand, c oracleCase) (*grid, []float64) {
 	t.Helper()
-	sys := testVCO(300)
+	const period = 60.0
+	sys := testVCO(80)
 	n := sys.Dim()
-	k := sys.OscVar()
-	w, c, err := phaseRow(PhaseDerivativeZero, n1, 0)
+	nx := c.lines * c.n1 * n
+	var ax t2Axis = newPeriodicAxis(c.lines, period)
+	if c.lines == 1 {
+		ax = &stepAxis{h: 0.3, th: 0.5, prev: randVec(rng, nx, -1, 1), old: randVec(rng, nx, -1, 1)}
+	}
+	in := lineInputs{sys: sys}
+	bord, err := phaseBorder(sys, PhaseDerivativeZero, 0, c.n1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aD := newEnvAssembler(sys, n1, n, k, w, c, EnvelopeOptions{}, new(Stats))
-	aM := newEnvAssembler(sys, n1, n, k, w, c, EnvelopeOptions{Linear: LinearMatrixFree}, new(Stats))
-
-	z := make([]float64, n1*n+1)
-	for i := 0; i < n1*n; i++ {
-		z[i] = -2 + 4*rng.Float64()
+	if c.pinned {
+		bord = pinnedBorder(c.n1, n, 0.2)
+		in.input2 = func(tau, t2 float64, u []float64) { u[0] = 1 + 0.5*math.Sin(2*math.Pi*tau) + t2/period }
 	}
-	z[n1*n] = 0.1 + 0.2*rng.Float64() // ω
-	scale := make([]float64, n1*n+1)
-	for i := range scale {
-		scale[i] = 0.5 + 1.5*rng.Float64()
+	g := newGrid(sys, c.n1, c.lines, ax, bord, in, true)
+	for l := 0; l < c.lines; l++ {
+		in.fill(g.us, c.n1, l, period*float64(l)/float64(c.lines))
 	}
-	copy(aD.scale, scale)
-	copy(aM.scale, scale)
-	sys.Input(12.5, aD.u)
-	sys.Input(12.5, aM.u)
+	copy(g.scale, randVec(rng, nx+c.lines, 0.5, 2))
+	z := randVec(rng, nx+c.lines, -2, 2)
+	for l := 0; l < c.lines; l++ {
+		z[nx+l] = 0.1 + 0.2*rng.Float64()
+	}
+	return g, z
+}
 
-	h, theta := 0.3, 0.5
-	jj := aD.assembleJacobian(z, h, theta)
-	op := aM.matFreeOpFor(z, h, theta)
-	return jj, op, n1*n + 1
+func randVec(rng *rand.Rand, n int, lo, hi float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = lo + (hi-lo)*rng.Float64()
+	}
+	return v
 }
 
 func TestSpectralOpMatchesDenseJacobian(t *testing.T) {
-	for _, n1 := range []int{25, 24} {
-		t.Run(map[int]string{25: "odd", 24: "even"}[n1], func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(41 + n1)))
-			jj, op, dim := envOraclePair(t, rng, n1)
+	forEachOracle(t, func(t *testing.T, rng *rand.Rand, g *grid, z []float64) {
+		jj := g.jacobian(z)
+		op := g.operator(z)
+		dim := len(z)
+		if op.Dim() != dim {
+			t.Fatalf("op.Dim() = %d, want %d", op.Dim(), dim)
+		}
+		for trial := 0; trial < 5; trial++ {
+			v := randVec(rng, dim, -1, 1)
+			want := make([]float64, dim)
+			got := make([]float64, dim)
+			jj.MulVec(v, want)
+			op.Apply(v, got)
+			assertVecClose(t, want, got, 1e-12, "trial %d", trial)
+		}
+	})
+}
+
+func TestSpectralOpSparseAssemblyMatchesDense(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, _ *rand.Rand, g *grid, z []float64) {
+		jj := g.jacobian(z)
+		op := g.operator(z)
+		dim := len(z)
+		tr := sparse.NewTriplet(dim, dim)
+		op.assembleSparse(tr)
+		got := la.NewDense(dim, dim)
+		for k, v := range tr.V {
+			got.Add(tr.I[k], tr.J[k], v)
+		}
+		assertVecClose(t, jj.Data, got.Data, 1e-13, "sparse entries")
+	})
+}
+
+// The finite difference sees only residual evaluations, so it is an
+// independent reference for the assembly every other check leans on.
+func TestSpectralOpDenseMatchesFiniteDifference(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, _ *rand.Rand, g *grid, z []float64) {
+		jj := g.jacobian(z).Clone()
+		dim := len(z)
+		zz := append([]float64(nil), z...)
+		rp := make([]float64, dim)
+		rm := make([]float64, dim)
+		fd := la.NewDense(dim, dim)
+		for c := 0; c < dim; c++ {
+			eps := 1e-6 * math.Max(1, math.Abs(z[c]))
+			zz[c] = z[c] + eps
+			g.residual(zz, rp)
+			zz[c] = z[c] - eps
+			g.residual(zz, rm)
+			zz[c] = z[c]
+			for r := 0; r < dim; r++ {
+				fd.Set(r, c, (rp[r]-rm[r])/(2*eps))
+			}
+		}
+		assertVecClose(t, jj.Data, fd.Data, 1e-7, "finite difference")
+	})
+}
+
+func TestSpectralOpWorkerCountInvariant(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, rng *rand.Rand, g *grid, z []float64) {
+		op := g.operator(z)
+		v := randVec(rng, len(z), -1, 1)
+		ref := make([]float64, len(z))
+		defer par.SetWorkers(par.SetWorkers(1))
+		op.Apply(v, ref)
+		for _, nw := range []int{2, 8} {
+			par.SetWorkers(nw)
+			got := make([]float64, len(z))
+			op.Apply(v, got)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("workers=%d: y[%d] = %v, want bitwise %v", nw, i, got[i], ref[i])
+				}
+			}
+		}
+	})
+}
+
+// qpOracle builds the grid of a quasiperiodic solve — N2 periodic lines
+// with a phase border, wired as quasiperiodic wires it — frozen at a random
+// state and row scales. Its oracle is the bordered Jacobian written straight
+// from the device derivatives, entry for entry from the QP collocation
+// equation, without going through the grid's own assembly:
+//
+//	row (l, j):  ω_l·D1[j,m]·JQ(x_{l,m}) + D2[l,m]/T2·JQ(x_{m,j}) + JF(x_{l,j}, u_l),
+//	             and (D1·q)_{l,j} in line l's ω column;
+//	row nx+l:    the phase weights w[j] on state k of line l.
+func qpOracle(t *testing.T, rng *rand.Rand, n1, n2 int) (*grid, []float64, *la.Dense) {
+	t.Helper()
+	const period = 60.0
+	sys := testVCO(80)
+	n, k := sys.Dim(), sys.OscVar()
+	bord, err := phaseBorder(sys, PhaseDerivativeZero, 0, n1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := lineInputs{sys: sys}
+	g := newGrid(sys, n1, n2, newPeriodicAxis(n2, period), bord, in, true)
+	for l := 0; l < n2; l++ {
+		in.fill(g.us, n1, l, period*float64(l)/float64(n2))
+	}
+	nx := n1 * n2 * n
+	total := nx + n2
+	copy(g.scale, randVec(rng, total, 0.5, 2))
+	z := randVec(rng, total, -2, 2)
+	for l := 0; l < n2; l++ {
+		z[nx+l] = 0.1 + 0.2*rng.Float64()
+	}
+
+	at := func(l, j int) int { return (l*n1 + j) * n }
+	d1, d2 := fourier.DiffMatrix(n1), fourier.DiffMatrix(n2)
+	jqs := make([]*la.Dense, n1*n2)
+	q := make([]float64, nx)
+	u := make([]float64, sys.NumInputs())
+	ref := la.NewDense(total, total)
+	for p := range jqs {
+		jqs[p] = la.NewDense(n, n)
+		sys.JQ(z[p*n:(p+1)*n], jqs[p])
+		sys.Q(z[p*n:(p+1)*n], q[p*n:(p+1)*n])
+	}
+	for l := 0; l < n2; l++ {
+		sys.Input(period*float64(l)/float64(n2), u)
+		for j := 0; j < n1; j++ {
+			r0 := at(l, j)
+			for m := 0; m < n1; m++ {
+				axpyBlock(ref, r0, at(l, m), jqs[l*n1+m], z[nx+l]*d1[j*n1+m])
+			}
+			for m := 0; m < n2; m++ {
+				axpyBlock(ref, r0, at(m, j), jqs[m*n1+j], d2[l*n2+m]/period)
+			}
+			jf := la.NewDense(n, n)
+			sys.JF(z[r0:r0+n], u, jf)
+			axpyBlock(ref, r0, r0, jf, 1)
+			for m := 0; m < n1; m++ {
+				for i := 0; i < n; i++ {
+					ref.Add(r0+i, nx+l, d1[j*n1+m]*q[at(l, m)+i])
+				}
+			}
+			ref.Set(nx+l, r0+k, bord.w[j])
+		}
+	}
+	scaleRows(ref, 0, g.scale)
+	return g, z, ref
+}
+
+func TestQPSpectralOpMatchesDenseJacobian(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n1, n2 int
+	}{{"even-odd", 8, 5}, {"odd-even", 7, 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100*c.n1 + c.n2)))
+			g, z, ref := qpOracle(t, rng, c.n1, c.n2)
+			dim := len(z)
+			assertVecClose(t, ref.Data, g.jacobian(z).Data, 1e-12, "dense assembly")
+			op := g.operator(z)
 			if op.Dim() != dim {
 				t.Fatalf("op.Dim() = %d, want %d", op.Dim(), dim)
 			}
 			for trial := 0; trial < 5; trial++ {
-				v := make([]float64, dim)
-				for i := range v {
-					v[i] = -1 + 2*rng.Float64()
-				}
+				v := randVec(rng, dim, -1, 1)
 				want := make([]float64, dim)
 				got := make([]float64, dim)
-				jj.MulVec(v, want)
+				ref.MulVec(v, want)
 				op.Apply(v, got)
 				assertVecClose(t, want, got, 1e-12, "trial %d", trial)
 			}
-		})
-	}
-}
-
-func TestSpectralOpWorkerCountInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	_, op, dim := envOraclePair(t, rng, 25)
-	v := make([]float64, dim)
-	for i := range v {
-		v[i] = -1 + 2*rng.Float64()
-	}
-	ref := make([]float64, dim)
-	defer par.SetWorkers(par.SetWorkers(1))
-	op.Apply(v, ref)
-	for _, nw := range []int{2, 8} {
-		par.SetWorkers(nw)
-		got := make([]float64, dim)
-		op.Apply(v, got)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: y[%d] = %v, want bitwise %v", nw, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestSpectralOpSparseAssemblyMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	jj, op, dim := envOraclePair(t, rng, 25)
-	tr := sparse.NewTriplet(dim, dim)
-	op.assembleSparse(tr)
-	csr := tr.ToCSR()
-	v := make([]float64, dim)
-	for i := range v {
-		v[i] = -1 + 2*rng.Float64()
-	}
-	want := make([]float64, dim)
-	got := make([]float64, dim)
-	jj.MulVec(v, want)
-	csr.MulVec(v, got)
-	assertVecClose(t, want, got, 1e-12, "sparse assembly")
-}
-
-// assembleQPDense replicates the quasiperiodic solver's dense Jacobian
-// assembly (quasi.go jac()) entry for entry, as the oracle the matrix-free
-// operator is checked against.
-func assembleQPDense(n, N1, N2, kk int, t2 float64, d1, d2, w, z, q, scale []float64, jqs, jfs []*la.Dense) *la.Dense {
-	nx := N1 * N2 * n
-	total := nx + N2
-	jj := la.NewDense(total, total)
-	for p := 0; p < N1*N2; p++ {
-		j2r, j1r := p/N1, p%N1
-		rowBase := p * n
-		omega := z[nx+j2r]
-		for j1 := 0; j1 < N1; j1++ {
-			wgt := omega * d1[j1r*N1+j1]
-			if wgt == 0 {
-				continue
-			}
-			addScaledBlock(jj, rowBase, qpIdx(j1, j2r, 0, n, N1), jqs[j2r*N1+j1], wgt)
-		}
-		for m := 0; m < N2; m++ {
-			wgt := d2[j2r*N2+m] / t2
-			if wgt == 0 {
-				continue
-			}
-			addScaledBlock(jj, rowBase, qpIdx(j1r, m, 0, n, N1), jqs[m*N1+j1r], wgt)
-		}
-		addScaledBlock(jj, rowBase, rowBase, jfs[p], 1)
-		for j1 := 0; j1 < N1; j1++ {
-			wgt := d1[j1r*N1+j1]
-			if wgt == 0 {
-				continue
-			}
-			qb := qpIdx(j1, j2r, 0, n, N1)
-			for i := 0; i < n; i++ {
-				jj.Add(rowBase+i, nx+j2r, wgt*q[qb+i])
-			}
-		}
-	}
-	for j2 := 0; j2 < N2; j2++ {
-		for j1 := 0; j1 < N1; j1++ {
-			jj.Set(nx+j2, qpIdx(j1, j2, kk, n, N1), w[j1])
-		}
-	}
-	for r := 0; r < total; r++ {
-		row := jj.Row(r)
-		s := scale[r]
-		for c := range row {
-			row[c] /= s
-		}
-	}
-	return jj
-}
-
-func qpOraclePair(t *testing.T, rng *rand.Rand, N1, N2 int) (*la.Dense, *qpSpectralOp, int) {
-	t.Helper()
-	sys := testVCO(80)
-	n := sys.Dim()
-	kk := sys.OscVar()
-	t2 := 60.0
-	w, _, err := phaseRow(PhaseDerivativeZero, N1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nx := N1 * N2 * n
-	total := nx + N2
-	z := make([]float64, total)
-	for i := 0; i < nx; i++ {
-		z[i] = -2 + 4*rng.Float64()
-	}
-	for j2 := 0; j2 < N2; j2++ {
-		z[nx+j2] = 0.1 + 0.2*rng.Float64()
-	}
-	scale := make([]float64, total)
-	for i := range scale {
-		scale[i] = 0.5 + 1.5*rng.Float64()
-	}
-	us := make([][]float64, N2)
-	jqs := make([]*la.Dense, N1*N2)
-	jfs := make([]*la.Dense, N1*N2)
-	q := make([]float64, nx)
-	for j2 := 0; j2 < N2; j2++ {
-		us[j2] = make([]float64, sys.NumInputs())
-		sys.Input(t2*float64(j2)/float64(N2), us[j2])
-	}
-	for p := 0; p < N1*N2; p++ {
-		jqs[p] = la.NewDense(n, n)
-		jfs[p] = la.NewDense(n, n)
-		x := z[p*n : (p+1)*n]
-		sys.JQ(x, jqs[p])
-		sys.JF(x, us[p/N1], jfs[p])
-		sys.Q(x, q[p*n:(p+1)*n])
-	}
-	d1 := fourier.DiffMatrix(N1)
-	d2 := fourier.DiffMatrix(N2)
-	op := newQPSpectralOp(n, N1, N2, kk, t2, d1, d2, w, jqs, jfs)
-	op.build(z, q, scale)
-	jj := assembleQPDense(n, N1, N2, kk, t2, d1, d2, w, z, q, scale, jqs, jfs)
-	return jj, op, total
-}
-
-func TestQPSpectralOpMatchesDenseJacobian(t *testing.T) {
-	for _, g := range []struct {
-		name   string
-		n1, n2 int
-	}{{"even-odd", 8, 5}, {"odd-even", 7, 4}} {
-		t.Run(g.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(100*g.n1 + g.n2)))
-			jj, op, total := qpOraclePair(t, rng, g.n1, g.n2)
-			if op.Dim() != total {
-				t.Fatalf("op.Dim() = %d, want %d", op.Dim(), total)
-			}
-			for trial := 0; trial < 5; trial++ {
-				v := make([]float64, total)
-				for i := range v {
-					v[i] = -1 + 2*rng.Float64()
-				}
-				want := make([]float64, total)
-				got := make([]float64, total)
-				jj.MulVec(v, want)
-				op.Apply(v, got)
-				assertVecClose(t, want, got, 1e-12, "trial %d", trial)
-			}
-			// Sparse rescue assembly emits the same matrix.
-			tr := sparse.NewTriplet(total, total)
+			tr := sparse.NewTriplet(dim, dim)
 			op.assembleSparse(tr)
-			csr := tr.ToCSR()
-			v := make([]float64, total)
-			for i := range v {
-				v[i] = -1 + 2*rng.Float64()
+			got := la.NewDense(dim, dim)
+			for i, v := range tr.V {
+				got.Add(tr.I[i], tr.J[i], v)
 			}
-			want := make([]float64, total)
-			got := make([]float64, total)
-			jj.MulVec(v, want)
-			csr.MulVec(v, got)
-			assertVecClose(t, want, got, 1e-12, "sparse assembly")
+			assertVecClose(t, ref.Data, got.Data, 1e-12, "sparse entries")
 		})
 	}
 }
 
+// Every per-point kernel of a quasiperiodic Newton step — the residual, the
+// dense row assembly and the operator's Apply — on a grid of 144 points,
+// nine parallel chunks of ptGrain, must be bitwise identical at any worker
+// count.
 func TestQPSpectralOpWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	_, op, total := qpOraclePair(t, rng, 8, 5)
-	v := make([]float64, total)
-	for i := range v {
-		v[i] = -1 + 2*rng.Float64()
+	g, z, _ := qpOracle(t, rng, 16, 9)
+	v := randVec(rng, len(z), -1, 1)
+	kernels := func() (r, jj, y []float64) {
+		r = make([]float64, len(z))
+		y = make([]float64, len(z))
+		g.residual(z, r)
+		jj = append([]float64(nil), g.jacobian(z).Data...)
+		g.operator(z).Apply(v, y)
+		return r, jj, y
 	}
-	ref := make([]float64, total)
 	defer par.SetWorkers(par.SetWorkers(1))
-	op.Apply(v, ref)
+	refR, refJ, refY := kernels()
 	for _, nw := range []int{2, 8} {
 		par.SetWorkers(nw)
-		got := make([]float64, total)
-		op.Apply(v, got)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: y[%d] = %v, want bitwise %v", nw, i, got[i], ref[i])
+		r, jj, y := kernels()
+		for name, pair := range map[string][2][]float64{"residual": {refR, r}, "jacobian": {refJ, jj}, "apply": {refY, y}} {
+			for i, want := range pair[0] {
+				if pair[1][i] != want {
+					t.Fatalf("workers=%d: %s[%d] = %v, want bitwise %v", nw, name, i, pair[1][i], want)
+				}
 			}
 		}
 	}

@@ -59,11 +59,11 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	// recycler's deflation space was harvested from, so the carried space is
 	// dropped here — the recycler shares the preconditioner's ω-drift gate.
 	a.lad.rec.Invalidate()
-	n1, n := a.n1, a.n
+	n1, n := a.g.n1, a.g.n
 	if a.prec == nil {
 		a.prec = &harmonicPrec{
 			n1: n1, n: n,
-			scale: make([]float64, len(a.scale)),
+			scale: make([]float64, len(a.g.scale)),
 			facts: make([]*la.CLU, n1),
 			spec:  make([][]complex128, n),
 			xh:    make([]complex128, n1*n),
@@ -81,7 +81,7 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	// operator M⁻¹ each step — invisible to the ω-drift gate and fatal to the
 	// Krylov recycler's exact-space contract. A slightly stale scale only
 	// costs Krylov iterations, like any other staleness the gate tolerates.
-	copy(a.prec.scale, a.scale)
+	copy(a.prec.scale, a.g.scale)
 	if a.jqAvg == nil {
 		a.jqAvg = la.NewDense(n, n)
 		a.jfAvg = la.NewDense(n, n)
@@ -95,8 +95,8 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	a.jqAvg.Zero()
 	a.jfAvg.Zero()
 	for j := 0; j < n1; j++ {
-		a.jqAvg.AddScaled(1/float64(n1), a.jqs[j])
-		a.jfAvg.AddScaled(1/float64(n1), a.jfs[j])
+		a.jqAvg.AddScaled(1/float64(n1), a.g.jqs[j])
+		a.jfAvg.AddScaled(1/float64(n1), a.g.jfs[j])
 	}
 	jqAvg, jfAvg := a.jqAvg, a.jfAvg
 	p := a.prec

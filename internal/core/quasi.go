@@ -12,10 +12,6 @@ import (
 	"repro/internal/solverr"
 )
 
-// qpGrain is the number of bivariate grid points one parallel chunk handles
-// in the quasiperiodic solver's residual and Jacobian assembly.
-const qpGrain = 16
-
 // QPOptions configures the quasiperiodic WaMPDE solver of §4.1.
 type QPOptions struct {
 	N1, N2 int       // grid sizes, defaults 15×15
@@ -130,321 +126,153 @@ func GuessFromEnvelope(res *EnvelopeResult, t2Period float64, n1, n2 int) (*QPGu
 // inputs must be T2-periodic. guess supplies the initial iterate (required:
 // the trivial equilibrium always solves the system).
 func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPOptions) (*QPResult, error) {
+	const stage = "core.quasi"
 	opt = opt.withDefaults()
-	if t2Period <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.quasi", "T2 must be positive")
+	if err := positive(stage, "T2", t2Period); err != nil {
+		return nil, err
 	}
 	if guess == nil {
-		return nil, solverr.New(solverr.KindBadInput, "core.quasi", "Quasiperiodic requires an initial guess")
+		return nil, solverr.New(solverr.KindBadInput, stage, "Quasiperiodic requires an initial guess")
 	}
-	n := sys.Dim()
-	N1, N2 := opt.N1, opt.N2
-	if len(guess.X) != N2 || len(guess.X[0]) != N1 || len(guess.Omega) != N2 {
-		return nil, solverr.New(solverr.KindBadInput, "core.quasi",
-			"guess shape mismatch (want %dx%d grid with %d omegas)", N1, N2, N2)
+	if err := checkGuess(stage, guess.X, guess.Omega, opt.N1, opt.N2, sys.Dim()); err != nil {
+		return nil, err
 	}
-	k := sys.OscVar()
-	if k < 0 || k >= n {
-		return nil, ErrNeedOscillation
-	}
-	w, c, err := phaseRow(opt.Phase, N1, opt.Anchor)
+	bord, err := phaseBorder(sys, opt.Phase, opt.Anchor, opt.N1, guess.X[0][0])
 	if err != nil {
 		return nil, err
 	}
-	if opt.Phase == PhaseFixValue {
-		c = guess.X[0][0][k]
-	}
+	return quasiperiodic(sys, bord, lineInputs{sys: sys}, guess.X, guess.Omega, t2Period, opt)
+}
 
-	nx := N1 * N2 * n // state unknowns; then N2 omegas
+// checkGuess validates a guess before any solve: n2 lines of n1 finite
+// n-state points, and n2 positive finite frequencies.
+func checkGuess(stage string, x [][][]float64, omegas []float64, n1, n2, n int) error {
+	for _, w := range omegas {
+		if err := positive(stage, "guess ω", w); err != nil {
+			return err
+		}
+	}
+	shape := len(x) == n2 && len(omegas) == n2
+	for _, line := range x {
+		shape = shape && len(line) == n1
+		for _, p := range line {
+			shape = shape && len(p) == n
+			if i := solverr.FirstNonFinite(p); i >= 0 {
+				return solverr.New(solverr.KindBadInput, stage, "guess has non-finite value %v", p[i])
+			}
+		}
+	}
+	if !shape {
+		return solverr.New(solverr.KindBadInput, stage,
+			"guess shape mismatch (want %d lines of %d points of %d states, %d ω)", n2, n1, n, n2)
+	}
+	return nil
+}
+
+// quasiperiodic runs the global Newton solve of Quasiperiodic and
+// ForcedQuasiperiodic on an N1×N2 periodic grid with the given border and
+// inputs, from the guess x0 (nil: zero) and omegas. What is the driver's
+// own: the row scales from the guess, the line-block preconditioner and the
+// continuation hooks.
+func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64, omegas []float64, t2Period float64, opt QPOptions) (*QPResult, error) {
+	n := sys.Dim()
+	N1, N2 := opt.N1, opt.N2
+	matFree := opt.Linear == LinearMatrixFree
+	g := newGrid(sys, N1, N2, newPeriodicAxis(N2, t2Period), bord, in, !matFree)
+	nx := g.nx // state unknowns; then N2 omegas
 	total := nx + N2
 	z := make([]float64, total)
+	for j2, line := range x0 {
+		for j1, x := range line {
+			copy(z[(j2*N1+j1)*n:], x)
+		}
+	}
+	copy(z[nx:], omegas)
 	for j2 := 0; j2 < N2; j2++ {
-		for j1 := 0; j1 < N1; j1++ {
-			copy(z[qpIdx(j1, j2, 0, n, N1):qpIdx(j1, j2, 0, n, N1)+n], guess.X[j2][j1])
-		}
-		z[nx+j2] = guess.Omega[j2]
+		in.fill(g.us, N1, j2, t2Period*float64(j2)/float64(N2))
 	}
 
-	us := make([][]float64, N2)
+	// Row scales from the guess, making Newton's tolerance relative: the
+	// raw residual (unit scales) plus the size of the t1 derivative term.
+	la.Fill(g.scale, 1)
+	r0 := make([]float64, total)
+	g.residual(z, r0)
+	maxScale := 0.0
+	for i := 0; i < nx; i++ {
+		s := abs(r0[i]) + abs(z[nx+i/(N1*n)]*g.q[i])*float64(N1)/2
+		g.scale[i] = s
+		if s > maxScale {
+			maxScale = s
+		}
+	}
 	for j2 := 0; j2 < N2; j2++ {
-		us[j2] = make([]float64, sys.NumInputs())
-		sys.Input(t2Period*float64(j2)/float64(N2), us[j2])
+		g.scale[nx+j2] = g.borderScale(z, j2)
 	}
-	d1 := fourier.DiffMatrix(N1)
-	d2 := fourier.DiffMatrix(N2)
-
-	q := make([]float64, nx)
-	computeQ := func(z []float64) {
-		par.For(N1*N2, qpGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				sys.Q(z[p*n:(p+1)*n], q[p*n:(p+1)*n])
-			}
-		})
+	// Relative floor for algebraic rows (see the envelope solver). A row
+	// the guess says nothing about — exactly zero, as every unsourced row
+	// of a zero start is — takes the largest scale instead: the floor would
+	// demand its residual to machine precision of the largest row.
+	floor := 1e-6 * maxScale
+	if floor == 0 {
+		floor = 1
 	}
-
-	// The residual splits by t2 line: line j2 owns rows for its N1 grid
-	// points plus its phase row, so lines evaluate in parallel with
-	// chunk-private F scratch (the n-slot at lo·n of a shared buffer, hoisted
-	// out of the hot loop); the per-row arithmetic order is unchanged.
-	fScr := make([]float64, N2*n)
-	rawResidual := func(z, r []float64) {
-		computeQ(z)
-		par.For(N2, 1, func(lo, hi int) {
-			scr := fScr[lo*n : lo*n+n]
-			for j2 := lo; j2 < hi; j2++ {
-				omega := z[nx+j2]
-				for j1 := 0; j1 < N1; j1++ {
-					base := qpIdx(j1, j2, 0, n, N1)
-					sys.F(z[base:base+n], us[j2], scr)
-					for i := 0; i < n; i++ {
-						acc := scr[i]
-						for m := 0; m < N1; m++ {
-							if wgt := d1[j1*N1+m]; wgt != 0 {
-								acc += omega * wgt * q[qpIdx(m, j2, i, n, N1)]
-							}
-						}
-						for m := 0; m < N2; m++ {
-							if wgt := d2[j2*N2+m]; wgt != 0 {
-								acc += wgt / t2Period * q[qpIdx(j1, m, i, n, N1)]
-							}
-						}
-						r[base+i] = acc
-					}
-				}
-				ph := -c
-				for j1 := 0; j1 < N1; j1++ {
-					ph += w[j1] * z[qpIdx(j1, j2, k, n, N1)]
-				}
-				r[nx+j2] = ph
-			}
-		})
-	}
-
-	// Row scales from the guess, making Newton's tolerance relative.
-	scale := make([]float64, total)
-	{
-		r0 := make([]float64, total)
-		rawResidual(z, r0)
-		computeQ(z)
-		maxScale := 0.0
-		for j2 := 0; j2 < N2; j2++ {
-			omega := z[nx+j2]
-			for j1 := 0; j1 < N1; j1++ {
-				base := qpIdx(j1, j2, 0, n, N1)
-				for i := 0; i < n; i++ {
-					s := abs(r0[base+i]) + abs(omega*q[base+i])*float64(N1)/2
-					scale[base+i] = s
-					if s > maxScale {
-						maxScale = s
-					}
-				}
-			}
-			s := 0.0
-			for j1 := 0; j1 < N1; j1++ {
-				s += abs(w[j1]) * (1 + abs(z[qpIdx(j1, j2, k, n, N1)]))
-			}
-			if s == 0 {
-				s = 1
-			}
-			scale[nx+j2] = s
-		}
-		// Relative floor for algebraic rows (see the envelope solver).
-		floor := 1e-6 * maxScale
-		if floor == 0 {
-			floor = 1
-		}
-		for i := 0; i < nx; i++ {
-			if scale[i] < floor {
-				scale[i] = floor
-			}
+	for i := 0; i < nx; i++ {
+		switch s := g.scale[i]; {
+		case s == 0 && maxScale > 0:
+			g.scale[i] = maxScale
+		case s < floor:
+			g.scale[i] = floor
 		}
 	}
 
-	// Per-point device Jacobian slots, reused across Newton iterations.
-	jqs := make([]*la.Dense, N1*N2)
-	jfs := make([]*la.Dense, N1*N2)
-	for p := range jqs {
-		jqs[p] = la.NewDense(n, n)
-		jfs[p] = la.NewDense(n, n)
-	}
-	eval := func(z, r []float64) error {
-		rawResidual(z, r)
-		for i := range r {
-			r[i] /= scale[i]
-		}
-		return nil
-	}
-	// The Jacobian assembly is row-centric so grid points fill their own row
-	// blocks in parallel: the spectral differentiation diagonals are exactly
-	// zero, so every matrix element has a single contributor and gathering
-	// along rows is bitwise identical to scattering from columns. The matrix
-	// and its LU workspace persist across refreshes; assembly accumulates, so
-	// the rows are zeroed (in disjoint parallel chunks) first. On the
-	// matrix-free path neither exists — the O(total²) allocation is the wall
-	// that path removes.
-	var jj *la.Dense
+	// The matrix-free path never assembles the global Jacobian — the
+	// O(total²) allocation is the wall it removes — and preconditions with
+	// one block per t2 line, plus an identity block for the N2 trailing ω
+	// rows (their diagonal block is structurally zero; the Krylov iteration
+	// resolves the bordering).
 	var flu *la.LU
-	var mfOp *qpSpectralOp
 	var lineBlocks []*la.Dense
-	if opt.Linear == LinearMatrixFree {
-		mfOp = newQPSpectralOp(n, N1, N2, k, t2Period, d1, d2, w, jqs, jfs)
-		// One preconditioner block per t2 line, plus an identity block for
-		// the N2 trailing ω rows (their diagonal block is structurally zero;
-		// the Krylov iteration resolves the bordering).
+	var fillLines func(lo, hi int)
+	if matFree {
 		lineBlocks = make([]*la.Dense, N2+1)
 		for j2 := 0; j2 < N2; j2++ {
 			lineBlocks[j2] = la.NewDense(N1*n, N1*n)
 		}
-		id := la.NewDense(N2, N2)
-		for j2 := 0; j2 < N2; j2++ {
-			id.Set(j2, j2, 1)
+		lineBlocks[N2] = la.Identity(N2)
+		// Line block j2 is the line's own rows and columns, ω_{j2}·D1⊗JQ +
+		// JF, row-scaled like the full system: block Jacobi drops the D2
+		// coupling between lines and the ω border.
+		fillLines = func(lo, hi int) {
+			for j2 := lo; j2 < hi; j2++ {
+				blk := lineBlocks[j2]
+				for j1 := 0; j1 < N1; j1++ {
+					p := j2*N1 + j1
+					g.lineRows(p, blk, j1*n, 0, g.op.omegas[j2])
+					scaleRows(blk, j1*n, g.scale[p*n:(p+1)*n])
+				}
+			}
 		}
-		lineBlocks[N2] = id
 	} else {
-		jj = la.NewDense(total, total)
 		flu = la.NewLU(total)
 	}
 	var st Stats
-	lad := newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && opt.Linear == LinearMatrixFree, opt.Warm, &st)
+	lad := newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && matFree, opt.Warm, &st)
 	jac := func(z []float64) (newton.LinearSolve, error) {
-		if opt.Linear == LinearMatrixFree {
-			lad.refresh()
-			// Matrix-free linearization: refresh q and the per-point device
-			// blocks (the same parallel kernels the dense assembly uses),
-			// snapshot the operator, and build the line-block preconditioner
-			// straight from the slots — no global matrix is touched.
-			computeQ(z)
-			par.For(N1*N2, qpGrain, func(lo, hi int) {
-				for p := lo; p < hi; p++ {
-					x := z[p*n : (p+1)*n]
-					sys.JQ(x, jqs[p])
-					sys.JF(x, us[p/N1], jfs[p])
-				}
-			})
-			mfOp.build(z, q, scale)
-			// Line block j2: ω_{j2}·D1⊗JQ plus the JF point diagonal, rows
-			// scaled like the full system (the D2 diagonal is exactly zero,
-			// so no t2 term lands inside a line's own block).
-			par.For(N2, 1, func(lo, hi int) {
-				for j2 := lo; j2 < hi; j2++ {
-					blk := lineBlocks[j2]
-					omega := z[nx+j2]
-					for j1r := 0; j1r < N1; j1r++ {
-						for r := 0; r < n; r++ {
-							row := blk.Row(j1r*n + r)
-							for i := range row {
-								row[i] = 0
-							}
-						}
-						for j1 := 0; j1 < N1; j1++ {
-							wgt := omega * d1[j1r*N1+j1]
-							if wgt == 0 {
-								continue
-							}
-							jq := jqs[j2*N1+j1]
-							for r := 0; r < n; r++ {
-								row := blk.Row(j1r*n + r)
-								qrow := jq.Row(r)
-								for c := 0; c < n; c++ {
-									row[j1*n+c] += wgt * qrow[c]
-								}
-							}
-						}
-						jf := jfs[j2*N1+j1r]
-						for r := 0; r < n; r++ {
-							row := blk.Row(j1r*n + r)
-							frow := jf.Row(r)
-							for c := 0; c < n; c++ {
-								row[j1r*n+c] += frow[c]
-							}
-						}
-						for r := 0; r < n; r++ {
-							s := scale[qpIdx(j1r, j2, r, n, N1)]
-							row := blk.Row(j1r*n + r)
-							for i := range row {
-								row[i] /= s
-							}
-						}
-					}
-				}
-			})
-			prec, err := krylov.NewBlockJacobiFromBlocks(lineBlocks)
-			if err != nil {
+		if !matFree {
+			if err := flu.FactorInto(g.jacobian(z)); err != nil {
 				return nil, err
 			}
-			lad.reset(mfOp, prec, mfOp.assembleSparse)
-			return lad, nil
+			return flu, nil
 		}
-		par.For(total, 64, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := jj.Row(r)
-				for ccc := range row {
-					row[ccc] = 0
-				}
-			}
-		})
-		computeQ(z)
-		par.For(N1*N2, qpGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				x := z[p*n : (p+1)*n]
-				sys.JQ(x, jqs[p])
-				sys.JF(x, us[p/N1], jfs[p])
-			}
-		})
-		par.For(N1*N2, qpGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				j2r, j1r := p/N1, p%N1
-				rowBase := p * n
-				omega := z[nx+j2r]
-				// t1 line: cols (j1, j2r) weighted by ω_{j2r}·D1[j1r,j1].
-				for j1 := 0; j1 < N1; j1++ {
-					wgt := omega * d1[j1r*N1+j1]
-					if wgt == 0 {
-						continue
-					}
-					addScaledBlock(jj, rowBase, qpIdx(j1, j2r, 0, n, N1), jqs[j2r*N1+j1], wgt)
-				}
-				// t2 line: cols (j1r, m) weighted by D2[j2r,m]/T2.
-				for m := 0; m < N2; m++ {
-					wgt := d2[j2r*N2+m] / t2Period
-					if wgt == 0 {
-						continue
-					}
-					addScaledBlock(jj, rowBase, qpIdx(j1r, m, 0, n, N1), jqs[m*N1+j1r], wgt)
-				}
-				addScaledBlock(jj, rowBase, rowBase, jfs[p], 1)
-				// ∂/∂ω_{j2r} column: Σ_{j1} D1[j1r,j1]·q(j1, j2r), accumulated
-				// in ascending j1 (the same order as the scatter form).
-				for j1 := 0; j1 < N1; j1++ {
-					wgt := d1[j1r*N1+j1]
-					if wgt == 0 {
-						continue
-					}
-					qb := qpIdx(j1, j2r, 0, n, N1)
-					for i := 0; i < n; i++ {
-						jj.Add(rowBase+i, nx+j2r, wgt*q[qb+i])
-					}
-				}
-			}
-		})
-		for j2 := 0; j2 < N2; j2++ {
-			for j1 := 0; j1 < N1; j1++ {
-				jj.Set(nx+j2, qpIdx(j1, j2, k, n, N1), w[j1])
-			}
-		}
-		par.For(total, 64, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := jj.Row(r)
-				s := scale[r]
-				for ccc := range row {
-					row[ccc] /= s
-				}
-			}
-		})
-		if err := flu.FactorInto(jj); err != nil {
+		lad.refresh()
+		op := g.operator(z)
+		par.For(N2, 1, fillLines)
+		prec, err := krylov.NewBlockJacobiFromBlocks(lineBlocks)
+		if err != nil {
 			return nil, err
 		}
-		return flu, nil
+		lad.reset(op, prec, op.assembleSparse)
+		return lad, nil
 	}
 
 	nopt := opt.Newton
@@ -458,8 +286,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 	// values.
 	rescueOpts := nopt
 	rescueOpts.JacobianReuse = false
-	var usOrig [][]float64
-	var uMean []float64
+	var usOrig, uMean []float64
 	nl := &nonlinearLadder{
 		stats: &st, chord: opt.ChordNewton, base: rescueOpts,
 		z0: make([]float64, total),
@@ -468,37 +295,30 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 			if r != rungContinuation {
 				return
 			}
-			usOrig = make([][]float64, N2)
-			uMean = make([]float64, sys.NumInputs())
-			for j2 := 0; j2 < N2; j2++ {
-				usOrig[j2] = append([]float64(nil), us[j2]...)
-				for i, v := range us[j2] {
-					uMean[i] += v / float64(N2)
-				}
+			usOrig = append([]float64(nil), g.us...)
+			line := len(g.us) / N2
+			uMean = make([]float64, len(g.us))
+			for i, v := range g.us {
+				uMean[i%line] += v / float64(N2)
+			}
+			for i := line; i < len(uMean); i++ {
+				uMean[i] = uMean[i%line]
 			}
 		},
-		blend: func(lambda float64) {
-			for j2 := 0; j2 < N2; j2++ {
-				lerp(us[j2], uMean, usOrig[j2], lambda)
-			}
-		},
-		restore: func() {
-			for j2 := 0; j2 < N2; j2++ {
-				copy(us[j2], usOrig[j2])
-			}
-		},
+		blend:   func(lambda float64) { lerp(g.us, uMean, usOrig, lambda) },
+		restore: func() { copy(g.us, usOrig) },
 	}
-	resN, err := nl.solve(newton.Problem{N: total, Eval: eval, Jacobian: jac}, z, nopt)
+	resN, err := nl.solve(newton.Problem{N: total, Eval: g.residual, Jacobian: jac}, z, nopt)
 	build := func() *QPResult {
 		lad.reportRecycler()
-		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2), Omega: make([]float64, N2), Stats: st}
+		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2),
+			Omega: append([]float64(nil), z[nx:]...), Stats: st}
 		for j2 := 0; j2 < N2; j2++ {
 			res.X[j2] = make([][]float64, N1)
 			for j1 := 0; j1 < N1; j1++ {
-				base := qpIdx(j1, j2, 0, n, N1)
+				base := (j2*N1 + j1) * n
 				res.X[j2][j1] = append([]float64(nil), z[base:base+n]...)
 			}
-			res.Omega[j2] = z[nx+j2]
 		}
 		return res
 	}
@@ -518,16 +338,4 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 		opt.Warm.Rec = lad.rec
 	}
 	return build(), nil
-}
-
-func qpIdx(j1, j2, i, n, N1 int) int { return (j2*N1+j1)*n + i }
-
-func addScaledBlock(jj *la.Dense, rowBase, colBase int, blk *la.Dense, w float64) {
-	for r := 0; r < blk.Rows; r++ {
-		row := jj.Row(rowBase + r)
-		brow := blk.Row(r)
-		for c := 0; c < blk.Cols; c++ {
-			row[colBase+c] += w * brow[c]
-		}
-	}
 }

@@ -143,11 +143,11 @@ func (a *envAssembler) harvestInto(w *WarmStart, xhat []float64, omega float64) 
 	if w == nil {
 		return
 	}
-	w.SetEnvelopeIC(xhat, omega, a.n1)
+	w.SetEnvelopeIC(xhat, omega, a.g.n1)
 	w.Rec = a.lad.rec
 	ec := &envCarry{
-		n1:            a.n1,
-		n:             a.n,
+		n1:            a.g.n1,
+		n:             a.g.n,
 		linear:        a.opt.Linear,
 		lastH:         a.lastH,
 		lastTheta:     a.lastTheta,

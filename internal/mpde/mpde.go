@@ -17,14 +17,13 @@
 package mpde
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dae"
-	"repro/internal/fourier"
-	"repro/internal/la"
 	"repro/internal/newton"
+	"repro/internal/solverr"
 )
 
 // System is a DAE whose inputs live on the two-time torus: Input2 evaluates
@@ -38,9 +37,12 @@ type System interface {
 
 // Options tunes the quasiperiodic MPDE solve.
 type Options struct {
-	N1, N2  int     // grid sizes (defaults 15×15, the paper's Figure 2 grid)
-	MaxIter int     // Newton cap, default 60
-	Tol     float64 // residual tolerance, default 1e-9
+	N1, N2  int // grid sizes (defaults 15×15, the paper's Figure 2 grid)
+	MaxIter int // Newton cap, default 60
+	// Tol bounds the row-scaled residual, as in internal/core: each
+	// collocation row is divided by its size at the initial guess, so the
+	// tolerance is relative. Default 1e-9.
+	Tol     float64
 	Damping bool
 }
 
@@ -74,27 +76,11 @@ func (s *Solution) N1() int { return len(s.X[0]) }
 func (s *Solution) N2() int { return len(s.X) }
 
 // Eval returns state component i at (t1, t2) by trigonometric interpolation
-// along t1 and linear (periodic) interpolation along t2.
+// along t1 and linear (periodic) interpolation along t2: core.QPResult's
+// evaluation, with t1 normalized to one fast period.
 func (s *Solution) Eval(i int, t1, t2 float64) float64 {
-	n2 := s.N2()
-	f2 := math.Mod(t2/s.T2, 1)
-	if f2 < 0 {
-		f2++
-	}
-	y := f2 * float64(n2)
-	j0 := int(y) % n2
-	j1 := (j0 + 1) % n2
-	w := y - math.Floor(y)
-	return (1-w)*s.evalRow(i, j0, t1) + w*s.evalRow(i, j1, t1)
-}
-
-func (s *Solution) evalRow(i, j2 int, t1 float64) float64 {
-	n1 := s.N1()
-	samples := make([]float64, n1)
-	for j1 := 0; j1 < n1; j1++ {
-		samples[j1] = s.X[j2][j1][i]
-	}
-	return fourier.Interpolate(samples, t1/s.T1)
+	r := core.QPResult{N1: s.N1(), N2: s.N2(), T2: s.T2, X: s.X}
+	return r.Eval(i, t1/s.T1, t2)
 }
 
 // Univariate reconstructs the one-dimensional solution along the sawtooth
@@ -105,130 +91,21 @@ func (s *Solution) Univariate(i int, t float64) float64 {
 
 // Quasiperiodic solves the MPDE with (T1, T2)-periodic boundary conditions.
 // x0, if non-nil, provides the initial guess on the same grid layout as
-// Solution.X.
+// Solution.X. It is the periodic collocation grid of internal/core with the
+// fast frequency pinned at 1/T1 (core.ForcedQuasiperiodic): the fast axis
+// is normalized phase, and Input2 is sampled at each grid point.
 func Quasiperiodic(sys System, t1p, t2p float64, x0 [][][]float64, opt Options) (*Solution, error) {
 	opt = opt.withDefaults()
-	if t1p <= 0 || t2p <= 0 {
-		return nil, errors.New("mpde: periods must be positive")
+	if !(t1p > 0) || math.IsInf(t1p, 1) {
+		return nil, solverr.New(solverr.KindBadInput, "mpde.quasi", "T1 must be positive and finite, got %v", t1p)
 	}
-	n := sys.Dim()
-	N1, N2 := opt.N1, opt.N2
-	total := N1 * N2 * n
-
-	// Inputs on the grid.
-	us := make([][][]float64, N2)
-	for j2 := 0; j2 < N2; j2++ {
-		us[j2] = make([][]float64, N1)
-		for j1 := 0; j1 < N1; j1++ {
-			us[j2][j1] = make([]float64, sys.NumInputs())
-			sys.Input2(t1p*float64(j1)/float64(N1), t2p*float64(j2)/float64(N2), us[j2][j1])
-		}
-	}
-	d1 := fourier.DiffMatrix(N1) // d/dτ1 for period 1; scale by 1/T1
-	d2 := fourier.DiffMatrix(N2)
-
-	z := make([]float64, total)
-	if x0 != nil {
-		if len(x0) != N2 || len(x0[0]) != N1 {
-			return nil, fmt.Errorf("mpde: guess grid %dx%d, want %dx%d", len(x0[0]), len(x0), N1, N2)
-		}
-		for j2 := 0; j2 < N2; j2++ {
-			for j1 := 0; j1 < N1; j1++ {
-				copy(z[idx(j1, j2, 0, n, N1):idx(j1, j2, 0, n, N1)+n], x0[j2][j1])
-			}
-		}
-	}
-
-	q := make([]float64, total)
-	scr := make([]float64, n)
-	jq := la.NewDense(n, n)
-	jf := la.NewDense(n, n)
-
-	computeQ := func(z []float64) {
-		for p := 0; p < N1*N2; p++ {
-			sys.Q(z[p*n:(p+1)*n], q[p*n:(p+1)*n])
-		}
-	}
-	eval := func(z, f []float64) error {
-		computeQ(z)
-		for j2 := 0; j2 < N2; j2++ {
-			for j1 := 0; j1 < N1; j1++ {
-				base := idx(j1, j2, 0, n, N1)
-				sys.F(z[base:base+n], us[j2][j1], scr)
-				for i := 0; i < n; i++ {
-					acc := scr[i]
-					for m := 0; m < N1; m++ {
-						if w := d1[j1*N1+m]; w != 0 {
-							acc += w / t1p * q[idx(m, j2, i, n, N1)]
-						}
-					}
-					for m := 0; m < N2; m++ {
-						if w := d2[j2*N2+m]; w != 0 {
-							acc += w / t2p * q[idx(j1, m, i, n, N1)]
-						}
-					}
-					f[base+i] = acc
-				}
-			}
-		}
-		return nil
-	}
-	jac := func(z []float64) (newton.LinearSolve, error) {
-		jj := la.NewDense(total, total)
-		for j2 := 0; j2 < N2; j2++ {
-			for j1 := 0; j1 < N1; j1++ {
-				base := idx(j1, j2, 0, n, N1)
-				x := z[base : base+n]
-				sys.JQ(x, jq)
-				sys.JF(x, us[j2][j1], jf)
-				// Derivative couplings: this point's q appears in rows of
-				// every point sharing its row or column of the grid.
-				for m := 0; m < N1; m++ {
-					w := d1[m*N1+j1] / t1p
-					if w == 0 {
-						continue
-					}
-					rowBase := idx(m, j2, 0, n, N1)
-					addBlock(jj, rowBase, base, jq, w)
-				}
-				for m := 0; m < N2; m++ {
-					w := d2[m*N2+j2] / t2p
-					if w == 0 {
-						continue
-					}
-					rowBase := idx(j1, m, 0, n, N1)
-					addBlock(jj, rowBase, base, jq, w)
-				}
-				addBlock(jj, base, base, jf, 1)
-			}
-		}
-		return la.FactorLU(jj)
-	}
-	if _, err := newton.Solve(newton.Problem{N: total, Eval: eval, Jacobian: jac}, z,
-		newton.Options{MaxIter: opt.MaxIter, TolF: opt.Tol, Damping: opt.Damping}); err != nil {
+	input2 := func(tau, t2 float64, u []float64) { sys.Input2(tau*t1p, t2, u) }
+	qopt := core.QPOptions{N1: opt.N1, N2: opt.N2, Newton: newton.Options{MaxIter: opt.MaxIter, TolF: opt.Tol, Damping: opt.Damping}}
+	res, err := core.ForcedQuasiperiodic(sys, input2, x0, 1/t1p, t2p, qopt)
+	if err != nil {
 		return nil, fmt.Errorf("mpde: quasiperiodic solve: %w", err)
 	}
-	sol := &Solution{T1: t1p, T2: t2p, X: make([][][]float64, N2)}
-	for j2 := 0; j2 < N2; j2++ {
-		sol.X[j2] = make([][]float64, N1)
-		for j1 := 0; j1 < N1; j1++ {
-			base := idx(j1, j2, 0, n, N1)
-			sol.X[j2][j1] = append([]float64(nil), z[base:base+n]...)
-		}
-	}
-	return sol, nil
-}
-
-func idx(j1, j2, i, n, N1 int) int { return (j2*N1+j1)*n + i }
-
-func addBlock(jj *la.Dense, rowBase, colBase int, blk *la.Dense, w float64) {
-	for r := 0; r < blk.Rows; r++ {
-		row := jj.Row(rowBase + r)
-		brow := blk.Row(r)
-		for c := 0; c < blk.Cols; c++ {
-			row[colBase+c] += w * brow[c]
-		}
-	}
+	return &Solution{T1: t1p, T2: t2p, X: res.X}, nil
 }
 
 // TwoTone adapts a dae.System whose input waveforms factor into fast and

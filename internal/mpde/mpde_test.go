@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dae"
+	"repro/internal/solverr"
 	"repro/internal/transient"
 )
 
@@ -177,6 +178,49 @@ func TestQuasiperiodicBadArgs(t *testing.T) {
 	}
 	if _, err := Quasiperiodic(sys, 1, 1, make([][][]float64, 3), Options{N1: 5, N2: 5}); err == nil {
 		t.Fatal("bad guess shape should fail")
+	}
+}
+
+// Malformed or non-finite periods and guesses are typed bad-input errors,
+// rejected before any solve — never a panic or a Newton failure.
+func TestQuasiperiodicInputsRejected(t *testing.T) {
+	sys := twoToneRC(1e-4, 1e-2)
+	opt := Options{N1: 5, N2: 4}
+	guess := func(edit func(x [][][]float64)) [][][]float64 {
+		x := make([][][]float64, opt.N2)
+		for j2 := range x {
+			x[j2] = make([][]float64, opt.N1)
+			for j1 := range x[j2] {
+				x[j2][j1] = make([]float64, sys.Dim())
+			}
+		}
+		edit(x)
+		return x
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name     string
+		t1p, t2p float64
+		x0       [][][]float64
+	}{
+		{"T1=NaN", nan, 1e-2, nil},
+		{"T1=0", 0, 1e-2, nil},
+		{"T1=Inf", math.Inf(1), 1e-2, nil},
+		{"T2=NaN", 1e-4, nan, nil},
+		{"T2=-1", 1e-4, -1, nil},
+		{"short-grid", 1e-4, 1e-2, guess(func(x [][][]float64) {})[1:]},
+		{"short-line", 1e-4, 1e-2, guess(func(x [][][]float64) { x[1] = x[1][1:] })},
+		{"state-count", 1e-4, 1e-2, guess(func(x [][][]float64) { x[2][3] = nil })},
+		{"value=NaN", 1e-4, 1e-2, guess(func(x [][][]float64) { x[3][4][0] = nan })},
+		{"value=Inf", 1e-4, 1e-2, guess(func(x [][][]float64) { x[0][1][0] = math.Inf(-1) })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Quasiperiodic(sys, c.t1p, c.t2p, c.x0, opt)
+			if !solverr.IsKind(err, solverr.KindBadInput) {
+				t.Fatalf("err = %v, want a %v error", err, solverr.KindBadInput)
+			}
+		})
 	}
 }
 
