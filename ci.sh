@@ -4,7 +4,10 @@
 #   tier 1      build + full test suite (the gate every change must pass)
 #   tier 2      vet + race detector over the suite (-short skips the longest
 #               solver runs; the parallel kernels all execute under the
-#               race detector via the unit and determinism tests)
+#               race detector via the unit and determinism tests), then vet
+#               + tests of the bench/ module, which is its own Go module and
+#               so invisible to the root's ./... although it imports
+#               internal/serve, core and mpde
 #   fault       fault-injection tier: the armed suite (TestFault*) under the
 #               race detector, without -short so the armed golden-tolerance
 #               Figure-7 runs execute too. Proves every escalation rung fires
@@ -51,9 +54,9 @@
 #               -check. First a race-built server runs the correctness
 #               gates: cache dedup between /v1/sweep points and single
 #               solves (byte-identical both directions) and kill+resume
-#               (the resumed stream emits exactly the missing points and
-#               the server re-solves at most the one point that was in
-#               flight). Then a plain build runs the amortization gate — a
+#               (the resumed stream emits exactly the missing points, the
+#               ones solved before the kill from the cache, and the server
+#               re-solves at most the one point that was in flight). Then a plain build runs the amortization gate — a
 #               200-point vctl sweep at ≤ 0.5× the wall-clock of the same
 #               number of independent cold solves — because the race
 #               runtime serializes the lanes and would distort the ratio.
@@ -127,6 +130,7 @@ if [ "$tier" = 2 ] || [ "$tier" = all ]; then
 	echo "== tier 2: vet + race detector"
 	go vet ./...
 	go test -race -short ./...
+	(cd bench && go vet . && go test .)
 fi
 
 if [ "$tier" = fault ] || [ "$tier" = all ]; then

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -113,7 +114,7 @@ func readBenchmarks(sc *bufio.Scanner) ([]Benchmark, error) {
 // line per baseline benchmark. It returns false when a baseline benchmark is
 // missing from the run or allocates more than the baseline allows; ns/op
 // drift beyond tol in either direction is reported but does not fail.
-func check(baseline Report, run []Benchmark, tol float64, allocSlack int64, w *os.File) bool {
+func check(baseline Report, run []Benchmark, tol float64, allocSlack int64, w io.Writer) bool {
 	byName := make(map[string]Benchmark, len(run))
 	for _, b := range run {
 		byName[b.Name] = b
@@ -222,7 +223,7 @@ func parseConverterName(name string) (family, circuit, mode string, ok bool) {
 // envelope must beat the brute-force transient by at least minSpeedup. Like
 // -ring-gate this is a within-run ratio — both numbers come from the same
 // machine — so it holds across hardware, unlike the ns/op baselines.
-func converterGate(run []Benchmark, minSpeedup float64, w *os.File) bool {
+func converterGate(run []Benchmark, minSpeedup float64, w io.Writer) bool {
 	type convKey struct{ family, circuit string }
 	type convResult struct{ mpde, transient float64 }
 	byKey := map[convKey]*convResult{}
@@ -283,7 +284,7 @@ func converterGate(run []Benchmark, minSpeedup float64, w *os.File) bool {
 // crossover point (its smallest gated stage count with both modes) it must
 // win by minSpeedup. One line per (family, stage count) is printed either
 // way, so the report doubles as the scaling table.
-func ringGate(run []Benchmark, from int, minSpeedup float64, w *os.File) bool {
+func ringGate(run []Benchmark, from int, minSpeedup float64, w io.Writer) bool {
 	type ringKey struct {
 		family string
 		stages int

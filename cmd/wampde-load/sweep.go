@@ -28,7 +28,6 @@ type sweepNDLine struct {
 		Solved    int    `json:"solved"`
 		CacheHits int    `json:"cache_hits"`
 		Coalesced int    `json:"coalesced"`
-		Replayed  int    `json:"replayed"`
 		Errors    int    `json:"errors"`
 		Error     string `json:"error"`
 	} `json:"done"`
@@ -118,8 +117,8 @@ func (h *harness) postSweep(phase, body string) (recs []sweepNDLine, trailer *sw
 }
 
 // killSweep opens a sweep, reads the header plus want point records, then
-// slams the connection shut — the client-side kill the resume protocol is
-// built around.
+// slams the connection shut — the client-side kill that resuming with
+// "have" is built around.
 func (h *harness) killSweep(phase, body string, want int) (got int, ok bool) {
 	req, err := http.NewRequest("POST", h.url+"/v1/sweep", strings.NewReader(body))
 	if err != nil {
@@ -332,7 +331,8 @@ func sweepAmortization(h *harness, points int, gate float64, check, bench bool) 
 // sweepResume kills a sweep after two received records and resumes it with
 // have=2. The resumed stream must emit exactly the missing points, each
 // once, and the server must re-solve at most the single point that was in
-// flight when the connection died.
+// flight when the connection died: points solved before the cut come back
+// from the cache tiers.
 func sweepResume(h *harness) {
 	const tstop, hstep = 2e-5, 1e-8 // ~10x the mix solve, so the kill lands mid-flight
 	const n, have = 12, 2
@@ -354,7 +354,7 @@ func sweepResume(h *harness) {
 		return
 	}
 
-	resume := body[:len(body)-1] + fmt.Sprintf(`,"resume":true,"have":%d}`, have)
+	resume := body[:len(body)-1] + fmt.Sprintf(`,"have":%d}`, have)
 	recs, trailer, _, ok := h.postSweep("sweep-resume", resume)
 	if !ok {
 		return
@@ -365,7 +365,7 @@ func sweepResume(h *harness) {
 		return
 	}
 	seen := map[int]bool{}
-	replayed := 0
+	cached := 0
 	for i, r := range recs {
 		if *r.Seq != have+i {
 			h.errf("sweep-resume: record %d has seq %d, want %d", i, *r.Seq, have+i)
@@ -374,8 +374,8 @@ func sweepResume(h *harness) {
 			h.errf("sweep-resume: seq %d emitted twice", *r.Seq)
 		}
 		seen[*r.Seq] = true
-		if r.Cache == "checkpoint" {
-			replayed++
+		if r.Cache == "hit" || r.Cache == "hit-disk" {
+			cached++
 		}
 		if len(r.Body) == 0 {
 			h.errf("sweep-resume: seq %d has no body", *r.Seq)
@@ -390,6 +390,6 @@ func sweepResume(h *harness) {
 		h.errf("sweep-resume: %d points solved across kill+resume, want at most %d (one in-flight recompute)",
 			solved, n+1)
 	}
-	fmt.Printf("sweep-resume: killed after %d records, resume emitted %d (replayed %d from checkpoint), %d total solves for %d points\n",
-		have, len(recs), replayed, solved, n)
+	fmt.Printf("sweep-resume: killed after %d records, resume emitted %d (%d from the cache), %d total solves for %d points\n",
+		have, len(recs), cached, solved, n)
 }

@@ -176,12 +176,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wampde-server: cluster self=%s join=%v peers=%v\n", advertised, *join, resolved)
 	}
 
+	// Config reads a zero budget as "use the default"; only a negative one
+	// turns the memory tier off, which is what -cache-mb 0 asks for.
+	cacheBytes, cacheDesc := int64(*cacheMB)<<20, fmt.Sprintf("%dMiB", *cacheMB)
+	if cacheBytes <= 0 {
+		cacheBytes, cacheDesc = -1, "off"
+	}
+
 	m := serve.NewMetrics()
 	m.PublishExpvar()
 	srv, err := serve.NewServer(serve.Config{
 		Workers:           *workers,
 		QueueCap:          *queue,
-		CacheBytes:        int64(*cacheMB) << 20,
+		CacheBytes:        cacheBytes,
 		MaxBodyBytes:      int64(*maxBodyKB) << 10,
 		DefaultDeadline:   *defaultDeadline,
 		Debug:             *debug,
@@ -196,8 +203,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wampde-server:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wampde-server: listening on %s (workers=%d queue=%d cache=%dMiB store=%q solver-workers=%d)\n",
-		ln.Addr(), *workers, *queue, *cacheMB, *storeDir, par.Workers())
+	fmt.Fprintf(os.Stderr, "wampde-server: listening on %s (workers=%d queue=%d cache=%s store=%q solver-workers=%d)\n",
+		ln.Addr(), *workers, *queue, cacheDesc, *storeDir, par.Workers())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -94,7 +94,7 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		`{"sweep":{}}`,
 		// Valid shapes: grid, values, corners.
 		`{"circuit":"paper-vco","analysis":"transient","options":{"tstop":1e-5,"h":1e-8},"sweep":{"param":"vctl_dc","from":1,"to":2,"points":5},"lanes":2}`,
-		`{"circuit":"paper-vco","analysis":"envelope","options":{"tstop":6e-5},"sweep":{"param":"vctl_dc","values":[2.5,1.0,4.0]},"resume":true,"have":1}`,
+		`{"circuit":"paper-vco","analysis":"envelope","options":{"tstop":6e-5},"sweep":{"param":"vctl_dc","values":[2.5,1.0,4.0]},"have":1}`,
 		`{"analysis":"transient","options":{"tstop":1e-5,"h":1e-8},"sweep":{"param":"circuit","corners":["paper-vco","paper-vco-air"]}}`,
 		// Reversed bounds are legal (the planner normalizes them)...
 		`{"circuit":"paper-vco","analysis":"transient","options":{"tstop":1e-5,"h":1e-8},"sweep":{"param":"vctl_dc","from":2,"to":1,"points":4}}`,

@@ -35,7 +35,6 @@ type Metrics struct {
 	SweepPointsSolved    atomic.Int64 // fresh engine solves
 	SweepPointsCached    atomic.Int64 // served from the result cache
 	SweepPointsCoalesced atomic.Int64 // joined an in-flight solve
-	SweepPointsReplayed  atomic.Int64 // replayed from a resume checkpoint
 	SweepPointsFailed    atomic.Int64 // error records streamed
 	SweepCompleted       atomic.Int64 // sweeps that streamed their trailer clean
 	SweepCanceled        atomic.Int64 // sweeps cut by deadline or client hangup
@@ -160,7 +159,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"sweep_points_solved":     m.SweepPointsSolved.Load(),
 		"sweep_points_cached":     m.SweepPointsCached.Load(),
 		"sweep_points_coalesced":  m.SweepPointsCoalesced.Load(),
-		"sweep_points_replayed":   m.SweepPointsReplayed.Load(),
 		"sweep_points_failed":     m.SweepPointsFailed.Load(),
 		"sweep_completed":         m.SweepCompleted.Load(),
 		"sweep_canceled":          m.SweepCanceled.Load(),

@@ -34,11 +34,11 @@
 //     admissions/rejections, cache hits, in-flight, per-stage solve
 //     latencies), net/http/pprof behind a debug flag, and the HTTP surface
 //     itself.
-//   - sweepreq.go + sweep.go + checkpoint.go: the /v1/sweep batch surface —
-//     a whole parameter sweep as one streaming NDJSON job, each point
-//     sharing the single-solve content-addressed cache byte for byte, with
-//     server-side checkpoints so an interrupted sweep resumes instead of
-//     re-solving.
+//   - sweepreq.go + sweep.go: the /v1/sweep batch surface — a whole
+//     parameter sweep as one streaming NDJSON job, each point sharing the
+//     single-solve content-addressed cache byte for byte, so an interrupted
+//     sweep resumed with the client's received count gets the points solved
+//     before the cut back from the cache tiers instead of re-solving them.
 //   - store.go: the disk-backed second cache tier — an append-only segment
 //     store of checksummed, length-prefixed records keyed by content hash,
 //     reloaded into an index on boot with torn-tail detection, so solved

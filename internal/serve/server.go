@@ -23,8 +23,9 @@ type Config struct {
 	// QueueCap bounds the admission queue (default 2·Workers). A full queue
 	// rejects with 429 + Retry-After rather than queueing unboundedly.
 	QueueCap int
-	// CacheBytes budgets the result cache (default 32 MiB; ≤0 disables
-	// caching but keeps single-flight coalescing).
+	// CacheBytes budgets the memory cache tier. 0 means the default,
+	// 32 MiB; a negative budget disables the tier but keeps single-flight
+	// coalescing.
 	CacheBytes int64
 	// MaxBodyBytes caps the request body (default 128 KiB).
 	MaxBodyBytes int64
@@ -110,7 +111,6 @@ type Server struct {
 	repl        *replicator // nil unless replication > 1
 	breakers    *breakerSet
 	flights     *flightGroup
-	checks      *sweepCheckpoints
 	m           *Metrics
 	mux         *http.ServeMux
 
@@ -145,7 +145,6 @@ func NewServer(cfg Config) (*Server, error) {
 		m:       cfg.Metrics,
 		flights: newFlightGroup(cfg.Metrics),
 		cache:   NewCache(cfg.CacheBytes, cfg.Metrics),
-		checks:  newSweepCheckpoints(8),
 	}
 	if cfg.StoreDir != "" {
 		store, err := OpenStore(cfg.StoreDir, cfg.StoreSegmentBytes, cfg.StoreMaxBytes, cfg.Metrics)
@@ -309,25 +308,28 @@ func (s *Server) persist(hash string, body []byte) {
 	}
 }
 
-// persistAndReplicate persists locally and enqueues the body to the other
-// owners of its hash, so a fresh solve lands on all R owners no matter
-// which node computed it (the primary in the common case; a fallback or
-// forwarded-in solver otherwise).
-func (s *Server) persistAndReplicate(hash string, body []byte) {
-	s.persist(hash, body)
-	if s.repl == nil {
-		return
-	}
-	owners := s.ring().Owners(hash, s.replication)
-	targets := make([]string, 0, len(owners))
-	for _, o := range owners {
-		if o != s.self {
-			targets = append(targets, o)
+// lead is a flight leader's solve, shared by /v1/simulate and sweep points:
+// run the engine, persist a 200 in both cache tiers and write it through to
+// the other owners of its hash (so a fresh solve lands on all R owners no
+// matter which node computed it), then complete the flight. The cache insert
+// comes before completion so a request arriving after the flight retires
+// cannot slip between flight and cache.
+func (s *Server) lead(ctx context.Context, hash string, f *flight, c *Canonical) (int, []byte) {
+	status, body := s.runJob(ctx, hash, c)
+	if status == http.StatusOK {
+		s.persist(hash, body)
+		if s.repl != nil {
+			var others []string
+			for _, o := range s.ring().Owners(hash, s.replication) {
+				if o != s.self {
+					others = append(others, o)
+				}
+			}
+			s.repl.enqueue(hash, body, others)
 		}
 	}
-	if len(targets) > 0 {
-		s.repl.enqueue(hash, body, targets)
-	}
+	s.flights.complete(hash, f, flightResult{status: status, body: body})
+	return status, body
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -435,15 +437,7 @@ func (s *Server) launch(hash string, f *flight, req *Request, c *Canonical) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	err := s.sched.Submit(ctx, func(ctx context.Context) {
 		defer cancel()
-		status, body := s.runJob(ctx, hash, c)
-		if status == http.StatusOK {
-			// Insert before completing the flight so a request arriving
-			// after retirement cannot slip between flight and cache; the
-			// disk append in persist makes the result survive restarts, and
-			// the write-through replicates it to the other hash owners.
-			s.persistAndReplicate(hash, body)
-		}
-		s.flights.complete(hash, f, flightResult{status: status, body: body})
+		s.lead(ctx, hash, f, c)
 	})
 	if err != nil {
 		cancel()

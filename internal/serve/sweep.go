@@ -50,7 +50,6 @@ type sweepTrailer struct {
 	Solved    int    `json:"solved"`
 	CacheHits int    `json:"cache_hits"`
 	Coalesced int    `json:"coalesced"`
-	Replayed  int    `json:"replayed"`
 	Errors    int    `json:"errors"`
 	ElapsedMS int64  `json:"elapsed_ms"`
 	Error     string `json:"error,omitempty"` // interrupted runs only
@@ -68,8 +67,10 @@ func (e *pointError) Error() string { return fmt.Sprintf("point failed with stat
 // handleSweep is the batch endpoint: decode → canonicalize every point with
 // the single-request rules → stream NDJSON records in plan order while the
 // sweep executor drives points through the same cache / single-flight /
-// engine path as /v1/simulate. Completed points are checkpointed so an
-// interrupted sweep resumes instead of recomputing.
+// engine path as /v1/simulate. Every solved point is written to the cache
+// tiers, so a client resuming an interrupted sweep (the same request with
+// "have") gets the points solved before the cut back as cache hits, for as
+// long as the tiers hold them.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.m.SweepRequests.Add(1)
 	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -92,11 +93,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// instead of finishing a stream nobody reads.
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
-
-	var snapshot map[int][]byte
-	if job.Resume {
-		snapshot = s.checks.snapshot(job.Hash())
-	}
 
 	t0 := time.Now()
 	var tr sweepTrailer
@@ -134,9 +130,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				tr.CacheHits++
 			case "coalesced":
 				tr.Coalesced++
-			case "checkpoint":
-				tr.Replayed++
-				s.m.SweepPointsReplayed.Add(1)
 			default:
 				tr.Solved++
 			}
@@ -154,12 +147,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runErr := sweep.Run(ctx, job.Plan, s.sweepSolver(job), emit, func(fn func(context.Context)) error {
 		return s.sched.Submit(ctx, fn)
 	}, sweep.Options{
-		Lanes:  job.Lanes,
-		Skip:   func(seq int) bool { return seq < job.Have },
-		Replay: func(seq int) ([]byte, bool) { b, ok := snapshot[seq]; return b, ok },
-		OnSolved: func(seq int, body []byte) {
-			s.checks.put(job.Hash(), seq, body)
-		},
+		Lanes: job.Lanes,
+		From:  job.Have,
 		OnStart: func() {
 			headerWritten = true
 			h := w.Header()
@@ -194,9 +183,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	tr.ElapsedMS = time.Since(t0).Milliseconds()
 	if runErr != nil {
-		// Stream interrupted (deadline or client hangup): leave the
-		// checkpoint for a resume and say so in the trailer, best-effort
-		// (the connection is often already gone).
+		// Stream interrupted (deadline or client hangup): say so in the
+		// trailer, best-effort (the connection is often already gone).
 		s.m.SweepCanceled.Add(1)
 		tr.Error = runErr.Error()
 		enc.Encode(struct {
@@ -208,7 +196,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.SweepCompleted.Add(1)
-	s.checks.drop(job.Hash())
 	enc.Encode(struct {
 		Done sweepTrailer `json:"done"`
 	}{tr})
@@ -249,11 +236,7 @@ func (s *Server) sweepSolver(job *SweepJob) sweep.Solver {
 			s.m.SweepPointsCoalesced.Add(1)
 			return f.res.body, sweep.Meta{Cache: "coalesced", NS: time.Since(t0).Nanoseconds()}, nil, nil
 		}
-		status, body := s.runJob(ctx, hash, c)
-		if status == http.StatusOK {
-			s.persistAndReplicate(hash, body)
-		}
-		s.flights.complete(hash, f, flightResult{status: status, body: body})
+		status, body := s.lead(ctx, hash, f, c)
 		if status != http.StatusOK {
 			s.m.SweepPointsFailed.Add(1)
 			return nil, sweep.Meta{Cache: "miss"}, nil, &pointError{status: status, body: body}

@@ -432,7 +432,7 @@ func TestSweepResume(t *testing.T) {
 	for i := 0; i < 2*n; i++ {
 		eng.gate <- struct{}{}
 	}
-	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+`,"resume":true,"have":3}`)
+	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+`,"have":3}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resume status = %d body %s", resp.StatusCode, raw)
 	}
@@ -463,10 +463,10 @@ func TestSweepResume(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointReplay: points the server completed but the client
-// never received are replayed from the checkpoint on resume — emitted with
-// Cache "checkpoint", not re-solved.
-func TestSweepCheckpointReplay(t *testing.T) {
+// TestSweepCacheReplay: points the server completed but the client never
+// received come back from the cache on resume — emitted with Cache "hit",
+// byte-identical, counted in the trailer's cache_hits, and not re-solved.
+func TestSweepCacheReplay(t *testing.T) {
 	const n = 6
 	body := `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1.0,1.5,2.0,2.5,3.0,3.5]},"lanes":1}`
 
@@ -482,7 +482,7 @@ func TestSweepCheckpointReplay(t *testing.T) {
 	eng.gate <- struct{}{}
 	eng.gate <- struct{}{}
 	got := killSweep(t, ts.URL, body, eng, 1)
-	waitFor(t, "three checkpointed points", func() bool {
+	waitFor(t, "three solved points", func() bool {
 		return s.Metrics().SweepPointsSolved.Load() >= 3
 	})
 	waitFor(t, "in-flight drain", func() bool {
@@ -492,7 +492,8 @@ func TestSweepCheckpointReplay(t *testing.T) {
 	for i := 0; i < 2*n; i++ {
 		eng.gate <- struct{}{}
 	}
-	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+`,"resume":true,"have":1}`)
+	before := eng.Solves()
+	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+`,"have":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resume status = %d", resp.StatusCode)
 	}
@@ -500,21 +501,21 @@ func TestSweepCheckpointReplay(t *testing.T) {
 	if done == nil || len(recs) != n-1 {
 		t.Fatalf("resume: %d records, trailer %+v", len(recs), done)
 	}
-	// Seqs 1 and 2 were solved before the kill: replayed, not re-solved.
+	// Seqs 1 and 2 were solved before the kill: cache hits, not re-solves.
 	for i := 0; i < 2; i++ {
 		r := recs[i]
-		if *r.Seq != i+1 || r.Cache != "checkpoint" {
-			t.Fatalf("record seq %d cache %q, want checkpoint replay", *r.Seq, r.Cache)
+		if *r.Seq != i+1 || r.Cache != "hit" {
+			t.Fatalf("record seq %d cache %q, want a cache hit", *r.Seq, r.Cache)
 		}
 		if !bytes.Equal(r.Body, refRecs[i+1].Body) {
-			t.Fatalf("replayed body for seq %d differs from uninterrupted run", i+1)
+			t.Fatalf("cached body for seq %d differs from uninterrupted run", i+1)
 		}
 	}
-	if done.Replayed != 2 {
-		t.Fatalf("trailer replayed = %d, want 2", done.Replayed)
+	if done.CacheHits != 2 || done.Solved != n-3 {
+		t.Fatalf("trailer = %+v, want 2 cache hits and %d solves", done, n-3)
 	}
-	if got := s.Metrics().SweepPointsReplayed.Load(); got != 2 {
-		t.Fatalf("sweep_points_replayed = %d, want 2", got)
+	if solved := eng.Solves() - before; solved != n-3 {
+		t.Fatalf("resume ran %d engine solves, want %d (only the points never solved)", solved, n-3)
 	}
 	got = append(got, recs...)
 	for i, r := range got {
@@ -522,8 +523,102 @@ func TestSweepCheckpointReplay(t *testing.T) {
 			t.Fatalf("concatenated record %d differs from uninterrupted run", i)
 		}
 	}
-	if total := eng.Solves(); total > n+1 {
-		t.Fatalf("total engine solves = %d, want ≤ %d", total, n+1)
+}
+
+// TestSweepResumeFromDisk: with a memory tier that holds about one body and
+// a disk store, the points a resume asks for again were evicted from memory
+// and come back from disk — Cache "hit-disk", byte-identical, no engine
+// solve.
+func TestSweepResumeFromDisk(t *testing.T) {
+	const n = 4
+	body := `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1.0,1.5,2.0,2.5]},"lanes":1}`
+
+	_, refTS := newTestServer(t, Config{Workers: 2, QueueCap: 8, Engine: &sweepEngine{}})
+	_, refRaw := postSweep(t, refTS.URL, body)
+	_, refRecs, _ := parseSweep(t, refRaw)
+	size := 0
+	for _, r := range refRecs {
+		size = max(size, len(r.Body))
+	}
+
+	eng := &sweepEngine{}
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Engine: eng,
+		CacheBytes: int64(size + size/2), StoreDir: t.TempDir()})
+	_, raw := postSweep(t, ts.URL, body)
+	if _, recs, done := parseSweep(t, raw); done == nil || done.Solved != n || len(recs) != n {
+		t.Fatalf("first run: %d records, trailer %+v", len(recs), done)
+	}
+	if s.Metrics().CacheEvictions.Load() == 0 {
+		t.Fatalf("memory tier of %d bytes evicted nothing", size+size/2)
+	}
+
+	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+`,"have":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume status = %d", resp.StatusCode)
+	}
+	_, recs, done := parseSweep(t, raw)
+	if done == nil || len(recs) != n-1 || done.CacheHits != n-1 || done.Solved != 0 {
+		t.Fatalf("resume: %d records, trailer %+v, want %d disk hits", len(recs), done, n-1)
+	}
+	for i, r := range recs {
+		if *r.Seq != i+1 || r.Cache != "hit-disk" || !bytes.Equal(r.Body, refRecs[i+1].Body) {
+			t.Fatalf("record seq %d cache %q (same bytes %v), want a byte-identical hit-disk",
+				*r.Seq, r.Cache, bytes.Equal(r.Body, refRecs[i+1].Body))
+		}
+	}
+	if got := eng.Solves(); got != n {
+		t.Fatalf("engine solves = %d, want %d (the resume must solve nothing)", got, n)
+	}
+}
+
+// TestSweepResumeCacheOff: with both cache tiers off, resume is only as
+// good as the client's prefix — a resumed sweep re-solves exactly the
+// points the client lacks, a repeated single request never hits, and a
+// resume that holds every point solves nothing.
+func TestSweepResumeCacheOff(t *testing.T) {
+	const n = 4
+	body := `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1.0,1.5,2.0,2.5]},"lanes":2}`
+	eng := &sweepEngine{}
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Engine: eng, CacheBytes: -1})
+
+	_, raw := postSweep(t, ts.URL, body)
+	_, first, _ := parseSweep(t, raw)
+	_, raw = postSweep(t, ts.URL, body[:len(body)-1]+`,"have":1}`)
+	_, recs, done := parseSweep(t, raw)
+	if done == nil || len(recs) != n-1 || done.Solved != n-1 || done.CacheHits != 0 {
+		t.Fatalf("resume: %d records, trailer %+v, want %d fresh solves", len(recs), done, n-1)
+	}
+	for i, r := range recs {
+		if r.Cache != "miss" || !bytes.Equal(r.Body, first[i+1].Body) {
+			t.Fatalf("resumed seq %d: cache %q, same bytes %v", *r.Seq, r.Cache, bytes.Equal(r.Body, first[i+1].Body))
+		}
+	}
+	if got := eng.Solves(); got != n+n-1 {
+		t.Fatalf("engine solves = %d, want %d", got, n+n-1)
+	}
+
+	for i := 0; i < 2; i++ {
+		resp, _ := post(t, ts.URL, `{`+sweepBase+`,"vctl_dc":1.0}`)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("single %d: status %d X-Cache %q, want a fresh solve", i, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+	}
+	if got := s.Metrics().CacheHits.Load(); got != 0 {
+		t.Fatalf("cache_hits = %d with the cache off", got)
+	}
+
+	// A client holding every point gets a header and an empty trailer.
+	solves := eng.Solves()
+	resp, raw := postSweep(t, ts.URL, body[:len(body)-1]+fmt.Sprintf(`,"have":%d}`, n))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("have=%d: status %d body %s", n, resp.StatusCode, raw)
+	}
+	hdr, recs, done := parseSweep(t, raw)
+	if hdr.Have != n || len(recs) != 0 || done == nil || done.Emitted != 0 || done.Points != n {
+		t.Fatalf("have=%d: header %+v, %d records, trailer %+v", n, hdr, len(recs), done)
+	}
+	if got := eng.Solves(); got != solves {
+		t.Fatalf("have=%d ran %d engine solves", n, got-solves)
 	}
 }
 
@@ -531,7 +626,7 @@ func TestSweepCheckpointReplay(t *testing.T) {
 // failures (persistent, so the supervisor's escalation ladder cannot rescue
 // them): every point dies with an error record yet the stream completes, and
 // once the fault is disarmed the same sweep re-solves everything fresh — the
-// failures were cached and checkpointed nowhere.
+// failures were cached nowhere.
 func TestSweepFaultInjectedFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-engine fault injection is not a -short test")
@@ -560,7 +655,7 @@ func TestSweepFaultInjectedFailure(t *testing.T) {
 	}
 
 	// Fault gone: the same sweep must re-solve every point from scratch —
-	// nothing of the failed run was cached or checkpointed.
+	// nothing of the failed run was cached.
 	resp, raw = postSweep(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-run status = %d", resp.StatusCode)
@@ -661,6 +756,7 @@ func TestSweepBadRequests(t *testing.T) {
 		{"negative lanes", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"lanes":-1}`},
 		{"negative have", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"have":-1}`},
 		{"have beyond plan", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"have":3}`},
+		{"resume flag", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"resume":true,"have":1}`},
 		{"negative deadline", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"deadline_ms":-5}`},
 		{"unknown field", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]},"bogus":1}`},
 		{"trailing garbage", `{` + sweepBase + `,"sweep":{"param":"vctl_dc","values":[1,2]}}extra`},

@@ -54,7 +54,7 @@ type SweepSpec struct {
 
 // SweepRequest is the wire form of a sweep job: a base Request (everything a
 // single solve takes, minus the swept field) plus the sweep clause and
-// execution knobs. Lanes, Resume and Have do not participate in the sweep's
+// execution knobs. Lanes and Have do not participate in the sweep's
 // identity — they say how to run it, not what it is.
 type SweepRequest struct {
 	Request
@@ -62,12 +62,10 @@ type SweepRequest struct {
 	// Lanes is the number of concurrent continuation chains (default 2,
 	// capped at MaxSweepLanes and the point count).
 	Lanes int `json:"lanes,omitempty"`
-	// Resume replays server-checkpointed points of an earlier interrupted
-	// run of this same sweep instead of re-solving them.
-	Resume bool `json:"resume,omitempty"`
 	// Have is the number of point records the client already received (the
 	// stream line count, excluding the header): those points are neither
-	// re-solved nor re-emitted.
+	// re-solved nor re-emitted. Resending a cut sweep with Have resumes it;
+	// points solved before the cut come back from the cache tiers.
 	Have int `json:"have,omitempty"`
 }
 
@@ -81,7 +79,6 @@ type SweepJob struct {
 	Points     []*Canonical // indexed by Seq
 	Hashes     []string     // indexed by Seq; single-solve content addresses
 	Lanes      int
-	Resume     bool
 	Have       int
 	DeadlineMS int
 
@@ -90,7 +87,7 @@ type SweepJob struct {
 
 // Hash returns the sweep's own content address: the SHA-256 over the param
 // kind and the per-point canonical hashes in plan order. Execution knobs
-// (lanes, resume, have, deadline) are excluded — a resumed sweep must hash
+// (lanes, have, deadline) are excluded — a resumed sweep must hash
 // identically to the run it resumes.
 func (j *SweepJob) Hash() string { return j.hash }
 
@@ -117,7 +114,6 @@ func DecodeSweepRequest(r io.Reader) (*SweepRequest, error) {
 func (r *SweepRequest) Canonicalize() (*SweepJob, error) {
 	job := &SweepJob{
 		Param:      r.Sweep.Param,
-		Resume:     r.Resume,
 		DeadlineMS: r.DeadlineMS,
 	}
 

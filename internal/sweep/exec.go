@@ -3,13 +3,14 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // Meta is the per-point execution metadata carried alongside the opaque
 // result body: how the point was produced (Warm: "warm", "cold",
-// "fallback"; Cache: "miss", "hit", "coalesced", "checkpoint" — vocabularies
+// "fallback"; Cache: "miss", "hit", "hit-disk", "coalesced" — vocabularies
 // owned by the solver) and how long the solve took.
 type Meta struct {
 	Warm  string
@@ -37,20 +38,13 @@ type Solver func(ctx context.Context, p Point, carry any) (body []byte, meta Met
 // Options configures Run.
 type Options struct {
 	// Lanes is the number of concurrent warm-start chains (default 1). The
-	// plan is split into Lanes contiguous segments so each lane still walks
-	// neighboring points in continuation order.
+	// points to run, [From, n), are split into Lanes contiguous segments so
+	// each lane still walks neighboring points in continuation order.
 	Lanes int
-	// Skip reports points the consumer already holds (a resuming client's
-	// received prefix): they are neither solved nor emitted.
-	Skip func(seq int) bool
-	// Replay returns the checkpointed body for a point completed by an
-	// earlier, interrupted run: it is emitted (Cache "checkpoint") without
-	// re-solving.
-	Replay func(seq int) ([]byte, bool)
-	// OnSolved observes every freshly solved success before it is emitted —
-	// the checkpoint hook. It runs on lane goroutines and must be safe for
-	// concurrent use.
-	OnSolved func(seq int, body []byte)
+	// From is the first plan sequence number to run (default 0): points
+	// before it (a resuming client's received prefix) are neither solved
+	// nor emitted.
+	From int
 	// OnStart runs once, after at least one lane has been admitted by the
 	// scheduler — the streaming handler commits its response header here,
 	// when the sweep is guaranteed to make progress.
@@ -60,9 +54,10 @@ type Options struct {
 // ErrNoLanes reports that the scheduler admitted none of the sweep's lanes.
 var ErrNoLanes = errors.New("sweep: no lanes admitted")
 
-// Run executes the plan: Lanes worker chains solve contiguous segments
-// concurrently, results are reordered and handed to emit in strict plan
-// order, and the warm-start carry threads point-to-point within each lane.
+// Run executes the plan from opt.From on: Lanes worker chains solve
+// contiguous segments of [From, n) concurrently, results are reordered and
+// handed to emit in strict plan order, and the warm-start carry threads
+// point-to-point within each lane.
 //
 // start admits one lane into the caller's scheduler (serve's bounded worker
 // pool, or a bare goroutine for offline drivers); if it errors for every
@@ -79,20 +74,16 @@ func Run(ctx context.Context, plan *Plan, solve Solver, emit func(*Result) error
 	if n == 0 {
 		return errors.New("sweep: empty plan")
 	}
+	from := opt.From
+	if from < 0 || from > n {
+		return fmt.Errorf("sweep: From %d outside [0, %d]", from, n)
+	}
 	lanes := opt.Lanes
+	if lanes > n-from {
+		lanes = n - from
+	}
 	if lanes < 1 {
 		lanes = 1
-	}
-	if lanes > n {
-		lanes = n
-	}
-	skip := opt.Skip
-	if skip == nil {
-		skip = func(int) bool { return false }
-	}
-	replay := opt.Replay
-	if replay == nil {
-		replay = func(int) ([]byte, bool) { return nil, false }
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -102,34 +93,22 @@ func Run(ctx context.Context, plan *Plan, solve Solver, emit func(*Result) error
 	// client cannot stall solver workers (the scheduler slot is released as
 	// soon as the lane's segment is done).
 	results := make(chan *Result, n)
-	segSize := (n + lanes - 1) / lanes
+	segSize := (n - from + lanes - 1) / lanes
 	var nextSeg atomic.Int64
 	lane := func() {
 		for {
 			seg := int(nextSeg.Add(1)) - 1
-			lo := seg * segSize
+			lo := from + seg*segSize
 			if lo >= n {
 				return
 			}
-			hi := lo + segSize
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+segSize, n)
 			var carry any
 			for seq := lo; seq < hi; seq++ {
 				if runCtx.Err() != nil {
 					return
 				}
 				p := plan.Points[seq]
-				if skip(seq) {
-					carry = nil
-					continue
-				}
-				if body, ok := replay(seq); ok {
-					carry = nil
-					results <- &Result{Point: p, Body: body, Meta: Meta{Cache: "checkpoint"}}
-					continue
-				}
 				body, meta, next, err := solve(runCtx, p, carry)
 				if err != nil {
 					if runCtx.Err() != nil {
@@ -142,9 +121,6 @@ func Run(ctx context.Context, plan *Plan, solve Solver, emit func(*Result) error
 					continue
 				}
 				carry = next
-				if opt.OnSolved != nil {
-					opt.OnSolved(seq, body)
-				}
 				results <- &Result{Point: p, Body: body, Meta: meta}
 			}
 		}
@@ -179,13 +155,7 @@ func Run(ctx context.Context, plan *Plan, solve Solver, emit func(*Result) error
 
 	// Reorder lane output into strict plan order.
 	buf := make(map[int]*Result, lanes)
-	nextSeq := 0
-	skipAhead := func() {
-		for nextSeq < n && skip(nextSeq) {
-			nextSeq++
-		}
-	}
-	skipAhead()
+	nextSeq := from
 	flush := func() error {
 		for {
 			r, ok := buf[nextSeq]
@@ -197,7 +167,6 @@ func Run(ctx context.Context, plan *Plan, solve Solver, emit func(*Result) error
 				return err
 			}
 			nextSeq++
-			skipAhead()
 		}
 	}
 	for r := range results {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func goStart(fn func(context.Context)) error {
@@ -188,58 +189,69 @@ func TestRunErrorBreaksChainAndContinues(t *testing.T) {
 	}
 }
 
-func TestRunSkipAndReplay(t *testing.T) {
-	plan, _ := Grid(0, 1, 6)
-	checkpoint := map[int][]byte{2: []byte("ck-2"), 3: []byte("ck-3")}
-	var solved []int
-	solve := func(_ context.Context, p Point, carry any) ([]byte, Meta, any, error) {
-		solved = append(solved, p.Seq)
-		return []byte(fmt.Sprintf("fresh-%d", p.Seq)), Meta{}, nil, nil
+// TestRunFrom: points before From are neither solved nor emitted, the rest
+// come out in plan order, and the lanes split only the points left — on a
+// half-held plan both lanes solve (each first solve waits here until the
+// other lane has started one) and each lane's segment starts its own chain.
+func TestRunFrom(t *testing.T) {
+	plan, _ := Grid(0, 1, 8)
+	const from = 4
+	ts := &toySolver{carries: map[int]any{}}
+	var arrived atomic.Int64
+	both := make(chan struct{})
+	solve := func(ctx context.Context, p Point, carry any) ([]byte, Meta, any, error) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			return nil, Meta{}, nil, errors.New("no second lane ever started solving")
+		}
+		return ts.solve(ctx, p, carry)
 	}
-	var emitted []string
+	var emitted []int
 	err := Run(context.Background(), plan, solve, func(r *Result) error {
-		emitted = append(emitted, fmt.Sprintf("%d:%s:%s", r.Seq, r.Meta.Cache, r.Body))
+		if r.Err != nil {
+			t.Fatalf("point %d: %v", r.Seq, r.Err)
+		}
+		emitted = append(emitted, r.Seq)
 		return nil
-	}, goStart, Options{
-		Lanes:  1,
-		Skip:   func(seq int) bool { return seq < 2 },
-		Replay: func(seq int) ([]byte, bool) { b, ok := checkpoint[seq]; return b, ok },
-	})
+	}, goStart, Options{Lanes: 2, From: from})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"2:checkpoint:ck-2", "3:checkpoint:ck-3", "4::fresh-4", "5::fresh-5"}
-	if len(emitted) != len(want) {
-		t.Fatalf("emitted %v", emitted)
+	if fmt.Sprint(emitted) != "[4 5 6 7]" {
+		t.Fatalf("emitted %v, want [4 5 6 7]", emitted)
 	}
-	for i := range want {
-		if emitted[i] != want[i] {
-			t.Fatalf("emitted[%d] = %q, want %q", i, emitted[i], want[i])
+	if len(ts.solved) != 4 {
+		t.Fatalf("solved %v, want exactly the 4 points from seq %d", ts.solved, from)
+	}
+	// Lanes split [4, 8) into [4, 6) and [6, 8): seq 6 starts a new chain.
+	for seq, want := range map[int]any{4: nil, 5: 4, 6: nil, 7: 6} {
+		if got, ok := ts.carries[seq]; !ok || got != want {
+			t.Fatalf("point %d carry = %v (solved %v), want %v", seq, got, ok, want)
 		}
 	}
-	if len(solved) != 2 || solved[0] != 4 || solved[1] != 5 {
-		t.Fatalf("solved %v, want [4 5]", solved)
-	}
-}
 
-func TestRunOnSolvedSeesEverySuccess(t *testing.T) {
-	plan, _ := Grid(0, 1, 7)
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	solve := func(_ context.Context, p Point, _ any) ([]byte, Meta, any, error) {
-		return []byte{1}, Meta{}, nil, nil
+	// From == n: a lane is still admitted and OnStart still runs, but
+	// nothing is solved or emitted.
+	started := false
+	err = Run(context.Background(), plan, solve, func(r *Result) error {
+		t.Fatalf("point %d emitted from a fully held plan", r.Seq)
+		return nil
+	}, goStart, Options{Lanes: 2, From: plan.N(), OnStart: func() { started = true }})
+	if err != nil || !started {
+		t.Fatalf("From == n: err %v, OnStart ran %v", err, started)
 	}
-	err := Run(context.Background(), plan, solve, func(*Result) error { return nil },
-		goStart, Options{Lanes: 3, OnSolved: func(seq int, body []byte) {
-			mu.Lock()
-			seen[seq] = true
-			mu.Unlock()
-		}})
-	if err != nil {
-		t.Fatal(err)
+	if len(ts.solved) != 4 {
+		t.Fatalf("From == n solved %v", ts.solved[4:])
 	}
-	if len(seen) != 7 {
-		t.Fatalf("OnSolved saw %d points, want 7", len(seen))
+	for _, bad := range []int{-1, plan.N() + 1} {
+		if err := Run(context.Background(), plan, solve, func(*Result) error { return nil },
+			goStart, Options{From: bad}); err == nil {
+			t.Errorf("From %d accepted", bad)
+		}
 	}
 }
 
