@@ -2,10 +2,11 @@
 # Repository check tiers, in increasing cost:
 #
 #   tier 1      build + full test suite (the gate every change must pass)
-#   tier 2      vet + race detector over the suite (-short skips the longest
-#               solver runs; the parallel kernels all execute under the
-#               race detector via the unit and determinism tests), then vet
-#               + tests of the bench/ module, which is its own Go module and
+#   tier 2      gofmt (fails when gofmt -l lists any file), vet + race
+#               detector over the suite (-short skips the longest solver
+#               runs; the parallel kernels all execute under the race
+#               detector via the unit and determinism tests), then vet +
+#               tests of the bench/ module, which is its own Go module and
 #               so invisible to the root's ./... although it imports
 #               internal/serve, core and mpde
 #   fault       fault-injection tier: the armed suite (TestFault*) under the
@@ -127,7 +128,13 @@ if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 fi
 
 if [ "$tier" = 2 ] || [ "$tier" = all ]; then
-	echo "== tier 2: vet + race detector"
+	echo "== tier 2: gofmt + vet + race detector"
+	unformatted="$(gofmt -l .)"
+	if [ -n "$unformatted" ]; then
+		echo "ci: unformatted files:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
 	go vet ./...
 	go test -race -short ./...
 	(cd bench && go vet . && go test .)

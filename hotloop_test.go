@@ -123,9 +123,9 @@ func TestChordNewtonReducesFactorizations(t *testing.T) {
 // configuration):
 // carrying the GCRO-DR deflation space across solves must strictly cut the
 // total matvec count, leave the Newton trajectory untouched (every solve still
-// converges to GMRESTol, so the recycled run is the same computation with
-// cheaper linear algebra), and reproduce the frequency envelope to well within
-// the Newton tolerance.
+// converges to the GMRES tolerance, so the recycled run is the same
+// computation with cheaper linear algebra), and reproduce the frequency
+// envelope to well within the Newton tolerance.
 func TestRecycleReducesMatvecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping envelope runs")

@@ -56,7 +56,7 @@ func TestPWMControlDutyClamp(t *testing.T) {
 	for _, duty := range []float64{-1, 0, 0.02, 1, 2.5} {
 		p := NewPWMControl(DC(duty), fsw, edge)
 		for i := 0; i <= 400; i++ {
-			v := p.Eval2(float64(i) / 400 * tsw, 0)
+			v := p.Eval2(float64(i)/400*tsw, 0)
 			if math.IsNaN(v) || v < 0 || v > 1 {
 				t.Fatalf("duty %g: value %v at sample %d out of [0,1]", duty, v, i)
 			}

@@ -54,12 +54,6 @@ func (d *MEMSVaractor) Bind(nodes []int, extraBase, inputBase int) {
 	d.uIdx = inputBase
 }
 
-// DisplacementVar returns the state index of the plate displacement.
-func (d *MEMSVaractor) DisplacementVar() int { return d.iu }
-
-// VelocityVar returns the state index of the plate velocity.
-func (d *MEMSVaractor) VelocityVar() int { return d.iw }
-
 // Capacitance returns C(u).
 func (d *MEMSVaractor) Capacitance(u float64) float64 {
 	return d.C0 * d.D0 / (d.D0 + u)

@@ -46,8 +46,9 @@ const (
 	// variable sits on a waveform extremum at t1 = 0 for every t2. This is
 	// the time-domain phase condition used for the §5 experiments.
 	PhaseDerivativeZero PhaseKind = iota
-	// PhaseFixValue imposes x̂_k(0, t2) = anchor (a time-domain condition
-	// on the bivariate function itself).
+	// PhaseFixValue imposes x̂_k(0, t2) = x̂_k(0, 0): the oscillation
+	// variable keeps its initial t1 = 0 value for every t2 (a time-domain
+	// condition on the bivariate function itself).
 	PhaseFixValue
 	// PhaseSpectralImag imposes Im{X̂ₖ¹(t2)} = 0 — the paper's eq. (20)
 	// with l = 1, expressed on the sample values through the DFT.
@@ -69,27 +70,25 @@ func (p PhaseKind) String() string {
 }
 
 // phaseRow builds the (linear) phase-condition row: weights w over the N1
-// samples of state k, and the constant c, such that the condition is
-// Σ_j w[j]·x̂_k(t1_j) − c = 0.
-func phaseRow(kind PhaseKind, n1 int, anchor float64) (w []float64, c float64, err error) {
+// samples of state k such that the condition is Σ_j w[j]·x̂_k(t1_j) − c = 0,
+// with c = 0 except for PhaseFixValue (see phaseBorder).
+func phaseRow(kind PhaseKind, n1 int) (w []float64, err error) {
 	w = make([]float64, n1)
 	switch kind {
 	case PhaseDerivativeZero:
 		d := fourier.DiffMatrix(n1)
 		copy(w, d[:n1]) // row 0 of the differentiation matrix
-		return w, 0, nil
 	case PhaseFixValue:
 		w[0] = 1
-		return w, anchor, nil
 	case PhaseSpectralImag:
 		// Im{(1/N)·Σ_j x_j e^{-2πij/N}} = -(1/N)·Σ_j x_j sin(2πj/N).
 		for j := 0; j < n1; j++ {
 			w[j] = -math.Sin(2*math.Pi*float64(j)/float64(n1)) / float64(n1)
 		}
-		return w, 0, nil
 	default:
-		return nil, 0, solverr.New(solverr.KindBadInput, "core.phase", "unknown phase condition %v", kind)
+		return nil, solverr.New(solverr.KindBadInput, "core.phase", "unknown phase condition %v", kind)
 	}
+	return w, nil
 }
 
 // ErrNeedOscillation is returned when a solve is attempted on a system

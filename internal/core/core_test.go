@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dae"
+	"repro/internal/la"
 	"repro/internal/solverr"
 	"repro/internal/transient"
 	"repro/internal/wave"
@@ -53,6 +56,36 @@ func TestInitialConditionPhaseAligned(t *testing.T) {
 		if xhat0[j*n] > v0+1e-3 {
 			t.Fatalf("sample %d (%v) exceeds t1=0 sample (%v): orbit not peak-aligned", j, xhat0[j*n], v0)
 		}
+	}
+}
+
+// countingVCO counts every device evaluation (q, f and their Jacobians);
+// atomic because shooting's monodromy columns run in parallel.
+type countingVCO struct {
+	*dae.SimpleVCO
+	evals atomic.Int64
+}
+
+func (c *countingVCO) Q(x, q []float64)               { c.evals.Add(1); c.SimpleVCO.Q(x, q) }
+func (c *countingVCO) F(x, u, f []float64)            { c.evals.Add(1); c.SimpleVCO.F(x, u, f) }
+func (c *countingVCO) JQ(x []float64, j *la.Dense)    { c.evals.Add(1); c.SimpleVCO.JQ(x, j) }
+func (c *countingVCO) JF(x, u []float64, j *la.Dense) { c.evals.Add(1); c.SimpleVCO.JF(x, u, j) }
+
+// TestInitialConditionSettleHonorsContext: the shooting context also governs
+// the settling transient, so a pre-canceled preamble stops before it
+// evaluates the device once.
+func TestInitialConditionSettleHonorsContext(t *testing.T) {
+	sys := &countingVCO{SimpleVCO: testVCO(300)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := ICOptions{N1: 25}
+	opt.Shooting.Ctx = ctx
+	_, _, err := InitialCondition(sys, []float64{1, 0, 1}, 4.5, opt)
+	if !solverr.IsKind(err, solverr.KindCanceled) {
+		t.Fatalf("error kind = %v, want canceled: %v", solverr.KindOf(err), err)
+	}
+	if n := sys.evals.Load(); n != 0 {
+		t.Fatalf("canceled preamble evaluated the device %d times, want 0", n)
 	}
 }
 
@@ -467,7 +500,7 @@ func TestPhaseKindString(t *testing.T) {
 }
 
 func TestPhaseRowUnknownKind(t *testing.T) {
-	if _, _, err := phaseRow(PhaseKind(99), 8, 0); err == nil {
+	if _, err := phaseRow(PhaseKind(99), 8); err == nil {
 		t.Fatal("unknown phase kind should error")
 	}
 }

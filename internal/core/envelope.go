@@ -34,14 +34,12 @@ const (
 
 // EnvelopeOptions configures the envelope-following WaMPDE solver.
 type EnvelopeOptions struct {
-	N1       int        // t1 collocation points, default 25
-	H2       float64    // t2 step (required)
-	Trap     bool       // trapezoidal (instead of BE) t2 integration
-	Phase    PhaseKind  // default PhaseDerivativeZero
-	Anchor   float64    // value for PhaseFixValue
-	Linear   LinearKind // default LinearDenseLU
-	Newton   newton.Options
-	GMRESTol float64 // default 1e-10
+	N1     int        // t1 collocation points, default 25
+	H2     float64    // t2 step (required)
+	Trap   bool       // trapezoidal (instead of BE) t2 integration
+	Phase  PhaseKind  // default PhaseDerivativeZero
+	Linear LinearKind // default LinearDenseLU
+	Newton newton.Options
 	// Adaptive enables local-error control of the t2 step: H2 becomes the
 	// initial (and maximum) step, shrunk and regrown against RelTol/AbsTol.
 	Adaptive bool
@@ -55,7 +53,7 @@ type EnvelopeOptions struct {
 	// the Jacobian of the step system drifts slowly along a smooth envelope,
 	// so successive steps can share one LU. The factorization is dropped
 	// whenever the step system changes shape — the t2 step size or integrator
-	// weight changed, or ω drifted past OmegaDriftTol since it was factored —
+	// weight changed, or ω drifted past omegaDriftTol since it was factored —
 	// and mid-solve whenever the residual stops contracting at
 	// ChordContraction per iteration. Off (the default), each step factors
 	// exactly once and keeps the factors for that step only, the historical
@@ -68,10 +66,6 @@ type EnvelopeOptions struct {
 	// pipeline, ~1.8x fewer factorizations for ~13% more iterations) while
 	// laxer values trade further factorizations for many more iterations.
 	ChordContraction float64
-	// OmegaDriftTol is the relative ω drift beyond which cross-step chord
-	// factorizations and the recycled GMRES harmonic preconditioner are
-	// rebuilt. Default 0.02.
-	OmegaDriftTol float64
 	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation space
 	// across the step solver's GMRES calls: harmonic Ritz vectors harvested
 	// from one solve deflate the slow modes of the next, cutting matvecs
@@ -88,24 +82,11 @@ type EnvelopeOptions struct {
 	// with a solverr.KindCanceled error (the cmd drivers expose this as
 	// -timeout).
 	Ctx context.Context
-	// Warm, when non-nil, is the sweep continuation carrier. On entry a
-	// compatible envelope payload is adopted: the chord LU factors (dense-LU
-	// path, with ChordNewton) or the harmonic preconditioner (matrix-free path)
-	// from the neighboring parameter point, plus the GMRESDR deflation space
-	// via krylov.Recycler.Handoff — the handed-off space runs untrusted, so
-	// per-cycle true-residual verification guards the cross-point staleness,
-	// and the usual drift gates (ChordContraction, OmegaDriftTol) retire the
-	// carried factors the moment they stop paying. A warm run also starts
-	// directly with the trapezoidal rule when Trap is set: the BE startup
-	// damping exists to kill the phase-condition ringing of a cold initial
-	// waveform, which a carried converged envelope state does not have (and
-	// BE's θ=1 would immediately invalidate factors carried at θ=1/2). On a
-	// successful run the carrier is refreshed with this run's final
-	// waveform, factors and deflation space. Warm runs are deliberately
-	// bit-inexact relative to cold runs; nil Warm (the default) is the
-	// historical path the golden suite pins bitwise.
-	Warm *WarmStart
 }
+
+// omegaDriftTol is the relative ω drift beyond which cross-step chord
+// factorizations and the recycled GMRES harmonic preconditioner are rebuilt.
+const omegaDriftTol = 0.02
 
 func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 	if o.N1 <= 0 {
@@ -119,9 +100,6 @@ func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 		// so this is a relative tolerance.
 		o.Newton.TolF = 1e-8
 	}
-	if o.GMRESTol <= 0 {
-		o.GMRESTol = 1e-10
-	}
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-4
 	}
@@ -130,9 +108,6 @@ func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 	}
 	if o.ChordContraction <= 0 {
 		o.ChordContraction = 0.05
-	}
-	if o.OmegaDriftTol <= 0 {
-		o.OmegaDriftTol = 0.02
 	}
 	// Newton damping is cheap insurance against waveform reshaping within a
 	// step; the full step is still taken first when it already reduces the
@@ -156,7 +131,7 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 	if err := checkEnvelopeArgs(sys.Dim(), xhat0, omega0, t2End, opt); err != nil {
 		return nil, err
 	}
-	bord, err := phaseBorder(sys, opt.Phase, opt.Anchor, opt.N1, xhat0)
+	bord, err := phaseBorder(sys, opt.Phase, opt.N1, xhat0)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +196,6 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 	x := append([]float64(nil), xhat0...)
 	omega := omega0
 	if !record(t2, omega, x) {
-		asm.harvestInto(opt.Warm, x, omega)
 		return res, nil
 	}
 	h := opt.H2
@@ -249,10 +223,7 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 		// Damp startup with Backward Euler: if the initial waveform does
 		// not satisfy the phase condition exactly, the snap would otherwise
 		// seed an undamped even/odd ringing of ω under the trapezoidal rule.
-		// A warm continuation run starts from a converged envelope state that
-		// has no such ringing, and BE's θ=1 would invalidate chord factors
-		// carried at θ=1/2 — so it skips the damping (see Warm).
-		useTrap := opt.Trap && (stepIdx >= 2 || asm.adoptedCarry)
+		useTrap := opt.Trap && stepIdx >= 2
 		resN, err := asm.step(t2, h, x, omega, xNew, &omegaNew, useTrap)
 		res.LinearSolves += resN.Iterations
 		if err != nil {
@@ -324,7 +295,6 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 			}
 		}
 	}
-	asm.harvestInto(opt.Warm, x, omega)
 	return res, nil
 }
 
@@ -360,8 +330,7 @@ func envelopeLTE(xOld, xNew, xPrev []float64, omegaOld, omegaNew, omegaPrev,
 //
 // or trapezoidal (the ω·D·q and f terms averaged between the levels), plus
 // the border. It owns what is the envelope's own: the step (stepAxis), the
-// row scales, the chord carry, the harmonic preconditioner and the warm
-// carry.
+// row scales, the chord carry and the harmonic preconditioner.
 type envAssembler struct {
 	g   *grid
 	st  stepAxis
@@ -389,10 +358,6 @@ type envAssembler struct {
 	// the parameters it was built at.
 	prec                        *harmonicPrec
 	precH, precTheta, precOmega float64
-	// adoptedCarry marks that cross-point chord/preconditioner factors were
-	// taken from EnvelopeOptions.Warm (which also switches the trapezoidal
-	// startup on).
-	adoptedCarry bool
 	// The supervision ladders: the linear one the matrix-free path solves
 	// through (it owns the Krylov recycler), and the nonlinear rescue ladder
 	// of every step. t2 is the slow time the current step starts from, read
@@ -424,24 +389,7 @@ func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOpt
 	if dense {
 		a.lu = la.NewLU(nx + 1)
 	}
-	a.lad = newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && !dense, opt.Warm, stats)
-	if ec := opt.Warm.takeEnv(n1, n, opt.Linear); ec != nil {
-		a.adoptedCarry = true
-		if ec.lu != nil {
-			// Dense-LU chord carry: the factors and reuse state transfer
-			// ownership; step()'s drift gates (h, θ, ω, ChordContraction)
-			// decide whether they survive the first step of this point.
-			a.lu = ec.lu
-			a.reuse = ec.reuse
-			a.lastH, a.lastTheta, a.omegaAtFactor = ec.lastH, ec.lastTheta, ec.omegaAtFactor
-		}
-		if ec.prec != nil {
-			// Matrix-free carry: the harmonic preconditioner is reused while ω
-			// stays inside OmegaDriftTol of where it was factored.
-			a.prec = ec.prec
-			a.precH, a.precTheta, a.precOmega = ec.precH, ec.precTheta, ec.precOmega
-		}
-	}
+	a.lad = newLinearLadder(opt.RecycleKrylov && !dense, stats)
 	// Every rescue rung restarts from the step's initial iterate with a
 	// fresh Jacobian per iteration (opt.Newton already damps).
 	base := opt.Newton
@@ -568,7 +516,7 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	if a.opt.ChordNewton {
 		chordOpts.ReuseContraction = a.opt.ChordContraction
 		if a.reuse.Cached() {
-			drift := abs(omegaOld-a.omegaAtFactor) > a.opt.OmegaDriftTol*abs(a.omegaAtFactor)
+			drift := abs(omegaOld-a.omegaAtFactor) > omegaDriftTol*abs(a.omegaAtFactor)
 			if h != a.lastH || theta != a.lastTheta || drift || a.inputsDrifted() {
 				a.reuse.Invalidate()
 			}

@@ -299,17 +299,18 @@ type border struct {
 }
 
 // phaseBorder is the phase condition on the oscillation state of sys (see
-// phaseRow); with PhaseFixValue the anchor is x0's value of that state, so
-// the condition holds at the start.
-func phaseBorder(sys dae.Autonomous, kind PhaseKind, anchor float64, n1 int, x0 []float64) (border, error) {
+// phaseRow); with PhaseFixValue the held value is x0's value of that state,
+// so the condition holds at the start.
+func phaseBorder(sys dae.Autonomous, kind PhaseKind, n1 int, x0 []float64) (border, error) {
 	n, k := sys.Dim(), sys.OscVar()
 	if k < 0 || k >= n {
 		return border{}, ErrNeedOscillation
 	}
-	w, c, err := phaseRow(kind, n1, anchor)
+	w, err := phaseRow(kind, n1)
 	if err != nil {
 		return border{}, err
 	}
+	var c float64
 	if kind == PhaseFixValue {
 		c = x0[k]
 	}

@@ -13,15 +13,11 @@ import (
 // condition — the periodic steady state of the unforced oscillator (§4.1:
 // "a natural initial condition is the solution of (12) with no forcing").
 type ICOptions struct {
-	N1       int // t1 samples to produce, default 25
-	Shooting shooting.Options
+	N1       int              // t1 samples to produce, default 25
+	Shooting shooting.Options // its Ctx also cancels the settling transient
 	// SettleCycles runs a transient for this many periods before shooting,
 	// to land the guess near the limit cycle (default 20).
 	SettleCycles int
-	// Phase aligns the sampled orbit so this phase condition holds at
-	// t1 = 0 (only PhaseDerivativeZero alignment is performed; the other
-	// conditions adapt their anchors instead).
-	Phase PhaseKind
 	// Warm, when non-nil, is the sweep continuation carrier. When it holds a
 	// finite orbit of the right dimension, the settling transient is skipped
 	// and shooting starts directly from the carried orbit — the neighboring
@@ -78,7 +74,7 @@ func InitialCondition(sys dae.Autonomous, xGuess []float64, TGuess float64, opt 
 	if pss == nil {
 		frozen := shooting.Freeze(sys, opt.Shooting.FrozenInputTime)
 		settle, serr := transient.Simulate(frozen, xGuess, 0, float64(opt.SettleCycles)*TGuess,
-			transient.Options{Method: transient.Trap, H: TGuess / 128})
+			transient.Options{Method: transient.Trap, H: TGuess / 128, Ctx: opt.Shooting.Ctx})
 		if serr != nil {
 			return nil, 0, solverr.Wrap(solverr.KindOf(serr), "core.ic", serr).WithMsg("settling transient failed")
 		}

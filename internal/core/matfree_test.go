@@ -64,7 +64,7 @@ func oracleGrid(t *testing.T, rng *rand.Rand, c oracleCase) (*grid, []float64) {
 		ax = &stepAxis{h: 0.3, th: 0.5, prev: randVec(rng, nx, -1, 1), old: randVec(rng, nx, -1, 1)}
 	}
 	in := lineInputs{sys: sys}
-	bord, err := phaseBorder(sys, PhaseDerivativeZero, 0, c.n1, nil)
+	bord, err := phaseBorder(sys, PhaseDerivativeZero, c.n1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func qpOracle(t *testing.T, rng *rand.Rand, n1, n2 int) (*grid, []float64, *la.D
 	const period = 60.0
 	sys := testVCO(80)
 	n, k := sys.Dim(), sys.OscVar()
-	bord, err := phaseBorder(sys, PhaseDerivativeZero, 0, n1, nil)
+	bord, err := phaseBorder(sys, PhaseDerivativeZero, n1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ type harmonicPrec struct {
 // harmonicPrecFor returns the harmonic preconditioner at the current
 // iterate, recycling the previous build — across Newton iterations and
 // accepted t2 steps — while the step size, integrator weight, and ω stay
-// where they were when it was factored (ω within OmegaDriftTol). A slightly
+// where they were when it was factored (ω within omegaDriftTol). A slightly
 // stale preconditioner only costs extra Krylov iterations; the Newton
 // tolerance is unaffected.
 func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, error) {
 	if a.prec != nil && h == a.precH && theta == a.precTheta &&
-		abs(omega-a.precOmega) <= a.opt.OmegaDriftTol*abs(a.precOmega) {
+		abs(omega-a.precOmega) <= omegaDriftTol*abs(a.precOmega) {
 		return a.prec, nil
 	}
 	if err := a.buildHarmonicPrec(omega, h, theta); err != nil {

@@ -75,7 +75,7 @@ func TestPhaseRowAnnihilatesConstants(t *testing.T) {
 	// Both derivative-zero and spectral phase rows must vanish on constant
 	// slices (a constant waveform carries no phase information).
 	for _, kind := range []PhaseKind{PhaseDerivativeZero, PhaseSpectralImag} {
-		w, _, err := phaseRow(kind, 12, 0)
+		w, err := phaseRow(kind, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestPhaseRowDetectsShiftSign(t *testing.T) {
 	// direction of a small phase shift — the property Newton relies on to
 	// steer ω.
 	n1 := 16
-	w, _, err := phaseRow(PhaseDerivativeZero, n1, 0)
+	w, err := phaseRow(PhaseDerivativeZero, n1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 type QPOptions struct {
 	N1, N2 int       // grid sizes, defaults 15×15
 	Phase  PhaseKind // default PhaseDerivativeZero
-	Anchor float64
 	Newton newton.Options
 	// ChordNewton reuses the global Jacobian factorization across Newton
 	// iterations while the residual contracts (see newton.Options.
@@ -32,28 +31,12 @@ type QPOptions struct {
 	// the per-t2-line systems, built directly from the device slots. Memory
 	// drops from O((N1·N2·n)²) to O(N1·N2·n) — the scalable path for fine
 	// grids.
-	Linear   LinearKind
-	GMRESTol float64 // default 1e-10
-	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation
-	// space across the global solve's GMRES calls; see
-	// EnvelopeOptions.RecycleKrylov. The space is dropped at every Jacobian
-	// refresh (it is exact only for the linearization it was harvested
-	// from), so it pays inside factorization-reuse windows — i.e. with
-	// ChordNewton, where one linearization serves several Newton iterations.
-	RecycleKrylov bool
+	Linear LinearKind
 	// Ctx, when non-nil, makes the solve cancelable: it is checked once per
 	// Newton iteration. On cancellation Quasiperiodic returns the best iterate
 	// reached so far as a partial QPResult together with a
 	// solverr.KindCanceled error.
 	Ctx context.Context
-	// Warm, when non-nil, is the sweep continuation carrier. The
-	// quasiperiodic solve adopts the carried GMRESDR deflation space (via
-	// krylov.Recycler.Handoff, so the stale space runs verified for one
-	// linearization window before the usual refresh-invalidation contract
-	// takes over) and, on success, hands its own space back for the next
-	// sweep point. Only the recycler payload participates: the line-block
-	// factors are grid-shaped and rebuilt per linearization anyway.
-	Warm *WarmStart
 }
 
 func (o QPOptions) withDefaults() QPOptions {
@@ -68,9 +51,6 @@ func (o QPOptions) withDefaults() QPOptions {
 	}
 	if o.Newton.TolF <= 0 {
 		o.Newton.TolF = 1e-8
-	}
-	if o.GMRESTol <= 0 {
-		o.GMRESTol = 1e-10
 	}
 	if o.Ctx != nil && o.Newton.Ctx == nil {
 		o.Newton.Ctx = o.Ctx
@@ -137,7 +117,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 	if err := checkGuess(stage, guess.X, guess.Omega, opt.N1, opt.N2, sys.Dim()); err != nil {
 		return nil, err
 	}
-	bord, err := phaseBorder(sys, opt.Phase, opt.Anchor, opt.N1, guess.X[0][0])
+	bord, err := phaseBorder(sys, opt.Phase, opt.N1, guess.X[0][0])
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +236,7 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 		flu = la.NewLU(total)
 	}
 	var st Stats
-	lad := newLinearLadder(opt.GMRESTol, opt.RecycleKrylov && matFree, opt.Warm, &st)
+	lad := newLinearLadder(false, &st)
 	jac := func(z []float64) (newton.LinearSolve, error) {
 		if !matFree {
 			if err := flu.FactorInto(g.jacobian(z)); err != nil {
@@ -264,7 +244,6 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 			}
 			return flu, nil
 		}
-		lad.refresh()
 		op := g.operator(z)
 		par.For(N2, 1, fillLines)
 		prec, err := krylov.NewBlockJacobiFromBlocks(lineBlocks)
@@ -279,11 +258,9 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 	nopt.Work = newton.NewWorkspace(total)
 	nopt.JacobianReuse = opt.ChordNewton
 	// The rescue rungs refresh the Jacobian every iteration, each from the
-	// guess, with a fresh linearization: the recycled Krylov space belongs to
-	// the iterates that just failed. Continuation starts every t2 line at the
-	// t2-averaged input — a constant-bias problem much closer to a plain
-	// oscillator — and λ walks the inputs back to their true T2-periodic
-	// values.
+	// guess. Continuation starts every t2 line at the t2-averaged input — a
+	// constant-bias problem much closer to a plain oscillator — and λ walks
+	// the inputs back to their true T2-periodic values.
 	rescueOpts := nopt
 	rescueOpts.JacobianReuse = false
 	var usOrig, uMean []float64
@@ -291,7 +268,6 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 		stats: &st, chord: opt.ChordNewton, base: rescueOpts,
 		z0: make([]float64, total),
 		restart: func(r rescueRung) {
-			lad.rec.Invalidate()
 			if r != rungContinuation {
 				return
 			}
@@ -310,7 +286,6 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 	}
 	resN, err := nl.solve(newton.Problem{N: total, Eval: g.residual, Jacobian: jac}, z, nopt)
 	build := func() *QPResult {
-		lad.reportRecycler()
 		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2),
 			Omega: append([]float64(nil), z[nx:]...), Stats: st}
 		for j2 := 0; j2 < N2; j2++ {
@@ -332,10 +307,6 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 	}
 	if serr := checkState("core.quasi", z); serr != nil {
 		return nil, serr
-	}
-	if opt.Warm != nil && lad.rec != nil {
-		// Hand the deflation space to the next sweep point.
-		opt.Warm.Rec = lad.rec
 	}
 	return build(), nil
 }

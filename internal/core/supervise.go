@@ -37,9 +37,7 @@ type linearLadder struct {
 	op      krylov.Operator
 	asm     func(tr *sparse.Triplet) // sparse assembly for the direct rung
 	prec    krylov.Preconditioner
-	tol     float64
 	rec     *krylov.Recycler // nil when recycling is off
-	spare   bool             // a handed-off space survives the next refresh
 	ws      *krylov.Workspace
 	trip    *sparse.Triplet
 	slu     *sparse.LU // sparse direct-solve rung; symbolic pattern reused
@@ -47,9 +45,13 @@ type linearLadder struct {
 	stats   *Stats
 }
 
-// gmresLadderMaxIter bounds each iterative rung, matching the historical
-// adapter's budget.
-const gmresLadderMaxIter = 400
+// gmresTol is the relative residual every iterative rung solves to, and
+// gmresLadderMaxIter bounds each rung, matching the historical adapter's
+// budget.
+const (
+	gmresTol           = 1e-10
+	gmresLadderMaxIter = 400
+)
 
 // Restart sizing: GMRES(50) is plenty at the paper's sizes, but on large
 // bordered systems the preconditioners weaken (the t1-averaged JF misses
@@ -74,18 +76,12 @@ func matFreeRestart(total int) int {
 }
 
 // newLinearLadder builds the ladder of one solve. With recycle set it owns a
-// Krylov recycler: the warm carrier's deflation space when it holds one
-// (handed off untrusted, so per-cycle true-residual verification guards the
-// cross-point staleness, and spared at the first refresh), else a fresh
-// trusted space — trusted because refresh and the preconditioner rebuilds
-// invalidate it at every operator change, so the exact-space contract holds.
-func newLinearLadder(tol float64, recycle bool, warm *WarmStart, stats *Stats) *linearLadder {
-	g := &linearLadder{tol: tol, ws: krylov.NewWorkspace(), stats: stats}
-	switch {
-	case !recycle:
-	case warm != nil && warm.Rec != nil && warm.Rec.Size() > 0:
-		g.rec, g.spare = warm.Rec.Handoff(), true
-	default:
+// fresh trusted Krylov recycler — trusted because refresh and the
+// preconditioner rebuilds invalidate it at every operator change, so the
+// exact-space contract holds.
+func newLinearLadder(recycle bool, stats *Stats) *linearLadder {
+	g := &linearLadder{ws: krylov.NewWorkspace(), stats: stats}
+	if recycle {
 		g.rec = krylov.NewRecycler(0)
 		g.rec.Trusted = true
 	}
@@ -97,17 +93,8 @@ func newLinearLadder(tol float64, recycle bool, warm *WarmStart, stats *Stats) *
 // like 1/θ_min, so even a small Jacobian drift can turn them harmful: it is
 // dropped here, and pays only inside Newton's factorization-reuse windows
 // (within a step, and across steps in ChordNewton mode) where the operator
-// holds still. The one exception is a space handed off from a neighboring
-// sweep point: it survives its first linearization under true-residual
-// verification, which is exactly the window where cross-point recycling
-// pays.
-func (g *linearLadder) refresh() {
-	if g.spare {
-		g.spare = false
-		return
-	}
-	g.rec.Invalidate()
-}
+// holds still.
+func (g *linearLadder) refresh() { g.rec.Invalidate() }
 
 // reset points the ladder at a matrix-free operator and its preconditioner;
 // asm emits the operator's entries into a triplet when the direct rung needs
@@ -135,7 +122,7 @@ func (g *linearLadder) note(err error) {
 func (g *linearLadder) SolveErr(b, x []float64) error {
 	g.stats.GMRESSolves++
 	la.Fill(x, 0)
-	opt := krylov.Options{Tol: g.tol, Prec: g.prec, MaxIter: gmresLadderMaxIter, Restart: g.restart, Work: g.ws}
+	opt := krylov.Options{Tol: gmresTol, Prec: g.prec, MaxIter: gmresLadderMaxIter, Restart: g.restart, Work: g.ws}
 	if opt.MaxIter < 2*opt.Restart {
 		// Keep at least two full cycles available at enlarged restart lengths.
 		opt.MaxIter = 2 * opt.Restart

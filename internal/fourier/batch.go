@@ -56,27 +56,3 @@ func IFFTRows(rows [][]complex128) {
 		}
 	})
 }
-
-// GridFFT transforms a real bivariate grid (rows indexed by the slow axis,
-// columns by the fast axis, as produced by the sampling helpers) into its
-// per-row complex spectra: out[j] is the forward DFT of grid[j]. The rows
-// transform on the worker pool; only the output rows are allocated.
-func GridFFT(grid [][]float64) [][]complex128 {
-	out := make([][]complex128, len(grid))
-	n := 0
-	if len(grid) > 0 {
-		n = len(grid[0])
-	}
-	par.For(len(grid), rowGrain(n), func(lo, hi int) {
-		var p *Plan
-		for j := lo; j < hi; j++ {
-			row := make([]complex128, len(grid[j]))
-			if p == nil || p.n != len(row) {
-				p = PlanFFT(len(row))
-			}
-			p.ForwardReal(row, grid[j])
-			out[j] = row
-		}
-	})
-	return out
-}

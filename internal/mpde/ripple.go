@@ -5,6 +5,17 @@ import (
 	"repro/internal/solverr"
 )
 
+// RippleOptions is the converter envelope preset: h2Periods switching
+// periods per t2 step with trapezoidal integration and cross-step chord
+// reuse. ChordNewton matters doubly here: converters drive the same
+// collocation Jacobian every step (duty and fsw fixed per request), so
+// carried factors stay exact — measured on the catalog buck start-up it is
+// ~8x faster than per-step refactorization and converges more cleanly (the
+// rescue-heavy non-chord path leaves visibly damped ripple).
+func RippleOptions(n1 int, fsw, h2Periods float64) core.EnvelopeOptions {
+	return core.EnvelopeOptions{N1: n1, H2: h2Periods / fsw, Trap: true, ChordNewton: true}
+}
+
 // RippleEnvelope is the MPDE ripple-envelope solve path for driven
 // switching circuits (switch-mode power converters): it integrates the
 // unwarped MPDE
@@ -20,20 +31,9 @@ import (
 // This is the unwarped-MPDE corner of the envelope machinery: there is no
 // frequency unknown and no phase condition — the PWM input pins the fast
 // phase — so core runs with ω fixed at fsw, exercising the same envelope
-// assembly, supervision ladder, matrix-free operator and warm-start
-// plumbing as the autonomous WaMPDE path. The univariate solution is
-// recovered along the characteristic x(t) ≈ x̂(fsw·t mod 1, t).
-// RippleOptions is the converter envelope preset: h2Periods switching
-// periods per t2 step with trapezoidal integration and cross-step chord
-// reuse. ChordNewton matters doubly here: converters drive the same
-// collocation Jacobian every step (duty and fsw fixed per request), so
-// carried factors stay exact — measured on the catalog buck start-up it is
-// ~8x faster than per-step refactorization and converges more cleanly (the
-// rescue-heavy non-chord path leaves visibly damped ripple).
-func RippleOptions(n1 int, fsw, h2Periods float64) core.EnvelopeOptions {
-	return core.EnvelopeOptions{N1: n1, H2: h2Periods / fsw, Trap: true, ChordNewton: true}
-}
-
+// assembly, supervision ladder and matrix-free operator as the autonomous
+// WaMPDE path. The univariate solution is recovered along the
+// characteristic x(t) ≈ x̂(fsw·t mod 1, t).
 func RippleEnvelope(sys System, xhat0 []float64, fsw, t2End float64, opt core.EnvelopeOptions) (*core.EnvelopeResult, error) {
 	if fsw <= 0 {
 		return nil, solverr.New(solverr.KindBadInput, "mpde.ripple", "fsw must be positive")

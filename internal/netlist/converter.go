@@ -17,7 +17,7 @@ const (
 	convLCScale = 10.0 // L = C = convLCScale/fsw (H, F)
 	convLoadR   = 5.0  // output load, Ω
 	convLESR    = 0.01 // inductor series resistance, Ω
-	convDiodeVf = 0.4 // forward drop of the freewheel/boost diode, V
+	convDiodeVf = 0.4  // forward drop of the freewheel/boost diode, V
 	// convDiodeGon is the diode on-conductance (50 mΩ, a realistic
 	// Schottky). It is deliberately softer than the switch's DefaultGon:
 	// every harmonic of the switch-node waveform the truncated t1 basis

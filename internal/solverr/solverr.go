@@ -119,7 +119,7 @@ func New(kind Kind, stage, format string, args ...any) *Error {
 }
 
 // Wrap builds an *Error around a cause. The message is the cause's; use
-// WithMsg (or New + WithCause) to override.
+// WithMsg to override.
 func Wrap(kind Kind, stage string, err error) *Error {
 	e := New(kind, stage, "")
 	e.Err = err
@@ -131,9 +131,6 @@ func (e *Error) WithMsg(format string, args ...any) *Error {
 	e.Msg = fmt.Sprintf(format, args...)
 	return e
 }
-
-// WithCause attaches the wrapped cause.
-func (e *Error) WithCause(err error) *Error { e.Err = err; return e }
 
 // WithT2 records the slow time of the failing step.
 func (e *Error) WithT2(t2 float64) *Error { e.T2 = t2; return e }

@@ -124,7 +124,7 @@ func TuningSweep(cfg TuningSweepConfig) (*TuningSweepResult, error) {
 				ws.T *= fPrev / vco.FreqAtDisplacement(u0)
 			}
 			uses, falls = ws.Uses, ws.Fallbacks
-			ws.Param, ws.Label = p.Value, ""
+			ws.Param = p.Value
 			opt.Warm = ws
 		}
 
