@@ -33,10 +33,8 @@ func main() {
 
 	fmt.Println("\n--- fundamental mode locking (ω0 = ω2), injection amplitude 0.5 ---")
 	fmt.Println("f_inj/f0   |Floquet|max(≠1 dir)   verdict")
-	for _, ratio := range []float64{0.85, 0.92, 0.97, 1.00, 1.03, 1.08, 1.15} {
-		fInj := ratio * f0
-		verdict, lead := lockVerdict(mu, 0.5, fInj, 1, pss)
-		fmt.Printf("  %.2f        %-18s  %s\n", ratio, lead, verdict)
+	for _, row := range lockTable(mu, pss) {
+		fmt.Printf("  %.2f        %-18s  %s\n", row.ratio, row.lead, row.verdict)
 	}
 
 	fmt.Println("\n--- period multiplication (ω0 = ω2/2): forcing at 2·f0 ---")
@@ -83,6 +81,29 @@ func main() {
 		mean, mean/fInj)
 }
 
+// lockRatios are the injection frequencies, in units of f0, that the
+// mode-locking table scans; EXPERIMENTS.md puts the lock range at
+// [0.97, 1.08].
+var lockRatios = []float64{0.85, 0.92, 0.97, 1.00, 1.03, 1.08, 1.15}
+
+// lockRow is one row of the mode-locking table.
+type lockRow struct {
+	ratio         float64
+	lead, verdict string
+}
+
+// lockTable classifies fundamental locking at each of lockRatios under
+// injection amplitude 0.5.
+func lockTable(mu float64, freeRun *wampde.PSS) []lockRow {
+	f0 := 1 / freeRun.T
+	rows := make([]lockRow, len(lockRatios))
+	for i, ratio := range lockRatios {
+		verdict, lead := lockVerdict(mu, 0.5, ratio*f0, 1, freeRun)
+		rows[i] = lockRow{ratio, lead, verdict}
+	}
+	return rows
+}
+
 // lockVerdict looks for a (harmonic·T_inj)-periodic orbit by shooting and
 // classifies its stability via Floquet multipliers.
 func lockVerdict(mu, amp, fInj float64, harmonic int, freeRun *wampde.PSS) (string, string) {
@@ -108,19 +129,28 @@ func lockVerdict(mu, amp, fInj float64, harmonic int, freeRun *wampde.PSS) (stri
 		}
 	}
 	lead := fmt.Sprintf("%.3f", max)
-	// Degenerate lock: shooting can converge onto a tiny near-equilibrium
-	// orbit; require a real oscillation amplitude.
-	peak := 0.0
-	for _, xs := range pss.Orbit.X {
-		if a := math.Abs(xs[0]); a > peak {
-			peak = a
-		}
-	}
+	// Degenerate locks: shooting can converge onto a tiny near-equilibrium
+	// orbit, or onto a far-away fixed point of the trapezoidal map (|x| ~
+	// 1e7, monodromy ≈ I) that no physical orbit reaches. Locked orbits
+	// peak at 2.14–2.22, against the free-running 2.01.
+	peak := orbitPeak(pss)
 	if peak < 0.5 {
 		return "no oscillatory orbit", lead
+	}
+	if peak > 2*orbitPeak(freeRun) {
+		return "no bounded orbit (spurious fixed point)", lead
 	}
 	if max <= 1.001 {
 		return "LOCKED (stable periodic orbit)", lead
 	}
 	return "unstable periodic orbit (outside lock range)", lead
+}
+
+// orbitPeak is the largest |x| the orbit reaches.
+func orbitPeak(p *wampde.PSS) float64 {
+	peak := 0.0
+	for _, xs := range p.Orbit.X {
+		peak = math.Max(peak, math.Abs(xs[0]))
+	}
+	return peak
 }

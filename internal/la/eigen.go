@@ -106,6 +106,14 @@ func qrEigHessenberg(h *CDense) ([]complex128, error) {
 	n := h.Rows
 	eig := make([]complex128, 0, n)
 	hi := n - 1 // active block is rows/cols 0..hi
+	// A subdiagonal below ε·‖H‖_F is roundoff of the reduction itself: when
+	// ‖H‖ dwarfs the eigenvalues (a monodromy with ‖M‖ ≈ 1e5 and |μ| ≤ 1),
+	// the relative test alone can never be met.
+	floor := 0.0
+	for _, v := range h.Data {
+		floor = math.Hypot(floor, cmplx.Abs(v))
+	}
+	floor *= 0x1p-52
 	const maxIterPerEig = 200
 	iter := 0
 	for hi >= 0 {
@@ -118,7 +126,7 @@ func qrEigHessenberg(h *CDense) ([]complex128, error) {
 		deflated := false
 		for k := hi; k >= 1; k-- {
 			sub := cmplx.Abs(h.At(k, k-1))
-			tol := 1e-14 * (cmplx.Abs(h.At(k-1, k-1)) + cmplx.Abs(h.At(k, k)))
+			tol := math.Max(1e-14*(cmplx.Abs(h.At(k-1, k-1))+cmplx.Abs(h.At(k, k))), floor)
 			if tol == 0 {
 				tol = 1e-300
 			}
@@ -141,16 +149,16 @@ func qrEigHessenberg(h *CDense) ([]complex128, error) {
 			return nil, solverr.New(solverr.KindStagnation, "la.eigen",
 				"QR eigenvalue iteration failed to converge").WithIter(iter)
 		}
-		// Wilkinson shift from the trailing 2x2 block.
+		// Wilkinson shift from the trailing 2x2 block, in the form that
+		// does not cancel when its eigenvalues are close relative to their
+		// size (tr² − 4·det would).
 		a := h.At(hi-1, hi-1)
 		b := h.At(hi-1, hi)
 		c := h.At(hi, hi-1)
 		d := h.At(hi, hi)
-		tr := a + d
-		det := a*d - b*c
-		disc := cmplx.Sqrt(tr*tr - 4*det)
-		l1 := (tr + disc) / 2
-		l2 := (tr - disc) / 2
+		mid, half := (a+d)/2, (a-d)/2
+		disc := cmplx.Sqrt(half*half + b*c)
+		l1, l2 := mid+disc, mid-disc
 		shift := l1
 		if cmplx.Abs(l2-d) < cmplx.Abs(l1-d) {
 			shift = l2

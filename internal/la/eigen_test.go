@@ -127,3 +127,21 @@ func TestEigenvalues1x1(t *testing.T) {
 		t.Fatalf("eig = %v", eig)
 	}
 }
+
+func TestEigenvaluesCloseNonSymmetricPair(t *testing.T) {
+	// Eigenvalues 1 ± √(bc) = 1 ± 4.242e-11: a shift formed from
+	// tr² − 4·det cancels to noise here and stalls QR.
+	b, c := 4.51e-11, 3.99e-11
+	eig, err := Eigenvalues(DenseFromRows([][]float64{{1, b}, {c, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := math.Sqrt(b * c)
+	got := []float64{real(eig[0]) - 1, real(eig[1]) - 1}
+	sort.Float64s(got)
+	for i, want := range []float64{-split, split} {
+		if math.Abs(got[i]-want) > 1e-3*split || imag(eig[i]) != 0 {
+			t.Fatalf("eig − 1 = %v, want ±%.4g", got, split)
+		}
+	}
+}

@@ -223,28 +223,48 @@ func (f *LU) Solve(b, x []float64) {
 	}
 }
 
-// SolveMatrix solves A X = B column-wise, returning X. Right-hand-side
-// columns are independent, so they are spread over the worker pool.
+// SolveMatrix solves A X = B for every column of B, returning X.
 func (f *LU) SolveMatrix(b *Dense) *Dense {
+	x := NewDense(b.Rows, b.Cols)
+	f.SolveMatrixInto(b, x)
+	return x
+}
+
+// SolveMatrixInto solves A X = B for every column of B at once, writing X
+// into x (same shape as b, distinct storage). The substitutions sweep whole
+// rows of x and skip zero factor entries, so the sparse factors of circuit
+// matrices cost only their nonzeros. It is serial and allocates nothing.
+func (f *LU) SolveMatrixInto(b, x *Dense) {
 	n := f.lu.Rows
-	if b.Rows != n {
-		panic("la: SolveMatrix dimension mismatch")
+	if b.Rows != n || x.Rows != n || x.Cols != b.Cols {
+		panic("la: SolveMatrixInto dimension mismatch")
 	}
-	x := NewDense(n, b.Cols)
-	par.For(b.Cols, 8, func(lo, hi int) {
-		col := make([]float64, n)
-		sol := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.At(i, j)
-			}
-			f.Solve(col, sol)
-			for i := 0; i < n; i++ {
-				x.Set(i, j, sol[i])
+	lu := f.lu.Data
+	for i := 0; i < n; i++ {
+		copy(x.Row(i), b.Row(f.piv[i]))
+	}
+	// Forward substitution L Y = P B (L unit lower).
+	for i := 1; i < n; i++ {
+		xi := x.Row(i)
+		for j, l := range lu[i*n : i*n+i] {
+			if l != 0 {
+				Axpy(-l, x.Row(j), xi)
 			}
 		}
-	})
-	return x
+	}
+	// Back substitution U X = Y.
+	for i := n - 1; i >= 0; i-- {
+		xi := x.Row(i)
+		for j := i + 1; j < n; j++ {
+			if u := lu[i*n+j]; u != 0 {
+				Axpy(-u, x.Row(j), xi)
+			}
+		}
+		d := lu[i*n+i]
+		for c := range xi {
+			xi[c] /= d
+		}
+	}
 }
 
 // Det returns the determinant of the factored matrix.

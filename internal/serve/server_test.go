@@ -367,3 +367,19 @@ func TestDebugEndpointsGated(t *testing.T) {
 		t.Fatalf("pprof with Debug: status %d", resp.StatusCode)
 	}
 }
+
+// TestShootingCollapsedPeriod: an f0 guess four decades above the paper
+// VCO's 0.74 MHz lets autonomous shooting shrink the period onto the start
+// state, where Φ_T(x0) = x0 holds trivially. The served answer must be a
+// stagnation error, not a 200 body claiming a petahertz oscillation.
+func TestShootingCollapsedPeriod(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Engine: CircuitEngine{}})
+	resp, body := post(t, ts.URL, `{"circuit":"paper-vco","analysis":"shooting","options":{"f0":7.5e9}}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 (%s)", resp.StatusCode, body)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Kind != "stagnation" {
+		t.Fatalf("error body %s (err %v), want kind stagnation", body, err)
+	}
+}

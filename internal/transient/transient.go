@@ -297,12 +297,10 @@ type stepper struct {
 	nws    *newton.Workspace
 	prob   newton.Problem
 
-	// Per-step integration weights read by the eval/jacobian closures in
-	// prob (set by step before each Newton solve).
-	a0, a1, a2 float64
-	fMix       float64
-	h          float64
-	method     Method
+	// The step's integration rule and size, read by the eval/jacobian
+	// closures in prob (set by step before each Newton solve).
+	fm formula
+	h  float64
 }
 
 func (st *stepper) init() {
@@ -334,7 +332,7 @@ func (st *stepper) init() {
 				jqRow := st.jq.Row(r)
 				jfRow := st.jf.Row(r)
 				for c := 0; c < n; c++ {
-					row[c] = (st.a0/st.h*jqRow[c] + st.fMix*jfRow[c]) / st.scale[r]
+					row[c] = (st.fm.a0/st.h*jqRow[c] + st.fm.fMix*jfRow[c]) / st.scale[r]
 				}
 			}
 			if err := st.lu.FactorInto(st.jac); err != nil {
@@ -352,13 +350,43 @@ func (st *stepper) evalResidual(x, f []float64) error {
 	st.sys.Q(x, st.qTmp)
 	st.sys.F(x, st.u, st.fTmp)
 	for i := 0; i < st.n; i++ {
-		f[i] = (st.a0*st.qTmp[i]+st.a1*st.qOld[i]+st.a2*st.qPrv[i])/st.h + st.fMix*st.fTmp[i]
-		if st.method == Trap {
-			f[i] += (1 - st.fMix) * st.fOld[i]
+		f[i] = (st.fm.a0*st.qTmp[i]+st.fm.a1*st.qOld[i]+st.fm.a2*st.qPrv[i])/st.h + st.fm.fMix*st.fTmp[i]
+		if st.fm.method == Trap {
+			f[i] += (1 - st.fm.fMix) * st.fOld[i]
 		}
 		f[i] /= st.scale[i]
 	}
 	return nil
+}
+
+// formula is one implicit step's integration rule: the state x₊ after a
+// step of size h from x (and x₋, the point before x) solves
+//
+//	(a0·q(x₊) + a1·q(x) + a2·q(x₋))/h + fMix·f(x₊, u₊) + (1−fMix)·f(x, u) = 0,
+//
+// where the last term is present for the trapezoidal rule only. Simulate's
+// steps and Sensitivity's pass both take their weights from stepFormula, so
+// the integration formula lives in one place.
+type formula struct {
+	method           Method // BE on BDF2's bootstrap step
+	a0, a1, a2, fMix float64
+}
+
+// stepFormula returns the rule method applies to a step of size h from t;
+// tPrev is the point before t when havePrev is set.
+func stepFormula(method Method, h, t, tPrev float64, havePrev bool) formula {
+	if method == BDF2 && !havePrev {
+		method = BE // bootstrap the multistep formula
+	}
+	switch method {
+	case Trap:
+		return formula{method: Trap, a0: 1, a1: -1, fMix: 0.5} // (q-qold)/h = -(f+fold)/2
+	case BDF2:
+		r := h / (t - tPrev)
+		return formula{method: BDF2, a0: (1 + 2*r) / (1 + r), a1: -(1 + r), a2: r * r / (1 + r), fMix: 1}
+	default:
+		return formula{method: BE, a0: 1, a1: -1, fMix: 1}
+	}
 }
 
 func (st *stepper) order() int {
@@ -376,30 +404,13 @@ func (st *stepper) step(t, h float64, xOld, xPrev []float64, tPrev float64, have
 	sys.Input(tNew, st.u)
 	sys.Q(xOld, st.qOld)
 
-	method := st.opt.Method
-	if method == BDF2 && !havePrev {
-		method = BE // bootstrap the multistep formula
-	}
-
-	st.method = method
+	st.fm = stepFormula(st.opt.Method, h, t, tPrev, havePrev)
 	st.h = h
-	switch method {
-	case BE:
-		st.a0, st.a1, st.a2, st.fMix = 1, -1, 0, 1
-	case Trap:
-		st.a0, st.a1, st.a2, st.fMix = 1, -1, 0, 0.5 // (q-qold)/h = -(f+fold)/2
-	case BDF2:
-		r := h / (t - tPrev)
-		st.a0 = (1 + 2*r) / (1 + r)
-		st.a1 = -(1 + r)
-		st.a2 = r * r / (1 + r)
-		st.fMix = 1
-	}
-	if method == Trap {
+	if st.fm.method == Trap {
 		sys.Input(t, st.uOld)
 		sys.F(xOld, st.uOld, st.fOld)
 	}
-	if method == BDF2 {
+	if st.fm.method == BDF2 {
 		sys.Q(xPrev, st.qPrv)
 	}
 

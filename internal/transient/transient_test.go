@@ -1,10 +1,13 @@
 package transient
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/dae"
+	"repro/internal/la"
+	"repro/internal/solverr"
 )
 
 func TestRCStepDecay(t *testing.T) {
@@ -251,5 +254,40 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(9).String() == "" {
 		t.Fatal("unknown method should still render")
+	}
+}
+
+// TestSensitivityOfLinearDecay checks the pass where it is exact: every
+// rule maps an unforced RC's start voltage linearly onto its end voltage,
+// so the seeded pass must return x_end/x0, and its end-time column the
+// derivative of the closed-form step product in the span (checked here by
+// central differences, which a linear step solves without Newton noise).
+func TestSensitivityOfLinearDecay(t *testing.T) {
+	s := &dae.LinearRC{C: 1, R: 1}
+	const span, steps = 2.0, 64
+	for _, m := range []Method{BE, Trap, BDF2} {
+		end := func(T float64) (*Result, float64) {
+			res, err := Simulate(s, []float64{1}, 0, T, Options{Method: m, H: T / steps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, res.X[len(res.X)-1][0]
+		}
+		res, xEnd := end(span)
+		sens, dT, err := Sensitivity(context.Background(), s, res, m, la.Identity(1), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sens.At(0, 0); math.Abs(got-xEnd) > 1e-12 {
+			t.Errorf("%v: dx_end/dx0 = %.15g, want x_end/x0 = %.15g", m, got, xEnd)
+		}
+		_, up := end(span * (1 + 1e-5))
+		_, down := end(span * (1 - 1e-5))
+		if want := (up - down) / (2e-5 * span); math.Abs(dT[0]-want) > 1e-8 {
+			t.Errorf("%v: dx_end/dT = %.12g, central differences %.12g", m, dT[0], want)
+		}
+	}
+	if _, _, err := Sensitivity(context.Background(), s, &Result{}, BE, la.Identity(1), false); !solverr.IsKind(err, solverr.KindBadInput) {
+		t.Errorf("empty run: %v, want a bad-input error", err)
 	}
 }

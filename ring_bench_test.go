@@ -33,13 +33,12 @@ import (
 
 // ringBenchStages is the scaling sweep. It stops at 31 stages (32·93+1 =
 // 2977 unknowns, 2× past the serving layer's matrix-free cutover): the bound
-// is the shared settle+shoot preamble, not the envelope under test —
-// autonomous shooting builds its monodromy by central finite differences
-// (2n transits per Newton iteration), which at 63 stages (189 states) burns
-// more than half an hour on one core before a single op is measured, for
-// either mode. A large-N preamble that scales (iterative/adjoint monodromy,
-// or warm continuation across stage counts) is ROADMAP work; the generators
-// themselves go to 63.
+// is the shared settle+shoot preamble's convergence, not its cost and not
+// the envelope under test. At 63 stages (189 states) autonomous shooting,
+// started from the 20-cycle settle, drives the period negative (T = −0.165)
+// at its third Newton iteration and fails after about two minutes on a
+// 2-vCPU VM. A preamble that converges at every size is ROADMAP work; the
+// generators themselves go to 63.
 var ringBenchStages = []int{3, 7, 15, 31}
 
 func ringBenchSystem(b *testing.B, stages int) *circuit.System {
