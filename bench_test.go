@@ -242,15 +242,6 @@ func BenchmarkAblationChordNewton(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, ChordNewton: true})
 }
 
-// Krylov recycling (GCRO-DR deflation carried across chord-Newton GMRES
-// solves) vs BenchmarkAblationGMRES; TestRecycleReducesMatvecs pins the
-// matvec reduction, this measures the wall-clock side.
-func BenchmarkAblationGMRESRecycle(b *testing.B) {
-	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{
-		Trap: true, Linear: core.LinearMatrixFree, ChordNewton: true, RecycleKrylov: true,
-	})
-}
-
 // ---------------------------------------------------------- allocation budget
 
 // BenchmarkHotLoopAllocs measures the Fig. 7 envelope's allocation churn with

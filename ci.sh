@@ -119,7 +119,7 @@ cd "$(dirname "$0")"
 
 tier="${1:-all}"
 benchfile="${2:-BENCH_pr14.json}"
-benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|BenchmarkAblationGMRESRecycle$|BenchmarkQuasiperiodicWaMPDE$|BenchmarkHotLoopAllocs$|BenchmarkGMRESAllocs$'
+benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|BenchmarkQuasiperiodicWaMPDE$|BenchmarkHotLoopAllocs$|BenchmarkGMRESAllocs$'
 
 if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 	echo "== tier 1: build + tests"

@@ -24,7 +24,6 @@ func main() {
 	steps := flag.Int("steps", 0, "WaMPDE t2 steps (default 600)")
 	chord := flag.Bool("chord", true, "carry the chord-Newton factorization across t2 steps")
 	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly)")
-	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -matfree)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 	}
 
 	run, rows, err := wampde.SpeedupReport(wampde.VCORunConfig{T2End: *span, Steps: *steps,
-		ChordNewton: *chord, MatrixFree: *matfree, RecycleKrylov: *recycle}, 0)
+		ChordNewton: *chord, MatrixFree: *matfree}, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "speedup:", err)
 		os.Exit(1)

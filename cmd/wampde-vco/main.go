@@ -44,7 +44,6 @@ func main() {
 	steps := flag.Int("steps", 0, "t2 steps (default 400 vacuum / 600 air)")
 	chord := flag.Bool("chord", true, "carry the chord-Newton factorization across t2 steps")
 	matfree := flag.Bool("matfree", false, "apply the bordered Jacobian matrix-free (spectral operator, no assembly); implies an iterative solve")
-	recycle := flag.Bool("recycle", true, "carry the GCRO-DR deflation space across GMRES solves (with -matfree)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the envelope run (0 = none); on expiry the partial result computed so far is still reported")
@@ -75,8 +74,7 @@ func main() {
 		}()
 	}
 
-	cfg := wampde.VCORunConfig{Air: *air, Steps: *steps, ChordNewton: *chord,
-		MatrixFree: *matfree, RecycleKrylov: *recycle}
+	cfg := wampde.VCORunConfig{Air: *air, Steps: *steps, ChordNewton: *chord, MatrixFree: *matfree}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -92,20 +90,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wampde-vco: partial run:", err)
 	}
 	if rescues := run.Result.FullNewtonRescues + run.Result.DampedNewtonRescues +
-		run.Result.ContinuationRescues + run.Result.LinearGMRESRescues +
-		run.Result.LinearLURescues + run.Result.StepHalvings; rescues > 0 {
-		fmt.Printf("solve supervision: %d full-Newton, %d damped, %d continuation rescues; %d GMRES->GMRES, %d GMRES->sparse LU linear rescues; %d step halvings\n",
+		run.Result.ContinuationRescues + run.Result.LinearLURescues + run.Result.StepHalvings; rescues > 0 {
+		fmt.Printf("solve supervision: %d full-Newton, %d damped, %d continuation rescues; %d GMRES->sparse LU linear rescues; %d step halvings\n",
 			run.Result.FullNewtonRescues, run.Result.DampedNewtonRescues, run.Result.ContinuationRescues,
-			run.Result.LinearGMRESRescues, run.Result.LinearLURescues, run.Result.StepHalvings)
+			run.Result.LinearLURescues, run.Result.StepHalvings)
 	}
 	fmt.Printf("WaMPDE envelope: %d t2 steps, %d Newton iterations, %v\n",
 		len(run.Result.T2), run.Result.NewtonIterTotal, run.WallTime)
 	fmt.Printf("Jacobian factorizations: %d (%d chord reuses)\n",
 		run.Result.JacobianEvals, run.Result.JacobianReuses)
 	if *matfree {
-		fmt.Printf("GMRES: %d solves, %d matvecs; recycler: %d hits, %d harvests, %d invalidations\n",
-			run.Result.GMRESSolves, run.Result.GMRESMatVecs,
-			run.Result.RecycleHits, run.Result.RecycleHarvests, run.Result.RecycleInvalidations)
+		fmt.Printf("GMRES: %d solves, %d matvecs\n", run.Result.GMRESSolves, run.Result.GMRESMatVecs)
 	}
 	fmt.Printf("initial local frequency: %.3f MHz (paper: ≈0.75 MHz)\n\n", run.Omega0/1e6)
 

@@ -63,17 +63,17 @@ func TestEnvelopeWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRecycleWorkerDeterminism runs the matrix-free GMRES + Krylov-recycling
-// envelope (the iterative large-system path with chord Newton, as the cmd
-// drivers configure it) at 1, 2 and 8 workers and demands bitwise-identical results:
-// the recycler's projection, Arnoldi and harvest arithmetic is all serial, so
-// the worker count may only change how the parallel assembly and
-// preconditioner kernels chunk — which the par contract keeps exact.
-func TestRecycleWorkerDeterminism(t *testing.T) {
-	recycleRun := func() *wampde.VCORun {
+// TestMatrixFreeWorkerDeterminism runs the matrix-free GMRES envelope (the
+// iterative large-system path with chord Newton, as the cmd drivers
+// configure it) at 1, 2 and 8 workers and demands bitwise-identical results
+// and equal matvec counts: the Arnoldi arithmetic is serial, so the worker
+// count may only change how the parallel operator and preconditioner kernels
+// chunk — which the par contract keeps exact.
+func TestMatrixFreeWorkerDeterminism(t *testing.T) {
+	matFreeRun := func() *wampde.VCORun {
 		run, err := wampde.RunPaperVCO(wampde.VCORunConfig{
 			N1: 15, T2End: 20e-6, Steps: 60,
-			ChordNewton: true, MatrixFree: true, RecycleKrylov: true,
+			ChordNewton: true, MatrixFree: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,19 +82,18 @@ func TestRecycleWorkerDeterminism(t *testing.T) {
 	}
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
-	ref := recycleRun()
-	if ref.Result.RecycleHits == 0 {
-		t.Fatal("recycling never engaged on the determinism configuration")
+	ref := matFreeRun()
+	if ref.Result.GMRESSolves == 0 {
+		t.Fatal("the determinism configuration never reached GMRES")
 	}
 
 	for _, w := range []int{2, 8} {
 		par.SetWorkers(w)
-		got := recycleRun()
-		sameRun(t, ref, got, fmt.Sprintf("recycle workers=%d", w))
-		if got.Result.GMRESMatVecs != ref.Result.GMRESMatVecs || got.Result.RecycleHits != ref.Result.RecycleHits {
-			t.Errorf("workers=%d: solver cost drifted: matvecs %d vs %d, hits %d vs %d",
-				w, got.Result.GMRESMatVecs, ref.Result.GMRESMatVecs,
-				got.Result.RecycleHits, ref.Result.RecycleHits)
+		got := matFreeRun()
+		sameRun(t, ref, got, fmt.Sprintf("matrix-free workers=%d", w))
+		if got.Result.GMRESMatVecs != ref.Result.GMRESMatVecs {
+			t.Errorf("workers=%d: solver cost drifted: matvecs %d vs %d",
+				w, got.Result.GMRESMatVecs, ref.Result.GMRESMatVecs)
 		}
 	}
 }

@@ -28,10 +28,6 @@ type VCORunConfig struct {
 	// suite pins the historical once-per-step factorization bitwise; the cmd
 	// drivers turn it on.
 	ChordNewton bool
-	// RecycleKrylov carries a GCRO-DR deflation space across the GMRES
-	// solves (see core.EnvelopeOptions.RecycleKrylov). Only meaningful with
-	// MatrixFree; off by default so the goldens pin the historical path.
-	RecycleKrylov bool
 	// MatrixFree solves the per-step Jacobian systems iteratively, applying
 	// the bordered step Jacobian without assembling it — core.LinearMatrixFree,
 	// the spectral-operator path (see DESIGN.md, "Matrix-free operator").
@@ -97,13 +93,12 @@ func RunPaperVCO(cfg VCORunConfig) (*VCORun, error) {
 		linear = core.LinearMatrixFree
 	}
 	res, err := core.Envelope(vco, xhat0, omega0, cfg.T2End, core.EnvelopeOptions{
-		N1:            cfg.N1,
-		H2:            cfg.T2End / float64(cfg.Steps),
-		Trap:          true,
-		ChordNewton:   cfg.ChordNewton,
-		Linear:        linear,
-		RecycleKrylov: cfg.RecycleKrylov,
-		Ctx:           cfg.Ctx,
+		N1:          cfg.N1,
+		H2:          cfg.T2End / float64(cfg.Steps),
+		Trap:        true,
+		ChordNewton: cfg.ChordNewton,
+		Linear:      linear,
+		Ctx:         cfg.Ctx,
 	})
 	if err != nil {
 		// A canceled (or failed) envelope still returns the partial result;

@@ -20,7 +20,7 @@ const (
 	LinearDenseLU LinearKind = iota
 	// LinearMatrixFree is the paper's §1/§4 "iterative linear techniques
 	// [Saa96]" path for large systems: it solves the Jacobian system with
-	// GMRESDR applied to a matrix-free operator (core.SpectralOp), under the
+	// GMRES applied to a matrix-free operator (core.SpectralOp), under the
 	// harmonic (envelope) or line-block-Jacobi (quasiperiodic)
 	// preconditioner. The spectral-differentiation term runs through the
 	// cached FFT plans and the device Jacobians apply block-diagonally per
@@ -66,16 +66,6 @@ type EnvelopeOptions struct {
 	// pipeline, ~1.8x fewer factorizations for ~13% more iterations) while
 	// laxer values trade further factorizations for many more iterations.
 	ChordContraction float64
-	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation space
-	// across the step solver's GMRES calls: harmonic Ritz vectors harvested
-	// from one solve deflate the slow modes of the next, cutting matvecs
-	// while the linearization holds still — within a step's Newton
-	// iterations, and across steps under ChordNewton's reuse windows. The
-	// space is discarded at every Jacobian refresh and harmonic-
-	// preconditioner rebuild (the ω-drift gate), since either redefines the
-	// preconditioned operator it was harvested from. Off by default: the
-	// historical GMRES path the golden suite pins down.
-	RecycleKrylov bool
 	// Ctx, when non-nil, makes the run cancelable: it is checked before every
 	// t2 step and once per Newton iteration inside a step. On cancellation
 	// Envelope returns the partial EnvelopeResult accumulated so far together
@@ -85,7 +75,7 @@ type EnvelopeOptions struct {
 }
 
 // omegaDriftTol is the relative ω drift beyond which cross-step chord
-// factorizations and the recycled GMRES harmonic preconditioner are rebuilt.
+// factorizations and the reused GMRES harmonic preconditioner are rebuilt.
 const omegaDriftTol = 0.02
 
 func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
@@ -172,9 +162,6 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 	n1, n := opt.N1, sys.Dim()
 	res := &EnvelopeResult{N1: n1, N: n}
 	asm := newEnvAssembler(sys, bord, in, opt, &res.Stats)
-	// The recycler's counters are reported on every exit, including early
-	// OnStep stops and step failures, so cost accounting stays honest.
-	defer asm.lad.reportRecycler()
 	record := func(t2, omega float64, x []float64) bool {
 		res.T2 = append(res.T2, t2)
 		res.Omega = append(res.Omega, omega)
@@ -248,7 +235,6 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 			}
 			res.StepHalvings++
 			asm.reuse.Invalidate()
-			asm.lad.rec.Invalidate()
 			h /= 2
 			sinceGrow = 0
 			continue
@@ -354,14 +340,14 @@ type envAssembler struct {
 	// factorization, checked before reusing it on the next step.
 	lastH, lastTheta, omegaAtFactor float64
 
-	// Recycled GMRES harmonic preconditioner (built lazily on first use) and
-	// the parameters it was built at.
+	// The GMRES harmonic preconditioner, reused across iterations and steps
+	// (built lazily on first use), and the parameters it was built at.
 	prec                        *harmonicPrec
 	precH, precTheta, precOmega float64
 	// The supervision ladders: the linear one the matrix-free path solves
-	// through (it owns the Krylov recycler), and the nonlinear rescue ladder
-	// of every step. t2 is the slow time the current step starts from, read
-	// by the continuation rung's input snapshot.
+	// through, and the nonlinear rescue ladder of every step. t2 is the slow
+	// time the current step starts from, read by the continuation rung's
+	// input snapshot.
 	lad          *linearLadder
 	nl           *nonlinearLadder
 	t2           float64
@@ -389,7 +375,7 @@ func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOpt
 	if dense {
 		a.lu = la.NewLU(nx + 1)
 	}
-	a.lad = newLinearLadder(opt.RecycleKrylov && !dense, stats)
+	a.lad = newLinearLadder(stats)
 	// Every rescue rung restarts from the step's initial iterate with a
 	// fresh Jacobian per iteration (opt.Newton already damps).
 	base := opt.Newton
@@ -487,7 +473,6 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 			op := g.operator(z)
 			a.omegaAtFactor = z[nx]
 			copy(a.usAtFactor, g.us)
-			a.lad.refresh()
 			prec, err := a.harmonicPrecFor(z[nx], h, theta)
 			if err != nil {
 				return nil, err
@@ -550,17 +535,11 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 }
 
 // restartRung prepares nonlinear rescue rung r. Every rung drops the chord
-// factorization; rung 2 drops nothing else, so unarmed runs that recover
-// there stay bitwise the historical retry. Later rungs also drop the
-// recycled Krylov space (it belongs to the iterates that just failed), and
-// continuation snapshots the inputs it blends: the previous level's values
-// (where xOld solves the system well) and the new level's.
+// factorization, and continuation snapshots the inputs it blends: the
+// previous level's values (where xOld solves the system well) and the new
+// level's.
 func (a *envAssembler) restartRung(r rescueRung) {
 	a.reuse.Invalidate()
-	if r == rungFullNewton {
-		return
-	}
-	a.lad.rec.Invalidate()
 	if r == rungContinuation {
 		copy(a.uEnd, a.g.us)
 		a.in.fill(a.uStart, a.g.n1, 0, a.t2)

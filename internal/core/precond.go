@@ -55,10 +55,6 @@ func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, 
 // per-point device Jacobian slots, which the caller (matFreeOpFor) has just
 // filled at the current iterate and inputs.
 func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
-	// Rebuilding the preconditioner redefines the operator M⁻¹J the GMRES
-	// recycler's deflation space was harvested from, so the carried space is
-	// dropped here — the recycler shares the preconditioner's ω-drift gate.
-	a.lad.rec.Invalidate()
 	n1, n := a.g.n1, a.g.n
 	if a.prec == nil {
 		a.prec = &harmonicPrec{
@@ -78,9 +74,9 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	}
 	// Snapshot the row scales: a.scale is recomputed in place every t2 step,
 	// and a preconditioner that read it live would be a silently different
-	// operator M⁻¹ each step — invisible to the ω-drift gate and fatal to the
-	// Krylov recycler's exact-space contract. A slightly stale scale only
-	// costs Krylov iterations, like any other staleness the gate tolerates.
+	// operator M⁻¹ each step, invisible to the ω-drift gate that decides when
+	// to rebuild it. A slightly stale scale only costs Krylov iterations,
+	// like any other staleness the gate tolerates.
 	copy(a.prec.scale, a.g.scale)
 	if a.jqAvg == nil {
 		a.jqAvg = la.NewDense(n, n)

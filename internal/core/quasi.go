@@ -25,7 +25,7 @@ type QPOptions struct {
 	ChordNewton bool
 	// Linear selects the inner linear solver. LinearMatrixFree replaces the
 	// global dense LU (O((N1·N2·n)³) per factorization) and never assembles
-	// the global Jacobian at all — GMRESDR applies it through the
+	// the global Jacobian at all — GMRES applies it through the
 	// spectral-differentiation FFT plans and the per-point device blocks
 	// (see SpectralOp), under a block-Jacobi preconditioner whose blocks are
 	// the per-t2-line systems, built directly from the device slots. Memory
@@ -236,7 +236,7 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 		flu = la.NewLU(total)
 	}
 	var st Stats
-	lad := newLinearLadder(false, &st)
+	lad := newLinearLadder(&st)
 	jac := func(z []float64) (newton.LinearSolve, error) {
 		if !matFree {
 			if err := flu.FactorInto(g.jacobian(z)); err != nil {

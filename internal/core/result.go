@@ -22,23 +22,19 @@ type Stats struct {
 	JacobianReuses int
 	// Iterative-path accounting (LinearMatrixFree only; zero under dense LU):
 	// GMRESMatVecs is the total operator applications across GMRESSolves
-	// linear solves, the headline cost of the iterative path. The Recycle*
-	// counters report the Krylov subspace recycler's activity (see
-	// EnvelopeOptions.RecycleKrylov): solves that started from a carried
-	// deflation space, spaces harvested from completed cycles, and spaces
-	// discarded because the preconditioned operator drifted.
-	GMRESSolves          int
-	GMRESMatVecs         int
-	RecycleHits          int
-	RecycleHarvests      int
-	RecycleInvalidations int
+	// linear solves, the headline cost of the iterative path.
+	GMRESSolves  int
+	GMRESMatVecs int
+	RecycleHits  int // always zero (no Krylov recycling); bench/ still reads it
 	// Supervision accounting: failures the escalation ladders observed and
 	// the rescues they ran (see DESIGN.md, "Failure semantics"). All zero on
 	// a run where every first-choice solve converged — the common case.
-	GMRESStagnations   int // iterative solves that stagnated / hit budget
-	GMRESBreakdowns    int // iterative solves that broke down
-	LinearGMRESRescues int // linear rung 2: deflation-free GMRES restarts
-	LinearLURescues    int // linear rung 3: direct factorization fallbacks
+	GMRESStagnations int // iterative solves that stagnated / hit budget
+	GMRESBreakdowns  int // iterative solves that broke down
+	// LinearGMRESRescues is always zero (the linear ladder has no GMRES
+	// retry rung); bench/ and the served supervision body still read it.
+	LinearGMRESRescues int
+	LinearLURescues    int // linear rung 2: direct factorization fallbacks
 	// LinearSparseLURescues counts the direct rescues that ran through the
 	// sparse LU — today every one of them; kept apart from LinearLURescues
 	// because the served supervision body reports both.

@@ -19,25 +19,23 @@ import (
 // solverr.Error and the layer above escalates instead of silently degrading.
 // See DESIGN.md, "Failure semantics".
 
-// linearLadder adapts the iterative Krylov solvers to newton.LinearSolveErr
-// with escalation: recycled GMRESDR first, deflation-free GMRES on failure,
-// and a sparse direct factorization as the last rung. A failed rung is
-// reported, never handed to Newton as a partial iterate.
+// linearLadder adapts the iterative Krylov solver to newton.LinearSolveErr
+// with escalation: GMRES first, and a sparse direct factorization when it
+// fails. A failed rung is reported, never handed to Newton as a partial
+// iterate.
 //
 // The operator is matrix-free; its assembly callback emits the same entries
 // sparsely when (and only when) the direct rung needs a factorization, so
 // even total escalation stays far from the O(n³) dense wall the matrix-free
 // path exists to avoid.
 //
-// The ladder is persistent (one per assembler/solve): the Krylov workspace,
-// the recycler and the sparse factors (including the symbolic pattern) are
-// pooled across solves, so the unarmed hot path allocates nothing after
-// warmup.
+// The ladder is persistent (one per assembler/solve): the Krylov workspace
+// and the sparse factors (including the symbolic pattern) are pooled across
+// solves, so the unarmed hot path allocates nothing after warmup.
 type linearLadder struct {
 	op      krylov.Operator
 	asm     func(tr *sparse.Triplet) // sparse assembly for the direct rung
 	prec    krylov.Preconditioner
-	rec     *krylov.Recycler // nil when recycling is off
 	ws      *krylov.Workspace
 	trip    *sparse.Triplet
 	slu     *sparse.LU // sparse direct-solve rung; symbolic pattern reused
@@ -45,9 +43,8 @@ type linearLadder struct {
 	stats   *Stats
 }
 
-// gmresTol is the relative residual every iterative rung solves to, and
-// gmresLadderMaxIter bounds each rung, matching the historical adapter's
-// budget.
+// gmresTol is the relative residual the iterative rung solves to, and
+// gmresLadderMaxIter bounds it, matching the historical adapter's budget.
 const (
 	gmresTol           = 1e-10
 	gmresLadderMaxIter = 400
@@ -75,26 +72,10 @@ func matFreeRestart(total int) int {
 	return r
 }
 
-// newLinearLadder builds the ladder of one solve. With recycle set it owns a
-// fresh trusted Krylov recycler — trusted because refresh and the
-// preconditioner rebuilds invalidate it at every operator change, so the
-// exact-space contract holds.
-func newLinearLadder(recycle bool, stats *Stats) *linearLadder {
-	g := &linearLadder{ws: krylov.NewWorkspace(), stats: stats}
-	if recycle {
-		g.rec = krylov.NewRecycler(0)
-		g.rec.Trusted = true
-	}
-	return g
+// newLinearLadder builds the ladder of one solve.
+func newLinearLadder(stats *Stats) *linearLadder {
+	return &linearLadder{ws: krylov.NewWorkspace(), stats: stats}
 }
-
-// refresh marks a fresh linearization. The recycled deflation space is exact
-// only for the operator it was harvested from, and its directions amplify
-// like 1/θ_min, so even a small Jacobian drift can turn them harmful: it is
-// dropped here, and pays only inside Newton's factorization-reuse windows
-// (within a step, and across steps in ChordNewton mode) where the operator
-// holds still.
-func (g *linearLadder) refresh() { g.rec.Invalidate() }
 
 // reset points the ladder at a matrix-free operator and its preconditioner;
 // asm emits the operator's entries into a triplet when the direct rung needs
@@ -106,19 +87,9 @@ func (g *linearLadder) reset(op krylov.Operator, prec krylov.Preconditioner, asm
 	g.restart = matFreeRestart(op.Dim())
 }
 
-// note classifies one iterative-rung failure into the stats.
-func (g *linearLadder) note(err error) {
-	if solverr.IsKind(err, solverr.KindBreakdown) {
-		g.stats.GMRESBreakdowns++
-	} else {
-		g.stats.GMRESStagnations++
-	}
-}
-
-// SolveErr runs the ladder: GMRESDR → deflation-free GMRES → sparse LU.
-// A rung that fails is counted, the next one starts from scratch, and only
-// when every rung has failed does the (structured, trail-carrying) error
-// reach Newton.
+// SolveErr runs the ladder: GMRES → sparse LU. A failed GMRES solve is
+// counted and the direct rung starts from scratch; only when it fails too
+// does the (structured, trail-carrying) error reach Newton.
 func (g *linearLadder) SolveErr(b, x []float64) error {
 	g.stats.GMRESSolves++
 	la.Fill(x, 0)
@@ -127,37 +98,26 @@ func (g *linearLadder) SolveErr(b, x []float64) error {
 		// Keep at least two full cycles available at enlarged restart lengths.
 		opt.MaxIter = 2 * opt.Restart
 	}
-	res, err := krylov.GMRESDR(g.op, b, x, opt, g.rec)
+	res, err := krylov.GMRES(g.op, b, x, opt)
 	g.stats.GMRESMatVecs += res.MatVecs
 	if err == nil {
 		return nil
 	}
-	g.note(err)
-	firstErr := err
-
-	// Rung 2: deflation-free GMRES. The carried deflation space (if any)
-	// participated in the failure, so it is discarded, and the restart runs
-	// the plain recurrence from a zero guess.
-	g.stats.LinearGMRESRescues++
-	g.rec.Invalidate()
-	la.Fill(x, 0)
-	res, err = krylov.GMRES(g.op, b, x, opt)
-	g.stats.GMRESMatVecs += res.MatVecs
-	if err == nil {
-		return nil
+	if solverr.IsKind(err, solverr.KindBreakdown) {
+		g.stats.GMRESBreakdowns++
+	} else {
+		g.stats.GMRESStagnations++
 	}
-	g.note(err)
-	secondErr := err
 
-	// Rung 3: a sparse direct factorization — the rung of last resort before
+	// Rung 2: a sparse direct factorization — the rung of last resort before
 	// Newton-level rescue, trading factorization work for a guaranteed
 	// direction whenever the Jacobian is nonsingular.
 	g.stats.LinearLURescues++
 	g.stats.LinearSparseLURescues++
 	if ferr := g.sparseFactor(); ferr != nil {
 		e := solverr.Wrap(propagateLadderKind(ferr), "core.linear", ferr).
-			WithMsg("linear ladder exhausted (gmresdr: %v; gmres: %v)", firstErr, secondErr)
-		e.Attempt("gmresdr").Attempt("gmres").Attempt("sparse-lu")
+			WithMsg("linear ladder exhausted (gmres: %v)", err)
+		e.Attempt("gmres").Attempt("sparse-lu")
 		return e
 	}
 	g.slu.Solve(b, x)
@@ -195,15 +155,6 @@ func (g *linearLadder) sparseFactor() error {
 // Solve satisfies the legacy newton.LinearSolve interface; Newton prefers
 // SolveErr, so this path only serves callers that cannot observe errors.
 func (g *linearLadder) Solve(b, x []float64) { _ = g.SolveErr(b, x) }
-
-// reportRecycler copies the recycler's lifetime counters into the stats.
-func (g *linearLadder) reportRecycler() {
-	if g.rec != nil {
-		g.stats.RecycleHits = g.rec.Hits
-		g.stats.RecycleHarvests = g.rec.Harvests
-		g.stats.RecycleInvalidations = g.rec.Invalidations
-	}
-}
 
 // propagateLadderKind keeps the direct rung's classification (singular,
 // bad-input) when it has one.

@@ -26,10 +26,10 @@ import (
 //     3 ladder rungs + 18 homotopy solves exhausts the whole ladder exactly
 //     once, forcing a single t2 step halving before the unarmed retry lands.
 //
-//   - SiteGMRESStagnate fires once per linear-ladder rung-1 call (GMRESDR
-//     without a recycler delegates to GMRES before its own site check), so
-//     Times(1) exercises the deflation-free GMRES rescue and Times(2) the
-//     direct sparse-LU rung.
+//   - SiteGMRESStagnate fires once per krylov.GMRES call, and the linear
+//     ladder is GMRES → sparse LU, so every firing sends that solve straight
+//     to the direct rung: Times(k) yields k stagnations and k sparse-LU
+//     rescues, and Newton sees no linear failure while that rung succeeds.
 //
 // Plans are armed only after InitialCondition: the IC's own transient and
 // shooting Newton solves would otherwise consume the planned firings.
@@ -151,12 +151,12 @@ func TestFaultNewtonPersistentFailureReportsTrail(t *testing.T) {
 	}
 }
 
-func TestFaultGMRESRescue(t *testing.T) {
+func TestFaultGMRESStagnationLURescue(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(1))
 	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
-	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 0 {
-		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 0)",
+	if res.LinearGMRESRescues != 0 || res.LinearLURescues != 1 {
+		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (0, 1)",
 			res.LinearGMRESRescues, res.LinearLURescues)
 	}
 	if res.GMRESStagnations != 1 {
@@ -168,8 +168,8 @@ func TestFaultGMRESDoubleFailureLURescue(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(2))
 	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
-	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 1 {
-		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 1)",
+	if res.LinearGMRESRescues != 0 || res.LinearLURescues != 2 {
+		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (0, 2)",
 			res.LinearGMRESRescues, res.LinearLURescues)
 	}
 	if res.GMRESStagnations != 2 {
@@ -181,24 +181,24 @@ func TestFaultGMRESDoubleFailureLURescue(t *testing.T) {
 }
 
 func TestFaultGMRESAlwaysFailsStillConverges(t *testing.T) {
-	// With the iterative rungs permanently broken, every solve must land on
-	// the direct sparse-LU rung — and the run must still complete cleanly.
+	// With GMRES permanently broken, every solve must land on the direct
+	// sparse-LU rung — and the run must still complete cleanly.
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Always())
 	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.GMRESSolves == 0 {
 		t.Fatal("no linear solves recorded")
 	}
-	if res.LinearGMRESRescues != res.GMRESSolves || res.LinearLURescues != res.GMRESSolves {
-		t.Fatalf("rescues (gmres=%d, lu=%d) should equal solves (%d) when every iterative rung fails",
+	if res.LinearGMRESRescues != 0 || res.LinearLURescues != res.GMRESSolves {
+		t.Fatalf("rescues (gmres=%d, lu=%d), want (0, %d) when every GMRES solve fails",
 			res.LinearGMRESRescues, res.LinearLURescues, res.GMRESSolves)
 	}
 }
 
 func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
-	// Both iterative rungs and the direct rung fail: the linear ladder's
-	// exhaustion error must climb through Newton and the nonlinear ladder
-	// with the complete recovery trail.
+	// GMRES and the direct rung both fail: the linear ladder's exhaustion
+	// error must climb through Newton and the nonlinear ladder with the
+	// complete recovery trail.
 	plan := faultinject.NewPlan().
 		Fail(faultinject.SiteGMRESStagnate, faultinject.Always()).
 		Fail(faultinject.SiteSparseLUSingular, faultinject.Always())
@@ -210,7 +210,7 @@ func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
 		t.Fatalf("error chain should carry the singular classification: %v", err)
 	}
 	trail := strings.Join(solverr.TrailOf(err), " ")
-	for _, rung := range []string{"gmresdr", "gmres", "sparse-lu", "chord", "continuation"} {
+	for _, rung := range []string{"gmres", "sparse-lu", "chord", "continuation"} {
 		if !strings.Contains(trail, rung) {
 			t.Fatalf("recovery trail %q missing rung %q", trail, rung)
 		}

@@ -42,8 +42,8 @@ import (
 type Site string
 
 const (
-	// SiteGMRESStagnate forces krylov.GMRES / krylov.GMRESDR to stop as
-	// stagnated (no convergence) regardless of the true residual.
+	// SiteGMRESStagnate forces krylov.GMRES to stop as stagnated (no
+	// convergence) regardless of the true residual.
 	SiteGMRESStagnate Site = "krylov.gmres.stagnate"
 	// SiteDenseLUSingular forces la.LU.FactorInto to report a singular matrix.
 	SiteDenseLUSingular Site = "la.lu.singular"

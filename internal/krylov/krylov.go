@@ -1,8 +1,8 @@
-// Package krylov implements matrix-free iterative linear solvers — GMRES(m)
-// and the recycling GMRESDR — with a block-Jacobi preconditioner.
+// Package krylov implements the matrix-free iterative linear solver —
+// restarted GMRES(m) — with a block-Jacobi preconditioner.
 // Paper §1/§4 (citing Saad): "the use of iterative linear techniques enables
-// large systems to be handled efficiently"; these solvers back the
-// large-system path of the WaMPDE Newton iterations.
+// large systems to be handled efficiently"; GMRES backs the large-system
+// path of the WaMPDE Newton iterations.
 package krylov
 
 import (
@@ -48,42 +48,35 @@ type Options struct {
 	Work *Workspace
 }
 
-// Workspace pools every per-solve buffer GMRES and GMRESDR need. Buffers are
-// sized on first use (and resized if the problem shape grows) and then reused
+// Workspace pools every per-solve buffer GMRES needs. Buffers are sized on
+// first use (and resized if the problem shape changes) and then reused
 // verbatim: the solves are bitwise identical to fresh allocation because the
-// algorithms never read an entry they did not write this solve — the only
-// regions read-before-write are the strictly-below-subdiagonal parts of the
-// Hessenberg factors, which no cycle ever writes, so they keep the zeros they
-// were created with.
+// algorithm never reads an entry it did not write this solve — the only
+// region read-before-write is the strictly-below-subdiagonal part of the
+// Hessenberg factor, which no cycle ever writes, so it keeps the zeros it
+// was created with.
 type Workspace struct {
-	n, m, maxk int
-	pb, r, pr  []float64
-	w          []float64
-	v          [][]float64
-	h, hr, bm  *la.Dense
-	cs, sn     []float64
-	g, ym      []float64
-	hist       []float64 // per-restart residuals, recycled across solves
+	n, m      int
+	pb, r, pr []float64
+	w         []float64
+	v         [][]float64
+	h         *la.Dense
+	cs, sn    []float64
+	g, ym     []float64
+	hist      []float64 // per-restart residuals, reused across solves
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily on the
 // first solve that uses it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the buffers for an n-dimensional solve with restart length m
-// and up to maxk deflation vectors, reallocating only when a dimension grows
-// or changes.
-func (ws *Workspace) ensure(n, m, maxk int) {
-	if maxk < 1 {
-		maxk = 1
-	}
-	if ws.n == n && ws.m == m && ws.maxk >= maxk {
+// ensure sizes the buffers for an n-dimensional solve with restart length m,
+// reallocating only when a dimension changes.
+func (ws *Workspace) ensure(n, m int) {
+	if ws.n == n && ws.m == m {
 		return
 	}
-	if maxk < ws.maxk {
-		maxk = ws.maxk
-	}
-	ws.n, ws.m, ws.maxk = n, m, maxk
+	ws.n, ws.m = n, m
 	ws.pb = make([]float64, n)
 	ws.r = make([]float64, n)
 	ws.pr = make([]float64, n)
@@ -93,8 +86,6 @@ func (ws *Workspace) ensure(n, m, maxk int) {
 		ws.v[i] = make([]float64, n)
 	}
 	ws.h = la.NewDense(m+1, m)
-	ws.hr = la.NewDense(m+1, m)
-	ws.bm = la.NewDense(maxk, m)
 	ws.cs = make([]float64, m)
 	ws.sn = make([]float64, m)
 	ws.g = make([]float64, m+1)
@@ -133,9 +124,6 @@ type Result struct {
 	// one per inner iteration plus one true-residual evaluation per restart
 	// cycle.
 	MatVecs int
-	// Recycled is the number of carried deflation vectors the solve started
-	// from (GMRESDR only; zero for the plain solvers).
-	Recycled int
 }
 
 // ErrNoConvergence is returned when the iteration cap is reached before the
@@ -164,7 +152,7 @@ func GMRES(a Operator, b, x []float64, opt Options) (Result, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.ensure(n, m, 1)
+	ws.ensure(n, m)
 	ws.hist = ws.hist[:0]
 
 	// Preconditioned RHS norm for the relative criterion.

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,6 +19,33 @@ func randomSPDish(rng *rand.Rand, n int) *la.Dense {
 		a.Add(i, i, float64(2*n))
 	}
 	return a
+}
+
+// randSPDish builds a well-conditioned unsymmetric test matrix: diagonally
+// dominant with random off-diagonal coupling, the same shape of system the
+// WaMPDE Jacobian produces after preconditioning.
+func randSPDish(n int, seed int64) *la.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	m := la.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				m.Set(i, j, 4+rng.Float64())
+			} else {
+				m.Set(i, j, 0.5*rng.NormFloat64()/float64(n))
+			}
+		}
+	}
+	return m
+}
+
+func randVec(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
 }
 
 func residual(a Operator, x, b []float64) float64 {
@@ -104,6 +132,103 @@ func TestGMRESZeroRHS(t *testing.T) {
 	}
 	if la.Norm2(x) != 0 {
 		t.Fatal("solution of Ax=0 should be 0")
+	}
+}
+
+// TestGMRESZeroRHSDiscardsGuess checks the b=0 fast path on a random
+// operator zeroes a non-zero initial iterate without applying the operator.
+func TestGMRESZeroRHSDiscardsGuess(t *testing.T) {
+	n := 8
+	m := randSPDish(n, 7)
+	x := randVec(n, 8) // non-zero initial guess must be discarded
+	res, err := GMRES(DenseOp{M: m}, make([]float64, n), x, Options{})
+	if err != nil || !res.Converged {
+		t.Fatalf("zero RHS: %+v err=%v", res, err)
+	}
+	for i, xi := range x {
+		if xi != 0 {
+			t.Fatalf("zero RHS: x[%d]=%g, want 0", i, xi)
+		}
+	}
+	if res.MatVecs != 0 {
+		t.Errorf("zero RHS cost %d matvecs, want 0", res.MatVecs)
+	}
+}
+
+// TestGMRESMatchesDenseLU checks GMRES against the dense-LU oracle on a
+// family of random systems, from the trivial n=1 up to one larger than the
+// default restart length.
+func TestGMRESMatchesDenseLU(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 20, 60} {
+		m := randSPDish(n, int64(100+n))
+		b := randVec(n, int64(200+n))
+		want, err := la.SolveDense(m.Clone(), b)
+		if err != nil {
+			t.Fatalf("n=%d: LU oracle failed: %v", n, err)
+		}
+		x := make([]float64, n)
+		res, err := GMRES(DenseOp{M: m}, b, x, Options{Tol: 1e-12})
+		if err != nil || !res.Converged {
+			t.Fatalf("n=%d: GMRES did not converge: %+v err=%v", n, res, err)
+		}
+		for i := range x {
+			if d := math.Abs(x[i] - want[i]); d > 1e-8*(1+math.Abs(want[i])) {
+				t.Errorf("n=%d: component %d deviates from LU oracle by %g", n, i, d)
+			}
+		}
+	}
+}
+
+// TestGMRESHappyBreakdown drives the solver with a RHS that spans an exact
+// low-dimensional invariant subspace, so the Arnoldi recurrence terminates
+// (happy breakdown) before the restart length is reached.
+func TestGMRESHappyBreakdown(t *testing.T) {
+	// Diagonal operator, b supported on two entries: the Krylov space closes
+	// after two vectors and the solution there is exact.
+	n := 10
+	m := la.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, float64(i+1))
+	}
+	b := make([]float64, n)
+	b[2], b[7] = 1, -3
+	x := make([]float64, n)
+	res, err := GMRES(DenseOp{M: m}, b, x, Options{Tol: 1e-13, Restart: n})
+	if err != nil || !res.Converged {
+		t.Fatalf("no convergence through happy breakdown: %+v err=%v", res, err)
+	}
+	if res.Iterations > 3 {
+		t.Errorf("expected breakdown after ~2 Arnoldi steps, took %d", res.Iterations)
+	}
+	if d := math.Abs(x[2]-1.0/3.0) + math.Abs(x[7]+3.0/8.0); d > 1e-12 {
+		t.Errorf("solution error %g after breakdown", d)
+	}
+}
+
+// TestGMRESStagnation uses the cyclic shift operator, for which GMRES makes
+// no progress until the full space is built; a tight MaxIter must surface
+// ErrNoConvergence with the best iterate and honest counters.
+func TestGMRESStagnation(t *testing.T) {
+	n := 30
+	m := la.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, (i+1)%n, 1)
+	}
+	b := make([]float64, n)
+	b[0] = 1
+	x := make([]float64, n)
+	res, err := GMRES(DenseOp{M: m}, b, x, Options{Tol: 1e-12, Restart: 5, MaxIter: 12})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("want ErrNoConvergence, got %v (%+v)", err, res)
+	}
+	if res.Converged {
+		t.Error("Converged=true at stagnation")
+	}
+	if res.Iterations > 12 {
+		t.Errorf("MaxIter=12 exceeded: %d iterations", res.Iterations)
+	}
+	if res.MatVecs == 0 {
+		t.Error("MatVecs not counted")
 	}
 }
 

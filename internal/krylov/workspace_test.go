@@ -8,9 +8,8 @@ import (
 
 // TestWorkspaceBitwiseIdentical proves that solving with a reused Workspace
 // yields bit-for-bit the same iterates and counters as fresh per-solve
-// allocation, for both plain GMRES and recycled GMRESDR across a sequence of
-// different right-hand sides (so the reused buffers carry real stale data in
-// between).
+// allocation across a sequence of different right-hand sides (so the reused
+// buffers carry real stale data in between).
 func TestWorkspaceBitwiseIdentical(t *testing.T) {
 	n := 40
 	a := randSPDish(n, 7)
@@ -47,40 +46,11 @@ func TestWorkspaceBitwiseIdentical(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("GMRESDR", func(t *testing.T) {
-		ws := NewWorkspace()
-		recF, recW := NewRecycler(2), NewRecycler(2)
-		for s, b := range rhs {
-			xf := make([]float64, n)
-			xw := make([]float64, n)
-			rf, ef := GMRESDR(op, b, xf, opt, recF)
-			wopt := opt
-			wopt.Work = ws
-			rw, ew := GMRESDR(op, b, xw, wopt, recW)
-			if (ef == nil) != (ew == nil) {
-				t.Fatalf("solve %d: error mismatch %v vs %v", s, ef, ew)
-			}
-			if rf != rw {
-				t.Fatalf("solve %d: result mismatch %+v vs %+v", s, rf, rw)
-			}
-			for i := range xf {
-				if xf[i] != xw[i] {
-					t.Fatalf("solve %d: x[%d] = %v (fresh) vs %v (workspace)", s, i, xf[i], xw[i])
-				}
-			}
-		}
-		if recF.Hits != recW.Hits || recF.Harvests != recW.Harvests {
-			t.Fatalf("recycler stats diverged: fresh %d/%d vs workspace %d/%d",
-				recF.Hits, recF.Harvests, recW.Hits, recW.Harvests)
-		}
-	})
 }
 
 // TestWorkspaceSteadyStateAllocs pins the point of the workspace: after the
 // first solve sizes the buffers, further GMRES solves through it allocate
-// nothing (GMRESDR additionally allocates only when it harvests a fresh
-// deflation space, which same-operator repeat solves do once).
+// nothing.
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	n := 40
 	a := randSPDish(n, 11)

@@ -16,8 +16,7 @@ func TestSupervisionEnvelopeKeysPinned(t *testing.T) {
 	s := core.Stats{
 		NewtonIterTotal: 1, LinearSolves: 2, Rejected: 3,
 		JacobianEvals: 4, JacobianReuses: 5,
-		GMRESSolves: 6, GMRESMatVecs: 7,
-		RecycleHits: 8, RecycleHarvests: 9, RecycleInvalidations: 10,
+		GMRESSolves: 6, GMRESMatVecs: 7, RecycleHits: 8,
 		GMRESStagnations: 11, GMRESBreakdowns: 12,
 		LinearGMRESRescues: 13, LinearLURescues: 14, LinearSparseLURescues: 15,
 		FullNewtonRescues: 16, DampedNewtonRescues: 17, ContinuationRescues: 18,
@@ -45,8 +44,7 @@ func TestSupervisionQPKeysPinned(t *testing.T) {
 	// step counters stay zero and their keys are pruned.
 	s := core.Stats{
 		NewtonIterTotal: 1, JacobianEvals: 4, JacobianReuses: 5,
-		GMRESSolves: 6, GMRESMatVecs: 7,
-		RecycleHits: 8, RecycleHarvests: 9, RecycleInvalidations: 10,
+		GMRESSolves: 6, GMRESMatVecs: 7, RecycleHits: 8,
 		GMRESStagnations: 11, GMRESBreakdowns: 12,
 		LinearGMRESRescues: 13, LinearLURescues: 14, LinearSparseLURescues: 15,
 		FullNewtonRescues: 16, DampedNewtonRescues: 17, ContinuationRescues: 18,

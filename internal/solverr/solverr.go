@@ -12,7 +12,7 @@
 //     values, exhausted budget, cancellation, ...), the key escalation
 //     policies dispatch on;
 //   - Stage: the solver stage that failed, dotted-path style
-//     ("newton", "krylov.gmresdr", "core.envelope.step");
+//     ("newton", "krylov.gmres", "core.envelope.step");
 //   - position (T2, Step) and progress (Iter, Residual, ResidualHistory)
 //     at the failure, when meaningful;
 //   - Unknown: the index of the offending unknown for non-finite failures;

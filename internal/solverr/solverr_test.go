@@ -53,10 +53,10 @@ func TestIsKindWalksChain(t *testing.T) {
 }
 
 func TestTrailOfCollectsAcrossChain(t *testing.T) {
-	inner := New(KindStagnation, "krylov.gmres", "stalled").Attempt("gmresdr").Attempt("gmres")
+	inner := New(KindSingular, "core.linear", "singular").Attempt("gmres").Attempt("sparse-lu")
 	outer := Wrap(KindStagnation, "core.envelope.step", inner).Attempt("chord").Attempt("full-newton")
 	got := TrailOf(outer)
-	want := []string{"chord", "full-newton", "gmresdr", "gmres"}
+	want := []string{"chord", "full-newton", "gmres", "sparse-lu"}
 	if len(got) != len(want) {
 		t.Fatalf("TrailOf = %v, want %v", got, want)
 	}

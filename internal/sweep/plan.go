@@ -1,8 +1,8 @@
 // Package sweep plans and executes continuation-ordered parameter sweeps:
 // batches of related solves whose points are ordered so each one starts next
 // to an already-solved neighbor, letting the executor thread warm-start
-// state (orbits, chord factorizations, Krylov deflation spaces — see
-// core.WarmStart) down the chain instead of cold-starting every point.
+// state (the converged orbit — see core.WarmStart) down the chain instead of
+// cold-starting every point.
 //
 // The package is deliberately solver-agnostic: a Plan is just an ordered
 // list of points, and Run drives an opaque Solver over it. The HTTP layer
