@@ -261,10 +261,10 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 // BenchmarkGMRESAllocs is the iterative-path counterpart: the same Fig. 7
 // envelope solved matrix-free through the supervised linear ladder (GMRES +
 // harmonic preconditioner, pooled Krylov workspaces). With the Arnoldi
-// basis, Givens scratch, operator kernels and preconditioner factors all
+// basis, Givens scratch, operator scratch and preconditioner factors all
 // persisting across solves, the allocs/op count pins the pooling — a leak in
 // any per-solve buffer shows up as a baseline regression in
-// `ci.sh bench-check`.
+// `ci.sh bench-check`, and TestHotLoopAllocBudget's matrix-free case fails.
 func BenchmarkGMRESAllocs(b *testing.B) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)

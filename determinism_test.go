@@ -1,11 +1,12 @@
 package wampde_test
 
-// Determinism contract of the internal/par worker pool: every parallelized
-// kernel uses a chunk layout that depends only on the problem size and
-// combines partial results in a fixed order, so solver output is bitwise
-// identical at any worker count. These tests run the full WaMPDE envelope
-// pipeline — initial condition, Newton, LU, preconditioners, FFT batches —
-// under several pool sizes and compare the results exactly.
+// Determinism contract of the internal/par worker pool: every pooled kernel
+// uses a chunk layout that depends only on the problem size, so solver
+// output is bitwise identical at any worker count. These tests run the full
+// WaMPDE envelope pipeline under several pool sizes and compare the results
+// exactly. The dense envelope reaches the pool through its LU trailing
+// updates; the quasiperiodic kernels and LU itself have their own worker
+// sweeps in internal/core and internal/la.
 
 import (
 	"fmt"
@@ -16,12 +17,13 @@ import (
 	"repro/internal/par"
 )
 
-// shortVacuumRun envelope-follows the vacuum VCO over a reduced span —
-// enough t2 steps to exercise every parallel kernel repeatedly, small
-// enough to keep the multi-worker sweep cheap.
+// shortVacuumRun envelope-follows the vacuum VCO over a reduced span. N1 =
+// 25 gives the paper's 101-unknown bordered system, whose first LU trailing
+// update splits into several row chunks; a smaller N1 would factor in one
+// chunk and never reach the pool.
 func shortVacuumRun(t *testing.T) *wampde.VCORun {
 	t.Helper()
-	run, err := wampde.RunPaperVCO(wampde.VCORunConfig{N1: 15, T2End: 20e-6, Steps: 60})
+	run, err := wampde.RunPaperVCO(wampde.VCORunConfig{N1: 25, T2End: 20e-6, Steps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +68,9 @@ func TestEnvelopeWorkerDeterminism(t *testing.T) {
 // TestMatrixFreeWorkerDeterminism runs the matrix-free GMRES envelope (the
 // iterative large-system path with chord Newton, as the cmd drivers
 // configure it) at 1, 2 and 8 workers and demands bitwise-identical results
-// and equal matvec counts: the Arnoldi arithmetic is serial, so the worker
-// count may only change how the parallel operator and preconditioner kernels
-// chunk — which the par contract keeps exact.
+// and equal matvec counts. Its operator and harmonic preconditioner run as
+// plain loops and no longer reach the pool; the test stays as a guard should
+// one of them be handed back to it.
 func TestMatrixFreeWorkerDeterminism(t *testing.T) {
 	matFreeRun := func() *wampde.VCORun {
 		run, err := wampde.RunPaperVCO(wampde.VCORunConfig{

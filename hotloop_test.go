@@ -1,9 +1,10 @@
 package wampde_test
 
-// Regression guards for the hot-loop allocation budget and the chord-Newton
-// factorization-reuse policy. The benchmarks in bench_test.go measure these
-// properties; the tests here lock them in so `go test ./...` catches a
-// regression without anyone reading benchmark output.
+// Regression guards for the hot-loop allocation budgets of the dense and
+// matrix-free envelope paths and for the chord-Newton factorization-reuse
+// policy. BenchmarkHotLoopAllocs and BenchmarkGMRESAllocs in bench_test.go
+// measure the two budgets; the tests here lock them in so `go test ./...`
+// catches a regression without anyone reading benchmark output.
 
 import (
 	"math"
@@ -31,12 +32,14 @@ func fig7IC(t *testing.T) (*wampde.VCO, []float64, float64) {
 }
 
 // TestHotLoopAllocBudget pins the envelope solver's allocation budget: one
-// Fig. 7 run (400 t2 steps) at one worker must stay within a fixed number of
-// heap allocations. With the FFT plans, LU/Newton workspaces, Jacobian slots
-// and parallel kernels all persisting across steps, the measured cost is
-// ~1.6 allocations per accepted step (the per-point result records dominate);
-// the budget below leaves ~4x headroom for runtime noise while still sitting
-// far under the tens of thousands the per-step churn used to cost.
+// Fig. 7 run (400 t2 steps) at one worker, on each linear path, must stay
+// within a fixed number of heap allocations. With the FFT plans, LU/Newton
+// and Krylov workspaces, Jacobian slots and preconditioner factors all
+// persisting across steps, the dense run measures ~1,440 allocations (~3.6
+// per accepted step; the per-point result records dominate) and the
+// matrix-free run ~2,020, although it applies its operator ~44,000 times.
+// The budgets sit ~1.7x and ~4x above those counts: far under the tens of
+// thousands that per-step churn, or one allocation per matvec, would cost.
 func TestHotLoopAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping full Fig. 7 envelope run")
@@ -46,18 +49,28 @@ func TestHotLoopAllocBudget(t *testing.T) {
 	defer par.SetWorkers(prev)
 
 	const t2End = 60e-6
-	opt := core.EnvelopeOptions{N1: 25, H2: t2End / 400, Trap: true}
-	allocs := testing.AllocsPerRun(1, func() {
-		res, err := core.Envelope(vco, ic, w0, t2End, opt)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		sinkF = res.Omega[len(res.Omega)-1]
-	})
-	const budget = 2500
-	if allocs > budget {
-		t.Errorf("Fig. 7 envelope run allocated %.0f objects, budget %d", allocs, budget)
+	for _, c := range []struct {
+		name   string
+		linear core.LinearKind
+		budget float64
+	}{
+		{"dense", core.LinearDenseLU, 2500},
+		{"matrix-free", core.LinearMatrixFree, 8000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := core.EnvelopeOptions{N1: 25, H2: t2End / 400, Trap: true, Linear: c.linear}
+			allocs := testing.AllocsPerRun(1, func() {
+				res, err := core.Envelope(vco, ic, w0, t2End, opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sinkF = res.Omega[len(res.Omega)-1]
+			})
+			if allocs > c.budget {
+				t.Errorf("Fig. 7 envelope run allocated %.0f objects, budget %.0f", allocs, c.budget)
+			}
+		})
 	}
 }
 

@@ -353,7 +353,7 @@ type envAssembler struct {
 	t2           float64
 	uStart, uEnd []float64 // continuation-rung input scratch
 	jqAvg, jfAvg *la.Dense
-	precMs       []*la.CDense // per-chunk bin assembly scratch, lo-indexed
+	precM        *la.CDense // one bin's system, factored into prec
 }
 
 func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOptions, stats *Stats) *envAssembler {

@@ -4,15 +4,8 @@ import (
 	"repro/internal/dae"
 	"repro/internal/fourier"
 	"repro/internal/la"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
-
-// ptGrain is how many collocation points one parallel chunk owns in the
-// per-point kernels (device evaluations, Jacobian row blocks). Grids up to
-// one grain collapse to a single chunk and run serially; the value must not
-// depend on the worker count (see package par's determinism contract).
-const ptGrain = 16
 
 // grid is the collocation grid under every multi-time solve (paper §4): n1
 // t1 points on each of `lines` t2 lines — one line for an envelope step, N2
@@ -43,16 +36,10 @@ type grid struct {
 	// storage, as the next residual rewrites both.
 	q, rhs, dq []float64
 	qBuf       []float64 // rhsAt's own q samples
-	fBuf       []float64 // per-chunk F scratch, lo-indexed
+	fBuf       []float64 // one point's F evaluation
 	jqs, jfs   []*la.Dense
 	jj         *la.Dense // dense Jacobian; nil on the matrix-free path
 	op         *SpectralOp
-
-	// Cached parallel kernels: closures handed to par.For escape, so each
-	// is built once and its per-call inputs travel through the k fields
-	// (a grid serves one solve at a time).
-	sampleFn, rhsFn, devJacFn, rowFn func(lo, hi int)
-	kx, kout, kom                    []float64
 }
 
 // newGrid builds a grid of `lines` lines of n1 points, with the input slots
@@ -73,7 +60,7 @@ func newGrid(sys dae.System, n1, lines int, t2 t2Axis, bord border, in lineInput
 		q:     make([]float64, nx),
 		rhs:   make([]float64, nx),
 		qBuf:  make([]float64, nx),
-		fBuf:  make([]float64, nx),
+		fBuf:  make([]float64, n),
 		jqs:   make([]*la.Dense, lines*n1),
 		jfs:   make([]*la.Dense, lines*n1),
 	}
@@ -84,51 +71,6 @@ func newGrid(sys dae.System, n1, lines int, t2 t2Axis, bord border, in lineInput
 	}
 	if dense {
 		g.jj = la.NewDense(nx+lines, nx+lines)
-	}
-	g.sampleFn = func(lo, hi int) {
-		x, out := g.kx, g.kout
-		for p := lo; p < hi; p++ {
-			g.sys.Q(x[p*n:(p+1)*n], out[p*n:(p+1)*n])
-		}
-	}
-	// Each point's spectral row and device F evaluation are fused into one
-	// pass; a chunk starting at point lo uses fBuf[lo·n:lo·n+n] as its
-	// private F scratch, so chunks never share device scratch.
-	g.rhsFn = func(lo, hi int) {
-		x, q, out, om := g.kx, g.qBuf, g.kout, g.kom
-		f := g.fBuf[lo*n : lo*n+n]
-		for p := lo; p < hi; p++ {
-			dst := out[p*n : (p+1)*n]
-			g.d1Row(p, q, dst)
-			g.sys.F(x[p*n:(p+1)*n], g.uAt(p), f)
-			omega := om[p/n1]
-			for i := 0; i < n; i++ {
-				dst[i] = omega*dst[i] + f[i]
-			}
-		}
-	}
-	g.devJacFn = func(lo, hi int) {
-		x := g.kx
-		for p := lo; p < hi; p++ {
-			xp := x[p*n : (p+1)*n]
-			g.sys.JQ(xp, g.jqs[p])
-			g.sys.JF(xp, g.uAt(p), g.jfs[p])
-		}
-	}
-	// Point p fills (zeroes, accumulates and scales) exactly its own n rows,
-	// gathering every coupling in a fixed order, so the assembly is
-	// worker-count independent.
-	g.rowFn = func(lo, hi int) {
-		jj, theta := g.jj, g.t2.theta()
-		for p := lo; p < hi; p++ {
-			l, r0 := p/n1, p*n
-			g.lineRows(p, jj, r0, l*n1*n, g.kom[l])
-			g.t2.addCross(g, p, jj, r0)
-			for r := 0; r < n; r++ {
-				jj.Row(r0 + r)[nx+l] = theta * g.dq[r0+r]
-			}
-			scaleRows(jj, r0, g.scale[r0:r0+n])
-		}
 	}
 	return g
 }
@@ -171,8 +113,10 @@ func (g *grid) d1Row(p int, q, dst []float64) {
 
 // sample evaluates q at every point of x into out.
 func (g *grid) sample(x, out []float64) {
-	g.kx, g.kout = x, out
-	par.For(g.points(), ptGrain, g.sampleFn)
+	n := g.n
+	for p := 0; p < g.points(); p++ {
+		g.sys.Q(x[p*n:(p+1)*n], out[p*n:(p+1)*n])
+	}
 }
 
 // d1q computes (D1⊗I)·q line by line into out.
@@ -185,9 +129,17 @@ func (g *grid) d1q(q, out []float64) {
 // rhsAt computes ω_l·(D1·q)ₚ + f(xₚ, uₚ) into out: it samples q(x) into its
 // own scratch, then fuses each point's spectral row with its F evaluation.
 func (g *grid) rhsAt(x, omegas, out []float64) {
+	n, f := g.n, g.fBuf
 	g.sample(x, g.qBuf)
-	g.kx, g.kout, g.kom = x, out, omegas
-	par.For(g.points(), ptGrain, g.rhsFn)
+	for p := 0; p < g.points(); p++ {
+		dst := out[p*n : (p+1)*n]
+		g.d1Row(p, g.qBuf, dst)
+		g.sys.F(x[p*n:(p+1)*n], g.uAt(p), f)
+		omega := omegas[p/g.n1]
+		for i := range dst {
+			dst[i] = omega*dst[i] + f[i]
+		}
+	}
 }
 
 // residual writes the row-scaled residual of z into r (the Newton Eval; it
@@ -216,18 +168,30 @@ func (g *grid) borderDot(l int, x []float64, acc float64) float64 {
 
 // linearize samples q and refreshes the per-point device Jacobian slots at z.
 func (g *grid) linearize(z []float64) {
+	n := g.n
 	g.sample(z[:g.nx], g.q)
-	g.kx = z
-	par.For(g.points(), ptGrain, g.devJacFn)
+	for p := 0; p < g.points(); p++ {
+		xp := z[p*n : (p+1)*n]
+		g.sys.JQ(xp, g.jqs[p])
+		g.sys.JF(xp, g.uAt(p), g.jfs[p])
+	}
 }
 
 // jacobian assembles the scaled, bordered dense Jacobian at z.
 func (g *grid) jacobian(z []float64) *la.Dense {
-	nx := g.nx
+	n, n1, nx := g.n, g.n1, g.nx
+	jj, theta := g.jj, g.t2.theta()
 	g.linearize(z)
 	g.d1q(g.q, g.dq)
-	g.kom = z[nx:]
-	par.For(g.points(), ptGrain, g.rowFn)
+	for p := 0; p < g.points(); p++ {
+		l, r0 := p/n1, p*n
+		g.lineRows(p, jj, r0, l*n1*n, z[nx+l])
+		g.t2.addCross(g, p, jj, r0)
+		for r := 0; r < n; r++ {
+			jj.Row(r0 + r)[nx+l] = theta * g.dq[r0+r]
+		}
+		scaleRows(jj, r0, g.scale[r0:r0+n])
+	}
 	for l := 0; l < g.lines; l++ {
 		row := g.jj.Row(nx + l)
 		clear(row)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/fourier"
-	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -41,11 +40,6 @@ type SpectralOp struct {
 	// t2 term) and JF·x, and the per-(line, state) spectral rows along t1.
 	qv, jfv []float64
 	spec    [][]complex128 // lines·n rows × n1
-
-	// Cached parallel kernels (see grid: closures handed to par.For escape,
-	// so they are built once and fed through the fields below).
-	blockFn, gatherFn, combineFn func(lo, hi int)
-	ax, ay                       []float64
 }
 
 func newSpectralOp(g *grid) *SpectralOp {
@@ -63,45 +57,13 @@ func newSpectralOp(g *grid) *SpectralOp {
 	for i := range op.spec {
 		op.spec[i] = make([]complex128, n1)
 	}
-	op.blockFn = func(lo, hi int) {
-		x := op.ax
-		for p := lo; p < hi; p++ {
-			xp := x[p*n : (p+1)*n]
-			g.jqs[p].MulVec(xp, op.qv[p*n:(p+1)*n])
-			g.jfs[p].MulVec(xp, op.jfv[p*n:(p+1)*n])
-		}
-	}
-	// spec row l·n+i holds state i along the t1 axis of line l.
-	op.gatherFn = func(lo, hi int) {
-		for rr := lo; rr < hi; rr++ {
-			l, i := rr/n, rr%n
-			row := op.spec[rr]
-			for j := 0; j < n1; j++ {
-				row[j] = complex(op.qv[(l*n1+j)*n+i], 0)
-			}
-		}
-	}
-	op.combineFn = func(lo, hi int) {
-		x, y := op.ax, op.ay
-		theta := g.t2.theta()
-		for p := lo; p < hi; p++ {
-			l, j := p/n1, p%n1
-			omega, domega := op.omegas[l], x[nx+l]
-			for r := 0; r < n; r++ {
-				idx := p*n + r
-				y[idx] = (op.qv[idx] + theta*op.jfv[idx] +
-					theta*omega*real(op.spec[l*n+r][j]) +
-					theta*op.dq[idx]*domega) / op.scale[idx]
-			}
-		}
-	}
 	return op
 }
 
 // operator (re)builds the grid's matrix-free operator at the iterate z: it
-// samples q, refreshes the per-point device Jacobian slots (the same
-// parallel kernels the dense assembly uses), computes the D1·q border
-// columns and snapshots the row scales and ω. No dense matrix is touched.
+// samples q, refreshes the per-point device Jacobian slots (as the dense
+// assembly does), computes the D1·q border columns and snapshots the row
+// scales and ω. No dense matrix is touched.
 func (g *grid) operator(z []float64) *SpectralOp {
 	if g.op == nil {
 		g.op = newSpectralOp(g)
@@ -122,20 +84,39 @@ func (op *SpectralOp) Dim() int { return op.g.nx + op.g.lines }
 // (i·2πk symbol, unpaired Nyquist bin zeroed), so they match the dense
 // DiffMatrix application to roundoff; the t2 pass transforms along N2 only
 // on a periodic grid. Every other term is evaluated with the same arithmetic
-// as the dense row assembly. All chunk layouts are grain-only, so the
-// product is bitwise worker-count independent.
+// as the dense row assembly.
 func (op *SpectralOp) Apply(x, y []float64) {
 	g := op.g
-	op.ax, op.ay = x, y
-	par.For(g.points(), ptGrain, op.blockFn)
-	par.For(len(op.spec), 1, op.gatherFn)
+	n, n1, nx := g.n, g.n1, g.nx
+	for p := 0; p < g.points(); p++ {
+		xp := x[p*n : (p+1)*n]
+		g.jqs[p].MulVec(xp, op.qv[p*n:(p+1)*n])
+		g.jfs[p].MulVec(xp, op.jfv[p*n:(p+1)*n])
+	}
+	// spec row l·n+i holds state i along the t1 axis of line l.
+	for rr, row := range op.spec {
+		l, i := rr/n, rr%n
+		for j := range row {
+			row[j] = complex(op.qv[(l*n1+j)*n+i], 0)
+		}
+	}
 	fourier.FFTRows(op.spec)
-	spectralDiffRows(op.spec, g.n1)
+	spectralDiffRows(op.spec, n1)
 	fourier.IFFTRows(op.spec)
 	g.t2.apply(g, op.qv, op.qv)
-	par.For(g.points(), ptGrain, op.combineFn)
+	theta := g.t2.theta()
+	for p := 0; p < g.points(); p++ {
+		l, j := p/n1, p%n1
+		omega, domega := op.omegas[l], x[nx+l]
+		for r := 0; r < n; r++ {
+			idx := p*n + r
+			y[idx] = (op.qv[idx] + theta*op.jfv[idx] +
+				theta*omega*real(op.spec[l*n+r][j]) +
+				theta*op.dq[idx]*domega) / op.scale[idx]
+		}
+	}
 	for l := 0; l < g.lines; l++ {
-		y[g.nx+l] = g.borderDot(l, x, 0) / op.scale[g.nx+l]
+		y[nx+l] = g.borderDot(l, x, 0) / op.scale[nx+l]
 	}
 }
 
@@ -188,20 +169,15 @@ func (op *SpectralOp) assembleSparse(tr *sparse.Triplet) {
 
 // spectralDiffRows applies the period-1 spectral differentiation symbol
 // i·2πk to FFT'd rows in place, zeroing the unpaired Nyquist bin of
-// even-length rows — exactly fourier.DiffSamples' convention. Rows are
-// independent; the per-bin multiply is exact, so any chunking is bitwise
-// deterministic.
+// even-length rows — exactly fourier.DiffSamples' convention.
 func spectralDiffRows(rows [][]complex128, m int) {
-	par.For(len(rows), 1, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := rows[r]
-			for k := range row {
-				if m%2 == 0 && k == m/2 {
-					row[k] = 0
-					continue
-				}
-				row[k] *= complex(0, 2*math.Pi*float64(fourier.HarmonicIndex(k, m)))
+	for _, row := range rows {
+		for k := range row {
+			if m%2 == 0 && k == m/2 {
+				row[k] = 0
+				continue
 			}
+			row[k] *= complex(0, 2*math.Pi*float64(fourier.HarmonicIndex(k, m)))
 		}
-	})
+	}
 }

@@ -151,6 +151,10 @@ func TestSpectralOpDenseMatchesFiniteDifference(t *testing.T) {
 	})
 }
 
+// TestSpectralOpWorkerCountInvariant requires the operator's Apply to be
+// bitwise identical at any worker count. Apply runs as a plain loop and no
+// longer reaches the pool; the test stays as a guard should it be handed
+// back to it.
 func TestSpectralOpWorkerCountInvariant(t *testing.T) {
 	forEachOracle(t, func(t *testing.T, rng *rand.Rand, g *grid, z []float64) {
 		op := g.operator(z)
@@ -272,9 +276,10 @@ func TestQPSpectralOpMatchesDenseJacobian(t *testing.T) {
 }
 
 // Every per-point kernel of a quasiperiodic Newton step — the residual, the
-// dense row assembly and the operator's Apply — on a grid of 144 points,
-// nine parallel chunks of ptGrain, must be bitwise identical at any worker
-// count.
+// dense row assembly and the operator's Apply — on a grid of 144 points must
+// be bitwise identical at any worker count. These kernels run as plain loops
+// and no longer reach the pool; the test stays as a guard should one be
+// handed back to it.
 func TestQPSpectralOpWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g, z, _ := qpOracle(t, rng, 16, 9)
@@ -358,17 +363,45 @@ func TestQuasiperiodicMatrixFreeMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := Quasiperiodic(sys, T2, guess, QPOptions{N1: 15, N2: 9})
-	if err != nil {
-		t.Fatal(err)
+	solve := func(linear LinearKind) *QPResult {
+		res, err := Quasiperiodic(sys, T2, guess, QPOptions{N1: 15, N2: 9, Linear: linear})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	mf, err := Quasiperiodic(sys, T2, guess, QPOptions{N1: 15, N2: 9, Linear: LinearMatrixFree})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer par.SetWorkers(par.SetWorkers(1))
+	kinds := []LinearKind{LinearDenseLU, LinearMatrixFree}
+	refs := []*QPResult{solve(kinds[0]), solve(kinds[1])}
+	dense, mf := refs[0], refs[1]
 	for j2 := range dense.Omega {
 		if math.Abs(dense.Omega[j2]-mf.Omega[j2]) > 1e-5*dense.Omega[j2] {
 			t.Fatalf("matrix-free ω[%d] = %v, dense %v", j2, mf.Omega[j2], dense.Omega[j2])
+		}
+	}
+	// The pooled kernels — dense LU of the 414-unknown system, the per-line
+	// block fill and the block-Jacobi factor and apply — must reproduce each
+	// path's one-worker run bitwise.
+	for _, nw := range []int{2, 8} {
+		par.SetWorkers(nw)
+		for k, linear := range kinds {
+			ref, got := refs[k], solve(linear)
+			if got.GMRESMatVecs != ref.GMRESMatVecs {
+				t.Errorf("workers=%d linear=%v: matvecs %d, want %d", nw, linear, got.GMRESMatVecs, ref.GMRESMatVecs)
+			}
+			for j2, w := range ref.Omega {
+				if got.Omega[j2] != w {
+					t.Fatalf("workers=%d linear=%v: ω[%d] = %v, want bitwise %v", nw, linear, j2, got.Omega[j2], w)
+				}
+				for j1, x := range ref.X[j2] {
+					for i, v := range x {
+						if got.X[j2][j1][i] != v {
+							t.Fatalf("workers=%d linear=%v: X[%d][%d][%d] = %v, want bitwise %v",
+								nw, linear, j2, j1, i, got.X[j2][j1][i], v)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fourier"
 	"repro/internal/la"
-	"repro/internal/par"
 )
 
 // harmonicPrec is the classic harmonic-balance preconditioner specialized
@@ -28,7 +27,7 @@ type harmonicPrec struct {
 	scale []float64 // row scales, snapshot at build time (see buildHarmonicPrec)
 	facts []*la.CLU // one per harmonic bin (length n1), refactored in place
 	spec  [][]complex128
-	xh    []complex128 // per-chunk bin-solve scratch, lo-indexed
+	xh    []complex128 // one bin's solve
 	bh    []complex128
 }
 
@@ -52,8 +51,9 @@ func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, 
 
 // buildHarmonicPrec (re)factors the per-harmonic systems into the
 // persistent workspace, allocating only on the first call. It averages the
-// per-point device Jacobian slots, which the caller (matFreeOpFor) has just
-// filled at the current iterate and inputs.
+// per-point device Jacobian slots, which the caller (the matrix-free
+// Jacobian of envAssembler.step, through grid.operator) has just filled at
+// the current iterate and inputs.
 func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	n1, n := a.g.n1, a.g.n
 	if a.prec == nil {
@@ -62,8 +62,8 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 			scale: make([]float64, len(a.g.scale)),
 			facts: make([]*la.CLU, n1),
 			spec:  make([][]complex128, n),
-			xh:    make([]complex128, n1*n),
-			bh:    make([]complex128, n1*n),
+			xh:    make([]complex128, n),
+			bh:    make([]complex128, n),
 		}
 		for bin := range a.prec.facts {
 			a.prec.facts[bin] = la.NewCLU(n)
@@ -81,39 +81,29 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	if a.jqAvg == nil {
 		a.jqAvg = la.NewDense(n, n)
 		a.jfAvg = la.NewDense(n, n)
-		a.precMs = make([]*la.CDense, n1)
-		for lo := 0; lo < n1; lo += ptGrain {
-			a.precMs[lo] = la.NewCDense(n, n)
-		}
+		a.precM = la.NewCDense(n, n)
 	}
-	// Average the device Jacobian slots serially in ascending j order so the
-	// float accumulation is worker-count independent.
 	a.jqAvg.Zero()
 	a.jfAvg.Zero()
 	for j := 0; j < n1; j++ {
 		a.jqAvg.AddScaled(1/float64(n1), a.g.jqs[j])
 		a.jfAvg.AddScaled(1/float64(n1), a.g.jfs[j])
 	}
-	jqAvg, jfAvg := a.jqAvg, a.jfAvg
-	p := a.prec
-	// One small complex refactorization per harmonic bin, spread over the
-	// pool; a chunk starting at bin lo assembles into its own scratch matrix.
-	return par.ForErr(n1, ptGrain, func(lo, hi int) error {
-		m := a.precMs[lo]
-		for bin := lo; bin < hi; bin++ {
-			hh := fourier.HarmonicIndex(bin, n1)
-			lam := complex(1/h, 2*math.Pi*float64(hh)*omega)
-			for r := 0; r < n; r++ {
-				for c := 0; c < n; c++ {
-					m.Set(r, c, lam*complex(jqAvg.At(r, c), 0)+complex(theta*jfAvg.At(r, c), 0))
-				}
-			}
-			if err := p.facts[bin].FactorInto(m); err != nil {
-				return err
+	// One small complex refactorization per harmonic bin.
+	jqAvg, jfAvg, m := a.jqAvg, a.jfAvg, a.precM
+	for bin, f := range a.prec.facts {
+		hh := fourier.HarmonicIndex(bin, n1)
+		lam := complex(1/h, 2*math.Pi*float64(hh)*omega)
+		for r := 0; r < n; r++ {
+			for c := 0; c < n; c++ {
+				m.Set(r, c, lam*complex(jqAvg.At(r, c), 0)+complex(theta*jfAvg.At(r, c), 0))
 			}
 		}
-		return nil
-	})
+		if err := f.FactorInto(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Precondition applies z ≈ J⁻¹·r for the row-scaled system: it first
@@ -122,42 +112,29 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 // owned by the struct, so repeated applications allocate nothing.
 func (p *harmonicPrec) Precondition(r, z []float64) {
 	n1, n := p.n1, p.n
-	// Gather per-state sample vectors, unscaling rows, then run the batched
-	// forward transforms on the worker pool.
+	// Gather per-state sample vectors, unscaling rows.
 	spec := p.spec
-	par.For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := spec[i]
-			for j := 0; j < n1; j++ {
-				row[j] = complex(r[j*n+i]*p.scale[j*n+i], 0)
-			}
+	for i, row := range spec {
+		for j := range row {
+			row[j] = complex(r[j*n+i]*p.scale[j*n+i], 0)
 		}
-	})
+	}
 	fourier.FFTRows(spec)
-	// Per-bin solves touch disjoint spec columns; a chunk starting at bin lo
-	// owns the n-slot scratch at lo·n.
-	par.For(n1, ptGrain, func(lo, hi int) {
-		xh := p.xh[lo*n : lo*n+n]
-		bh := p.bh[lo*n : lo*n+n]
-		for bin := lo; bin < hi; bin++ {
-			for i := 0; i < n; i++ {
-				bh[i] = spec[i][bin]
-			}
-			p.facts[bin].Solve(bh, xh)
-			for i := 0; i < n; i++ {
-				spec[i][bin] = xh[i]
-			}
+	for bin, f := range p.facts {
+		for i := range p.bh {
+			p.bh[i] = spec[i][bin]
 		}
-	})
+		f.Solve(p.bh, p.xh)
+		for i, v := range p.xh {
+			spec[i][bin] = v
+		}
+	}
 	fourier.IFFTRows(spec)
-	par.For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := spec[i]
-			for j := 0; j < n1; j++ {
-				z[j*n+i] = real(row[j])
-			}
+	for i, row := range spec {
+		for j, v := range row {
+			z[j*n+i] = real(v)
 		}
-	})
+	}
 	if len(r) > n1*n {
 		z[n1*n] = r[n1*n]
 	}

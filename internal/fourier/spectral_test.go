@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func sampleFn(n int, f func(t float64) float64) []float64 {
+func sampleUniform(n int, f func(t float64) float64) []float64 {
 	x := make([]float64, n)
 	for j := range x {
 		x[j] = f(float64(j) / float64(n))
@@ -20,8 +20,8 @@ func TestDiffMatrixExactOnTrigPolys(t *testing.T) {
 		d := DiffMatrix(n)
 		maxH := (n - 1) / 2
 		for h := 1; h <= maxH; h++ {
-			x := sampleFn(n, func(tt float64) float64 { return math.Sin(2 * math.Pi * float64(h) * tt) })
-			want := sampleFn(n, func(tt float64) float64 {
+			x := sampleUniform(n, func(tt float64) float64 { return math.Sin(2 * math.Pi * float64(h) * tt) })
+			want := sampleUniform(n, func(tt float64) float64 {
 				return 2 * math.Pi * float64(h) * math.Cos(2*math.Pi*float64(h)*tt)
 			})
 			for i := 0; i < n; i++ {
@@ -87,7 +87,7 @@ func TestDiffMatrixMatchesDiffSamples(t *testing.T) {
 
 func TestDiffSamplesOnCos(t *testing.T) {
 	n := 32
-	x := sampleFn(n, func(tt float64) float64 { return math.Cos(2 * math.Pi * 3 * tt) })
+	x := sampleUniform(n, func(tt float64) float64 { return math.Cos(2 * math.Pi * 3 * tt) })
 	dx := DiffSamples(x)
 	for j := 0; j < n; j++ {
 		tt := float64(j) / float64(n)
@@ -133,7 +133,7 @@ func TestInterpolateBandLimitedExact(t *testing.T) {
 	fn := func(tt float64) float64 {
 		return 1.5 + math.Sin(2*math.Pi*tt) - 0.5*math.Cos(2*math.Pi*3*tt)
 	}
-	x := sampleFn(n, fn)
+	x := sampleUniform(n, fn)
 	for _, tt := range []float64{0.05, 0.13, 0.777, 0.999, 1.23, -0.4} {
 		got := Interpolate(x, tt)
 		want := fn(tt - math.Floor(tt))
@@ -161,7 +161,7 @@ func TestInterpolatorMatchesInterpolate(t *testing.T) {
 func TestCoefficientsOfKnownSignal(t *testing.T) {
 	// x(t) = 2 + cos(2πt): c_0 = 2, c_{±1} = 1/2.
 	n := 9
-	x := sampleFn(n, func(tt float64) float64 { return 2 + math.Cos(2*math.Pi*tt) })
+	x := sampleUniform(n, func(tt float64) float64 { return 2 + math.Cos(2*math.Pi*tt) })
 	c := Coefficients(x)
 	m := (n - 1) / 2
 	for h := -m; h <= m; h++ {
@@ -181,7 +181,7 @@ func TestCoefficientsOfKnownSignal(t *testing.T) {
 
 func TestSpectrum1Sided(t *testing.T) {
 	n := 64
-	x := sampleFn(n, func(tt float64) float64 {
+	x := sampleUniform(n, func(tt float64) float64 {
 		return 3 + 2*math.Sin(2*math.Pi*4*tt) + 0.5*math.Cos(2*math.Pi*10*tt)
 	})
 	amp := Spectrum1Sided(x)

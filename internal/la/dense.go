@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/par"
 )
 
 // Dense is a row-major dense real matrix.
@@ -148,29 +146,25 @@ func (m *Dense) MulVec(x, y []float64) {
 	}
 }
 
-// Mul computes C = A B as a new matrix. Output rows are independent, so
-// they are computed in parallel chunks; each row accumulates its inner
-// products in the same k order at any worker count.
+// Mul computes C = A B as a new matrix.
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.Cols != b.Rows {
 		panic("la: Mul dimension mismatch")
 	}
 	c := NewDense(m.Rows, b.Cols)
-	par.For(m.Rows, 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-			crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for k, a := range arow {
-				if a == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					crow[j] += a * bv
-				}
+	for i := 0; i < m.Rows; i++ {
+		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
+		for k, a := range arow {
+			if a == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				crow[j] += a * bv
 			}
 		}
-	})
+	}
 	return c
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 func randomWellConditioned(rng *rand.Rand, n int) *Dense {
@@ -268,6 +270,42 @@ func TestFactorIntoReuse(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("FactorInto+Solve allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestFactorIntoWorkerCountInvariant factors one n = 200 matrix — four
+// panel trailing updates, each split into row chunks over the pool — at 1,
+// 2 and 8 workers and requires bitwise-identical factors and pivots.
+func TestFactorIntoWorkerCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := NewDense(200, 200)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	defer par.SetWorkers(par.SetWorkers(1))
+	ref := NewLU(a.Rows)
+	if err := ref.FactorInto(a); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 8} {
+		par.SetWorkers(w)
+		got := NewLU(a.Rows)
+		if err := got.FactorInto(a); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range ref.lu.Data {
+			if got.lu.Data[i] != v {
+				t.Fatalf("workers=%d: factor entry %d = %v, want bitwise %v", w, i, got.lu.Data[i], v)
+			}
+		}
+		for i, p := range ref.piv {
+			if got.piv[i] != p {
+				t.Fatalf("workers=%d: piv[%d] = %d, want %d", w, i, got.piv[i], p)
+			}
+		}
+		if got.signP != ref.signP {
+			t.Fatalf("workers=%d: permutation sign %d, want %d", w, got.signP, ref.signP)
+		}
 	}
 }
 

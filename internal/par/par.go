@@ -1,20 +1,20 @@
-// Package par is the repository's bounded worker-pool substrate. Every
-// parallel hot path in the simulator — Jacobian assembly, LU panel updates,
-// batched FFTs, preconditioner construction, shooting sensitivities — runs
-// through the helpers here, so one package owns the policy for how many
-// goroutines exist and how work is chunked.
+// Package par is the repository's bounded worker pool. It runs only
+// kernels in which each chunk updates or factors a whole matrix: the
+// trailing updates of a dense LU panel (la.LU.FactorInto), the quasiperiodic
+// solve's per-line diagonal blocks (core's fillLines), and the block-Jacobi
+// preconditioner's factor and apply (krylov). Per-collocation-point and
+// per-harmonic kernels do microseconds of work per call, less than a
+// dispatch costs, so they run as plain loops on the calling goroutine.
 //
 // # Determinism
 //
-// All helpers guarantee results independent of the worker count, including
-// the serial fallback: the chunk decomposition of an index range depends
-// only on (n, grain), never on how many workers execute the chunks, and
-// reductions combine per-chunk partials in ascending chunk order. A kernel
-// passed to For/ForErr must keep each index's output independent of which
-// chunk computed it (the natural style: chunk [lo,hi) writes only data
-// owned by indices in [lo,hi)); under that contract the floating-point
-// result is bitwise identical for any worker count, which the repository's
-// determinism tests assert end to end.
+// The chunk decomposition of an index range depends only on (n, grain),
+// never on how many workers execute the chunks, and ForErr reports errors in
+// ascending chunk order. A kernel passed to For/ForErr must keep each
+// index's output independent of which chunk computed it (the natural style:
+// chunk [lo,hi) writes only data owned by indices in [lo,hi)); under that
+// contract the floating-point result is bitwise identical for any worker
+// count, which the repository's determinism tests assert end to end.
 //
 // # Sizing
 //
@@ -24,8 +24,8 @@
 // goroutine — no goroutines are spawned, so small problems pay nothing.
 // Callers choose grain so that small inputs collapse to a single chunk
 // (serial) and large inputs produce chunks of a few microseconds of work;
-// grain must not be derived from Workers(), or the chunk layout (and with
-// it any reduction order) would depend on the worker count.
+// grain must not be derived from Workers(), or the chunk layout would
+// depend on the worker count.
 package par
 
 import (
@@ -174,65 +174,4 @@ func ForErr(n, grain int, fn func(lo, hi int) error) error {
 		}
 	}
 	return nil
-}
-
-// Map evaluates fn at every index of [0, n) on the worker pool and returns
-// the results in index order.
-func Map[T any](n, grain int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
-}
-
-// Reduce computes fn over each chunk of [0, n) on the worker pool and folds
-// the per-chunk partials with combine in ascending chunk order. Because the
-// chunk layout depends only on (n, grain), the result — including its
-// floating-point rounding — is independent of the worker count. n ≤ 0
-// returns the zero value.
-func Reduce[T any](n, grain int, fn func(lo, hi int) T, combine func(a, b T) T) T {
-	var zero T
-	if n <= 0 {
-		return zero
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	parts := make([]T, numChunks(n, grain))
-	For(n, grain, func(lo, hi int) {
-		parts[lo/grain] = fn(lo, hi)
-	})
-	acc := parts[0]
-	for i := 1; i < len(parts); i++ {
-		acc = combine(acc, parts[i])
-	}
-	return acc
-}
-
-// ReduceSum is Reduce specialized to summing float64 chunk partials.
-func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
-	return Reduce(n, grain, fn, func(a, b float64) float64 { return a + b })
-}
-
-// ReduceMax is Reduce specialized to the maximum of float64 chunk partials.
-// The identity for an empty range is 0.
-func ReduceMax(n, grain int, fn func(lo, hi int) float64) float64 {
-	return Reduce(n, grain, fn, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// Do runs the given independent closures on the worker pool.
-func Do(fns ...func()) {
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
 }

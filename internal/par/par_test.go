@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -94,59 +93,6 @@ func TestForDeterministicOutput(t *testing.T) {
 	}
 }
 
-// TestReduceSumOrderIndependentOfWorkers exercises a sum whose result is
-// sensitive to association order: the partial combine order must be fixed
-// by the chunk layout, not the schedule.
-func TestReduceSumOrderIndependentOfWorkers(t *testing.T) {
-	const n = 10000
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)))
-	}
-	sum := func() float64 {
-		return ReduceSum(n, 37, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		})
-	}
-	var ref float64
-	for i, w := range []int{1, 2, 3, 5, 16} {
-		withWorkers(t, w, func() {
-			got := sum()
-			if i == 0 {
-				ref = got
-				return
-			}
-			if got != ref {
-				t.Fatalf("workers=%d: sum=%x, want %x", w, got, ref)
-			}
-		})
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	got := ReduceMax(100, 9, func(lo, hi int) float64 {
-		m := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			v := -math.Abs(float64(i) - 63.5)
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	})
-	if got != -0.5 {
-		t.Fatalf("ReduceMax = %v, want -0.5", got)
-	}
-	if v := ReduceMax(0, 4, func(lo, hi int) float64 { return 99 }); v != 0 {
-		t.Fatalf("empty ReduceMax = %v, want 0", v)
-	}
-}
-
 func TestForErrReturnsLowestChunkError(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		withWorkers(t, w, func() {
@@ -164,31 +110,6 @@ func TestForErrReturnsLowestChunkError(t *testing.T) {
 	if err := ForErr(50, 7, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatalf("clean run returned %v", err)
 	}
-}
-
-func TestMap(t *testing.T) {
-	withWorkers(t, 4, func() {
-		got := Map(10, 3, func(i int) int { return i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-			}
-		}
-	})
-}
-
-func TestDo(t *testing.T) {
-	withWorkers(t, 3, func() {
-		var a, b, c int32
-		Do(
-			func() { atomic.StoreInt32(&a, 1) },
-			func() { atomic.StoreInt32(&b, 2) },
-			func() { atomic.StoreInt32(&c, 3) },
-		)
-		if a != 1 || b != 2 || c != 3 {
-			t.Fatalf("Do results %d %d %d", a, b, c)
-		}
-	})
 }
 
 func TestForPanicPropagates(t *testing.T) {

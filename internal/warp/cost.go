@@ -1,10 +1,6 @@
 package warp
 
-import (
-	"math"
-
-	"repro/internal/par"
-)
+import "math"
 
 // Grid2D is a uniform sampling of a bivariate function on
 // [0,P1) × [0,P2): Val[j2][j1] = f(j1·P1/N1, j2·P2/N2). Both axes are
@@ -16,21 +12,17 @@ type Grid2D struct {
 	Val    [][]float64
 }
 
-// SampleGrid evaluates f on an N1×N2 uniform periodic grid. Rows are
-// independent, so they are sampled on the worker pool; f must therefore be
-// safe for concurrent calls (the closures used here are pure).
+// SampleGrid evaluates f on an N1×N2 uniform periodic grid.
 func SampleGrid(f func(t1, t2 float64) float64, n1, n2 int, p1, p2 float64) *Grid2D {
 	g := &Grid2D{N1: n1, N2: n2, P1: p1, P2: p2, Val: make([][]float64, n2)}
-	par.For(n2, 4, func(lo, hi int) {
-		for j2 := lo; j2 < hi; j2++ {
-			row := make([]float64, n1)
-			t2 := p2 * float64(j2) / float64(n2)
-			for j1 := 0; j1 < n1; j1++ {
-				row[j1] = f(p1*float64(j1)/float64(n1), t2)
-			}
-			g.Val[j2] = row
+	for j2 := range g.Val {
+		row := make([]float64, n1)
+		t2 := p2 * float64(j2) / float64(n2)
+		for j1 := range row {
+			row[j1] = f(p1*float64(j1)/float64(n1), t2)
 		}
-	})
+		g.Val[j2] = row
+	}
 	return g
 }
 
@@ -69,22 +61,17 @@ func (g *Grid2D) NumSamples() int { return g.N1 * g.N2 }
 func RepresentationError(f func(t1, t2 float64) float64, n1, n2 int, p1, p2 float64) float64 {
 	g := SampleGrid(f, n1, n2, p1, p2)
 	const probe = 61 // dense, deliberately incommensurate with grid sizes
-	// Max over probe rows: per-chunk maxima combine in ascending chunk
-	// order, so the result is identical at any worker count (max is
-	// order-independent anyway; the fold order is fixed for uniformity).
-	return par.ReduceMax(probe, 4, func(lo, hi int) float64 {
-		worst := 0.0
-		for a := lo; a < hi; a++ {
-			for b := 0; b < probe; b++ {
-				t1 := p1 * (float64(a) + 0.35) / probe
-				t2 := p2 * (float64(b) + 0.35) / probe
-				if d := math.Abs(g.Eval(t1, t2) - f(t1, t2)); d > worst {
-					worst = d
-				}
+	worst := 0.0
+	for a := 0; a < probe; a++ {
+		for b := 0; b < probe; b++ {
+			t1 := p1 * (float64(a) + 0.35) / probe
+			t2 := p2 * (float64(b) + 0.35) / probe
+			if d := math.Abs(g.Eval(t1, t2) - f(t1, t2)); d > worst {
+				worst = d
 			}
 		}
-		return worst
-	})
+	}
+	return worst
 }
 
 // UnivariateSampleCount returns the number of samples a direct transient-
