@@ -296,7 +296,7 @@ func BenchmarkBaselineHBVanDerPol(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := hb.Autonomous(sys, 6.6, guess, hb.Options{N: N, Damping: true, MaxIter: 200})
+		sol, err := hb.Autonomous(sys, 6.6, guess, hb.Options{N: N, MaxIter: 200})
 		if err != nil {
 			b.Fatal(err)
 		}

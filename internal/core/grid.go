@@ -4,6 +4,7 @@ import (
 	"repro/internal/dae"
 	"repro/internal/fourier"
 	"repro/internal/la"
+	"repro/internal/solverr"
 	"repro/internal/sparse"
 )
 
@@ -268,7 +269,7 @@ type border struct {
 func phaseBorder(sys dae.Autonomous, kind PhaseKind, n1 int, x0 []float64) (border, error) {
 	n, k := sys.Dim(), sys.OscVar()
 	if k < 0 || k >= n {
-		return border{}, ErrNeedOscillation
+		return border{}, solverr.Wrap(solverr.KindBadInput, "core.phase", ErrNeedOscillation)
 	}
 	w, err := phaseRow(kind, n1)
 	if err != nil {

@@ -30,11 +30,10 @@ type ICOptions struct {
 	Warm *WarmStart
 }
 
-// InitialCondition computes (x̂(·,0), ω(0)) for Envelope: it settles onto
-// the limit cycle by transient integration, sharpens the orbit with
-// autonomous shooting, and samples one period onto the N1-point warped-time
-// grid, rotated so the oscillation variable peaks at t1 = 0 (making
-// PhaseDerivativeZero hold at the start).
+// InitialCondition computes (x̂(·,0), ω(0)) for Envelope: it lands on the
+// limit cycle with LimitCycle and samples one period onto the N1-point
+// warped-time grid, rotated so the oscillation variable peaks at t1 = 0
+// (making PhaseDerivativeZero hold at the start).
 //
 // xGuess seeds the settling transient (it must be off the unstable
 // equilibrium); TGuess estimates the period.
@@ -42,49 +41,11 @@ func InitialCondition(sys dae.Autonomous, xGuess []float64, TGuess float64, opt 
 	if opt.N1 <= 0 {
 		opt.N1 = 25
 	}
-	if opt.SettleCycles <= 0 {
-		opt.SettleCycles = 20
+	pss, err := LimitCycle(sys, xGuess, TGuess, opt)
+	if err != nil {
+		return nil, 0, err
 	}
-	if opt.Shooting.Method != transient.Trap {
-		opt.Shooting.Method = transient.Trap
-	}
-	n := sys.Dim()
-	if len(xGuess) != n {
-		return nil, 0, solverr.New(solverr.KindBadInput, "core.ic", "len(xGuess)=%d, want %d", len(xGuess), n)
-	}
-	if TGuess <= 0 {
-		return nil, 0, solverr.New(solverr.KindBadInput, "core.ic", "TGuess must be positive")
-	}
-	var pss *shooting.PSS
-	if opt.Warm.HasOrbit(n) {
-		// Warm continuation: shoot straight from the carried neighbor orbit.
-		p, werr := shooting.Autonomous(sys, opt.Warm.X0, opt.Warm.T, opt.Shooting)
-		switch {
-		case werr == nil:
-			opt.Warm.Uses++
-			pss = p
-		case solverr.IsKind(werr, solverr.KindCanceled):
-			return nil, 0, werr
-		default:
-			// Supervision failed on the carried state: fall back to the cold
-			// preamble below and record it.
-			opt.Warm.Fallbacks++
-		}
-	}
-	if pss == nil {
-		frozen := shooting.Freeze(sys, opt.Shooting.FrozenInputTime)
-		settle, serr := transient.Simulate(frozen, xGuess, 0, float64(opt.SettleCycles)*TGuess,
-			transient.Options{Method: transient.Trap, H: TGuess / 128, Ctx: opt.Shooting.Ctx})
-		if serr != nil {
-			return nil, 0, solverr.Wrap(solverr.KindOf(serr), "core.ic", serr).WithMsg("settling transient failed")
-		}
-		x0 := settle.X[len(settle.X)-1]
-		pss, err = shooting.Autonomous(sys, x0, TGuess, opt.Shooting)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	k := sys.OscVar()
+	n, k := sys.Dim(), sys.OscVar()
 	// Locate the peak of the oscillation variable over the orbit.
 	tPeak := orbitPeak(pss.Orbit, k, pss.T)
 	// Sample one period, shifted so the peak lands at t1 = 0.
@@ -96,8 +57,57 @@ func InitialCondition(sys dae.Autonomous, xGuess []float64, TGuess float64, opt 
 			xhat0[j*n+i] = pss.Orbit.At(tt, i)
 		}
 	}
-	opt.Warm.SetOrbit(pss.X0, pss.T)
 	return xhat0, 1 / pss.T, nil
+}
+
+// LimitCycle is the settle-and-shoot step of InitialCondition: it settles
+// onto the limit cycle by a trapezoidal transient of the system with inputs
+// frozen at t = 0, then sharpens the orbit with autonomous trapezoidal
+// shooting. A warm carrier with an orbit replaces the settle (see
+// ICOptions.Warm) and is refreshed with the result. opt.N1 is not used.
+func LimitCycle(sys dae.Autonomous, xGuess []float64, TGuess float64, opt ICOptions) (*shooting.PSS, error) {
+	if opt.SettleCycles <= 0 {
+		opt.SettleCycles = 20
+	}
+	if opt.Shooting.Method != transient.Trap {
+		opt.Shooting.Method = transient.Trap
+	}
+	n := sys.Dim()
+	if len(xGuess) != n {
+		return nil, solverr.New(solverr.KindBadInput, "core.ic", "len(xGuess)=%d, want %d", len(xGuess), n)
+	}
+	if TGuess <= 0 {
+		return nil, solverr.New(solverr.KindBadInput, "core.ic", "TGuess must be positive")
+	}
+	var pss *shooting.PSS
+	if opt.Warm.HasOrbit(n) {
+		// Warm continuation: shoot straight from the carried neighbor orbit.
+		p, werr := shooting.Autonomous(sys, opt.Warm.X0, opt.Warm.T, opt.Shooting)
+		switch {
+		case werr == nil:
+			opt.Warm.Uses++
+			pss = p
+		case solverr.IsKind(werr, solverr.KindCanceled):
+			return nil, werr
+		default:
+			// Supervision failed on the carried state: fall back to the cold
+			// preamble below and record it.
+			opt.Warm.Fallbacks++
+		}
+	}
+	if pss == nil {
+		settle, err := transient.Simulate(shooting.Freeze(sys, 0), xGuess, 0, float64(opt.SettleCycles)*TGuess,
+			transient.Options{Method: transient.Trap, H: TGuess / 128, Ctx: opt.Shooting.Ctx})
+		if err != nil {
+			return nil, solverr.Wrap(solverr.KindOf(err), "core.ic", err).WithMsg("settling transient failed")
+		}
+		pss, err = shooting.Autonomous(sys, settle.X[len(settle.X)-1], TGuess, opt.Shooting)
+		if err != nil {
+			return nil, err
+		}
+	}
+	opt.Warm.SetOrbit(pss.X0, pss.T)
+	return pss, nil
 }
 
 // orbitPeak finds the time of the maximum of state k over one period,

@@ -1,146 +1,12 @@
 // Package fourier implements the discrete Fourier machinery used by the
-// harmonic-balance and spectral-collocation solvers: an FFT for arbitrary
-// lengths (radix-2 plus Bluestein's algorithm), real-signal helpers,
-// spectral differentiation, and trigonometric interpolation.
+// harmonic-balance and spectral-collocation solvers: cached FFT plans for
+// arbitrary lengths (radix-2 plus Bluestein's algorithm, see Plan), batched
+// row transforms, spectral differentiation, and trigonometric
+// interpolation.
 //
 // Convention: the forward transform is X[k] = Σ_n x[n]·e^{-2πikn/N} and the
 // inverse is x[n] = (1/N)·Σ_k X[k]·e^{+2πikn/N}, so Inverse(Forward(x)) = x.
 package fourier
-
-import "math"
-
-// FFT returns the forward DFT of x. The input is not modified. Any length
-// (including 0 and non-powers of two) is supported.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
-// IFFT returns the inverse DFT (with 1/N normalization) of x.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, true)
-	return out
-}
-
-func fftInPlace(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if n&(n-1) == 0 {
-		radix2(x, inverse)
-	} else {
-		bluestein(x, inverse)
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
-}
-
-// radix2 runs the iterative Cooley-Tukey FFT; len(x) must be a power of two.
-// No normalization is applied.
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	// Bit-reversal permutation.
-	for i, j := 0, 0; i < n; i++ {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-		mask := n >> 1
-		for ; j&mask != 0; mask >>= 1 {
-			j &^= mask
-		}
-		j |= mask
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		ang := sign * 2 * math.Pi / float64(size)
-		wstep := complex(math.Cos(ang), math.Sin(ang))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wstep
-			}
-		}
-	}
-}
-
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// using a power-of-two convolution. No normalization is applied.
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = e^{sign·iπ k²/n}. Compute k² mod 2n to avoid huge angles.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := sign * math.Pi * float64(kk) / float64(n)
-		chirp[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		conj := complex(real(chirp[k]), -imag(chirp[k]))
-		b[k] = conj
-		if k > 0 {
-			b[m-k] = conj
-		}
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	scale := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * scale * chirp[k]
-	}
-}
-
-// FFTReal transforms a real signal, returning the full complex spectrum.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	fftInPlace(c, false)
-	return c
-}
-
-// IFFTReal inverts a spectrum assumed to be conjugate-symmetric, returning
-// the real part of the inverse transform.
-func IFFTReal(spec []complex128) []float64 {
-	c := IFFT(spec)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
 
 // HarmonicIndex maps the DFT bin k of an N-point transform to its signed
 // harmonic number in [-N/2, N/2): bins above N/2 are negative frequencies.

@@ -12,17 +12,16 @@ func cAlmostEq(a, b complex128, tol float64) bool {
 	return cmplx.Abs(a-b) <= tol*(1+cmplx.Abs(a)+cmplx.Abs(b))
 }
 
-func naiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, ang))
-		}
-		out[k] = s
-	}
+// forward and inverse run the shared plan out of place.
+func forward(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).Forward(out, x)
+	return out
+}
+
+func inverse(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).Inverse(out, x)
 	return out
 }
 
@@ -36,10 +35,10 @@ func randomComplex(rng *rand.Rand, n int) []complex128 {
 
 func TestFFTMatchesNaiveDFTAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for n := 0; n <= 33; n++ {
+	for n := 1; n <= 33; n++ {
 		x := randomComplex(rng, n)
-		got := FFT(x)
-		want := naiveDFT(x)
+		got := forward(x)
+		want := oracleDFT(x, false)
 		for k := range want {
 			if !cAlmostEq(got[k], want[k], 1e-9) {
 				t.Fatalf("n=%d bin %d: %v vs %v", n, k, got[k], want[k])
@@ -51,9 +50,9 @@ func TestFFTMatchesNaiveDFTAllSizes(t *testing.T) {
 func TestFFTRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(100)
+		n := 1 + rng.Intn(99)
 		x := randomComplex(rng, n)
-		y := IFFT(FFT(x))
+		y := inverse(forward(x))
 		for i := range x {
 			if !cAlmostEq(x[i], y[i], 1e-10) {
 				return false
@@ -71,7 +70,7 @@ func TestFFTParsevalProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
 		x := randomComplex(rng, n)
-		spec := FFT(x)
+		spec := forward(x)
 		var et, ef float64
 		for i := range x {
 			et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -94,7 +93,7 @@ func TestFFTLinearity(t *testing.T) {
 	for i := range z {
 		z[i] = 2*x[i] - 3i*y[i]
 	}
-	fx, fy, fz := FFT(x), FFT(y), FFT(z)
+	fx, fy, fz := forward(x), forward(y), forward(z)
 	for k := range fz {
 		if !cAlmostEq(fz[k], 2*fx[k]-3i*fy[k], 1e-10) {
 			t.Fatalf("linearity violated at bin %d", k)
@@ -110,7 +109,7 @@ func TestFFTPureToneLandsInOneBin(t *testing.T) {
 		ang := 2 * math.Pi * float64(h) * float64(j) / float64(n)
 		x[j] = cmplx.Exp(complex(0, ang))
 	}
-	spec := FFT(x)
+	spec := forward(x)
 	for k := range spec {
 		want := complex(0, 0)
 		if k == h {
@@ -129,13 +128,16 @@ func TestFFTRealConjugateSymmetry(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	spec := FFTReal(x)
+	p := PlanFFT(n)
+	spec := make([]complex128, n)
+	p.ForwardReal(spec, x)
 	for k := 1; k < n; k++ {
 		if !cAlmostEq(spec[k], cmplx.Conj(spec[n-k]), 1e-10) {
 			t.Fatalf("conjugate symmetry broken at %d", k)
 		}
 	}
-	back := IFFTReal(spec)
+	back := make([]float64, n)
+	p.InverseReal(back, spec)
 	for i := range x {
 		if math.Abs(back[i]-x[i]) > 1e-10 {
 			t.Fatalf("real round trip failed at %d", i)
@@ -159,8 +161,8 @@ func TestBluesteinPrimeSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{3, 5, 7, 11, 13, 17, 97, 101} {
 		x := randomComplex(rng, n)
-		got := FFT(x)
-		want := naiveDFT(x)
+		got := forward(x)
+		want := oracleDFT(x, false)
 		for k := range want {
 			if !cAlmostEq(got[k], want[k], 1e-8) {
 				t.Fatalf("prime n=%d bin %d differ", n, k)

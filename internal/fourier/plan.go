@@ -12,10 +12,6 @@ import (
 // convolution kernel — so repeated transforms of the same length perform no
 // setup work and no allocation. Plans are immutable after construction and
 // safe for concurrent use; Bluestein scratch comes from an internal pool.
-//
-// Transforms executed through a Plan are bitwise identical to the one-shot
-// FFT/IFFT functions: the tables are generated by the exact recurrences the
-// one-shot kernels evaluate inline.
 type Plan struct {
 	n int // transform length
 
@@ -143,9 +139,9 @@ func newPlan(n int) *Plan {
 	return p
 }
 
-// bitrevTable precomputes the permutation the radix2 kernel applies with its
-// incremental carry loop; rev[i] is the j paired with i, and the kernel swaps
-// only when i < rev[i], exactly as the one-shot kernel does.
+// bitrevTable precomputes the bit-reversal permutation with an incremental
+// carry loop; rev[i] is the j paired with i, and the radix2 kernel swaps only
+// when i < rev[i].
 func bitrevTable(n int) []int32 {
 	rev := make([]int32, n)
 	for i, j := 0, 0; i < n; i++ {
@@ -159,10 +155,9 @@ func bitrevTable(n int) []int32 {
 	return rev
 }
 
-// twiddleTable tabulates the per-stage twiddle sequence via the same
-// w *= wstep recurrence the one-shot kernel runs per block (every block of a
-// stage sees the same sequence), so planned butterflies multiply by bitwise
-// identical factors. Stage of size 2,4,...,n contributes size/2 entries.
+// twiddleTable tabulates the per-stage twiddle sequence by the w *= wstep
+// recurrence (every block of a stage sees the same sequence). Stage of size
+// 2,4,...,n contributes size/2 entries.
 func twiddleTable(n int, inverse bool) []complex128 {
 	sign := -1.0
 	if inverse {
@@ -200,7 +195,7 @@ func chirpTable(n int, inverse bool) []complex128 {
 }
 
 // kernelFFT builds the forward transform of the conjugate-chirp convolution
-// kernel b, mirroring the layout the one-shot bluestein constructs.
+// kernel b: conj(chirp[k]) at k and at m−k, zero between.
 func (p *Plan) kernelFFT(chirp []complex128) []complex128 {
 	n, m := p.n, p.rn
 	b := make([]complex128, m)
@@ -250,8 +245,8 @@ func (p *Plan) transform(dst, src []complex128, inverse bool) {
 	}
 }
 
-// radix2 is the planned Cooley-Tukey kernel; len(x) must equal p.rn.
-// Butterfly order and twiddle values match the one-shot radix2 exactly.
+// radix2 is the planned iterative Cooley-Tukey kernel; len(x) must equal
+// p.rn. No normalization is applied.
 func (p *Plan) radix2(x []complex128, inverse bool) {
 	n := p.rn
 	for i, j := range p.rev {
@@ -280,9 +275,9 @@ func (p *Plan) radix2(x []complex128, inverse bool) {
 	}
 }
 
-// bluestein is the planned chirp-z transform. The convolution scratch comes
-// from the plan's pool; its tail is re-zeroed on every use because the
-// one-shot kernel works in a freshly zeroed buffer.
+// bluestein is the planned chirp-z transform: the arbitrary-length DFT as a
+// power-of-two convolution. The convolution scratch comes from the plan's
+// pool; its tail is re-zeroed on every use, as the convolution needs.
 func (p *Plan) bluestein(x []complex128, inverse bool) {
 	n, m := p.n, p.rn
 	chirp, bfft := p.chirpF, p.bF

@@ -58,25 +58,14 @@ func maxDiff(a, b []complex128) float64 {
 	return d
 }
 
-// TestBluesteinAgainstNaiveDFT checks both the legacy one-shot FFT and the
-// cached Plan against the naive oracle over the awkward-length sweep, in both
-// directions, and confirms the two fast paths agree bitwise.
+// TestBluesteinAgainstNaiveDFT checks the cached Plan against the naive
+// oracle over the awkward-length sweep, in both directions.
 func TestBluesteinAgainstNaiveDFT(t *testing.T) {
 	for _, n := range awkwardLengths {
 		x := randSignal(n, int64(1000+n))
 		tol := 1e-10 * float64(n) * math.Sqrt(float64(n))
 		for _, inverse := range []bool{false, true} {
 			want := oracleDFT(x, inverse)
-
-			var legacy []complex128
-			if inverse {
-				legacy = IFFT(x)
-			} else {
-				legacy = FFT(x)
-			}
-			if d := maxDiff(legacy, want); d > tol {
-				t.Errorf("n=%d inverse=%v: legacy FFT deviates from naive DFT by %g (tol %g)", n, inverse, d, tol)
-			}
 
 			p := PlanFFT(n)
 			planned := make([]complex128, n)
@@ -87,16 +76,6 @@ func TestBluesteinAgainstNaiveDFT(t *testing.T) {
 			}
 			if d := maxDiff(planned, want); d > tol {
 				t.Errorf("n=%d inverse=%v: planned FFT deviates from naive DFT by %g (tol %g)", n, inverse, d, tol)
-			}
-
-			// The plan tabulates the exact recurrences the one-shot kernel
-			// evaluates inline, so the two must agree to the last bit; this
-			// is what keeps the golden suite stable across the rewire.
-			for i := range planned {
-				if planned[i] != legacy[i] {
-					t.Fatalf("n=%d inverse=%v: plan and legacy FFT differ bitwise at bin %d: %v vs %v",
-						n, inverse, i, planned[i], legacy[i])
-				}
 			}
 
 			// In-place transform must match the out-of-place one.
@@ -130,30 +109,29 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanRealHelpers checks ForwardReal/InverseReal against the one-shot
-// real-signal helpers bitwise.
+// TestPlanRealHelpers checks ForwardReal against the naive oracle and
+// InverseReal as its inverse.
 func TestPlanRealHelpers(t *testing.T) {
 	for _, n := range awkwardLengths {
 		rng := rand.New(rand.NewSource(int64(3000 + n)))
 		x := make([]float64, n)
+		xc := make([]complex128, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
+			xc[i] = complex(x[i], 0)
 		}
+		tol := 1e-10 * float64(n) * math.Sqrt(float64(n))
 		p := PlanFFT(n)
 		spec := make([]complex128, n)
 		p.ForwardReal(spec, x)
-		want := FFTReal(x)
-		for i := range spec {
-			if spec[i] != want[i] {
-				t.Fatalf("n=%d: ForwardReal differs bitwise at bin %d", n, i)
-			}
+		if d := maxDiff(spec, oracleDFT(xc, false)); d > tol {
+			t.Errorf("n=%d: ForwardReal deviates from naive DFT by %g (tol %g)", n, d, tol)
 		}
 		back := make([]float64, n)
 		p.InverseReal(back, spec)
-		wantBack := IFFTReal(want)
 		for i := range back {
-			if back[i] != wantBack[i] {
-				t.Fatalf("n=%d: InverseReal differs bitwise at sample %d", n, i)
+			if d := math.Abs(back[i] - x[i]); d > tol {
+				t.Fatalf("n=%d: InverseReal round trip off by %g at sample %d", n, d, i)
 			}
 		}
 	}
@@ -191,8 +169,8 @@ func TestPlanConcurrent(t *testing.T) {
 // lengths so the LRU policy must evict, then confirms three things: the cache
 // never holds more than PlanCacheCap entries, an evicted length really left
 // the cache, and the re-planned instance produces transforms bitwise equal to
-// the pre-eviction plan and the one-shot FFT/IFFT — eviction may cost a
-// rebuild but can never change results.
+// the pre-eviction plan — eviction may cost a rebuild but can never change
+// results.
 func TestPlanCacheEviction(t *testing.T) {
 	for _, n := range []int{64, 97} { // radix-2 and Bluestein victims
 		x := randSignal(n, int64(4000+n))
@@ -240,16 +218,12 @@ func TestPlanCacheEviction(t *testing.T) {
 		inv2 := make([]complex128, n)
 		after.Forward(fwd2, x)
 		after.Inverse(inv2, x)
-		oneShotF := FFT(x)
-		oneShotI := IFFT(x)
 		for i := 0; i < n; i++ {
-			if fwd2[i] != fwd[i] || fwd2[i] != oneShotF[i] {
-				t.Fatalf("n=%d: re-planned forward differs at bin %d: pre-evict %v, re-plan %v, one-shot %v",
-					n, i, fwd[i], fwd2[i], oneShotF[i])
+			if fwd2[i] != fwd[i] {
+				t.Fatalf("n=%d: re-planned forward differs at bin %d: pre-evict %v, re-plan %v", n, i, fwd[i], fwd2[i])
 			}
-			if inv2[i] != inv[i] || inv2[i] != oneShotI[i] {
-				t.Fatalf("n=%d: re-planned inverse differs at bin %d: pre-evict %v, re-plan %v, one-shot %v",
-					n, i, inv[i], inv2[i], oneShotI[i])
+			if inv2[i] != inv[i] {
+				t.Fatalf("n=%d: re-planned inverse differs at bin %d: pre-evict %v, re-plan %v", n, i, inv[i], inv2[i])
 			}
 		}
 	}

@@ -2,46 +2,49 @@
 // steady-state prior art the paper reviews in §2 ([NV76, Haa88, GS91]) —
 // for forced and autonomous (unknown-frequency) systems.
 //
-// The implementation uses spectral collocation: the periodic unknown is
-// represented by N uniform time samples over one period, the time
-// derivative is applied with the Fourier differentiation matrix (exactly
-// the harmonic-balance jiω factor conjugated into sample space), and the
-// nonlinear devices are evaluated at the samples (the standard
-// pseudo-spectral/"piecewise harmonic balance" formulation).
+// Harmonic balance is the paper's eq. (19) without a slow axis, so both
+// solves run on core's collocation grid with one t2 line (N2 = 1, where the
+// t2 derivative D2 vanishes and the slow period is immaterial): the periodic
+// unknown is N uniform time samples over one period, the time derivative is
+// the Fourier differentiation matrix (exactly the harmonic-balance jiω
+// factor conjugated into sample space), and the nonlinear devices are
+// evaluated at the samples (the standard pseudo-spectral/"piecewise
+// harmonic balance" formulation). A forced solve pins the frequency at 1/T;
+// an autonomous one leaves it free under the derivative-zero phase
+// condition. Newton's first attempt is undamped; core's rescue ladder
+// supplies damping when it fails.
 package hb
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dae"
 	"repro/internal/fourier"
-	"repro/internal/la"
 	"repro/internal/newton"
+	"repro/internal/solverr"
 )
 
 // Options tunes a harmonic-balance solve.
 type Options struct {
-	N       int     // samples per period (odd recommended), default 33
-	MaxIter int     // Newton cap, default 60
-	Tol     float64 // residual tolerance, default 1e-9
-	Damping bool    // Newton damping
-	// FrozenInputTime: autonomous solves freeze inputs at this time.
-	FrozenInputTime float64
+	N       int // samples per period (odd recommended), default 33
+	MaxIter int // Newton cap of the first attempt, default 60
+	// Ctx, when non-nil, makes the solve cancelable: it is checked once per
+	// Newton iteration, and cancellation returns a solverr.KindCanceled
+	// error.
+	Ctx context.Context
 }
 
-func (o Options) withDefaults() Options {
+// grid returns the one-line collocation grid's options.
+func (o Options) grid() core.QPOptions {
 	if o.N <= 0 {
 		o.N = 33
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 60
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	return o
+	return core.QPOptions{N1: o.N, N2: 1, Newton: newton.Options{MaxIter: o.MaxIter}, Ctx: o.Ctx}
 }
 
 // Solution is a periodic steady state in sampled form: X[j][i] is state i at
@@ -55,236 +58,65 @@ type Solution struct {
 // Sample returns state component i trigonometrically interpolated at
 // normalized phase τ∈[0,1) of the period.
 func (s *Solution) Sample(i int, tau float64) float64 {
-	samples := make([]float64, len(s.X))
-	for j := range s.X {
-		samples[j] = s.X[j][i]
-	}
-	return fourier.Interpolate(samples, tau)
+	return fourier.Interpolate(s.column(i), tau)
 }
 
 // Harmonics returns the signed-harmonic Fourier coefficients of state i
 // (see fourier.Coefficients).
 func (s *Solution) Harmonics(i int) []complex128 {
+	return fourier.Coefficients(s.column(i))
+}
+
+func (s *Solution) column(i int) []float64 {
 	samples := make([]float64, len(s.X))
 	for j := range s.X {
 		samples[j] = s.X[j][i]
 	}
-	return fourier.Coefficients(samples)
+	return samples
 }
 
 // Forced solves the T-periodic steady state of a forced system. x0, if
 // non-nil, provides the initial guess as N samples (x0[j] is the state at
-// sample j); nil starts from zero.
+// sample j); nil starts from zero. A T whose frequency 1/T is not positive
+// and finite fails as KindBadInput.
 func Forced(sys dae.System, T float64, x0 [][]float64, opt Options) (*Solution, error) {
-	opt = opt.withDefaults()
-	if T <= 0 {
-		return nil, errors.New("hb: period must be positive")
-	}
-	n := sys.Dim()
-	N := opt.N
-	omega := 1 / T // the collocation below works on normalized time τ=t/T
-
-	// Inputs at the collocation points.
-	us := make([][]float64, N)
-	for j := 0; j < N; j++ {
-		us[j] = make([]float64, sys.NumInputs())
-		sys.Input(T*float64(j)/float64(N), us[j])
-	}
-
-	z := make([]float64, N*n)
+	var guess [][][]float64
 	if x0 != nil {
-		if len(x0) != N {
-			return nil, fmt.Errorf("hb: initial guess has %d samples, want %d", len(x0), N)
-		}
-		for j := 0; j < N; j++ {
-			copy(z[j*n:(j+1)*n], x0[j])
-		}
+		guess = [][][]float64{x0}
 	}
-	d := fourier.DiffMatrix(N)
-	asm := newAssembler(sys, N, n, d)
-	p := newton.Problem{
-		N:    N * n,
-		Eval: func(z, f []float64) error { asm.residual(z, us, omega, f); return nil },
-		Jacobian: func(z []float64) (newton.LinearSolve, error) {
-			return la.FactorLU(asm.jacobian(z, us, omega))
-		},
+	input := func(tau, _ float64, u []float64) { sys.Input(tau*T, u) }
+	res, err := core.ForcedQuasiperiodic(sys, input, guess, 1/T, 1, opt.grid())
+	if err != nil {
+		return nil, solverr.Wrap(solverr.KindOf(err), "hb.forced", err)
 	}
-	if _, err := newton.Solve(p, z, newton.Options{MaxIter: opt.MaxIter, TolF: opt.Tol, Damping: opt.Damping}); err != nil {
-		return nil, fmt.Errorf("hb: forced solve: %w", err)
-	}
-	return unpack(z, N, n, T), nil
+	return solution(res), nil
 }
 
-// Autonomous solves the unknown-period steady state of an oscillator.
-// x0 provides the N-sample initial guess (required: the trivial equilibrium
-// is always a solution, so the guess must be off it); T0 is the period
-// guess. The phase condition fixes dx_k/dτ(0) = 0 for k = sys.OscVar().
+// Autonomous solves the unknown-period steady state of an oscillator with
+// inputs frozen at t = 0. x0 provides the N-sample initial guess (required:
+// the trivial equilibrium is always a solution, so the guess must be off
+// it); T0 is the period guess, and a T0 whose 1/T0 is not positive and
+// finite fails as KindBadInput. The phase condition fixes dx_k/dτ(0) = 0 for
+// k = sys.OscVar(). A solve that converges onto a non-positive frequency
+// fails as KindStagnation.
 func Autonomous(sys dae.Autonomous, T0 float64, x0 [][]float64, opt Options) (*Solution, error) {
-	opt = opt.withDefaults()
-	if T0 <= 0 {
-		return nil, errors.New("hb: period guess must be positive")
-	}
+	const stage = "hb.autonomous"
 	if x0 == nil {
-		return nil, errors.New("hb: autonomous solve needs a nontrivial initial guess")
+		return nil, solverr.New(solverr.KindBadInput, stage, "autonomous solve needs a nontrivial initial guess")
 	}
-	n := sys.Dim()
-	N := opt.N
-	if len(x0) != N {
-		return nil, fmt.Errorf("hb: initial guess has %d samples, want %d", len(x0), N)
+	guess := &core.QPGuess{X: [][][]float64{x0}, Omega: []float64{1 / T0}}
+	res, err := core.Quasiperiodic(sys, 1, guess, opt.grid())
+	if err != nil {
+		return nil, solverr.Wrap(solverr.KindOf(err), stage, err)
 	}
-	k := sys.OscVar()
-
-	// Frozen inputs (unforced oscillator).
-	u := make([]float64, sys.NumInputs())
-	sys.Input(opt.FrozenInputTime, u)
-	us := make([][]float64, N)
-	for j := range us {
-		us[j] = u
+	if w := res.Omega[0]; w <= 0 {
+		return nil, solverr.New(solverr.KindStagnation, stage, "converged to a non-positive frequency (%g)", w)
 	}
-
-	// Unknowns: N·n samples plus ω' = 1/T (the normalized-time rate).
-	z := make([]float64, N*n+1)
-	for j := 0; j < N; j++ {
-		copy(z[j*n:(j+1)*n], x0[j])
-	}
-	z[N*n] = 1 / T0
-	d := fourier.DiffMatrix(N)
-	asm := newAssembler(sys, N, n, d)
-
-	eval := func(z, f []float64) error {
-		omega := z[N*n]
-		asm.residual(z[:N*n], us, omega, f[:N*n])
-		// Phase condition: dx_k/dτ at τ=0 vanishes.
-		s := 0.0
-		for m := 0; m < N; m++ {
-			s += d[m] * z[m*n+k] // row 0 of the differentiation matrix
-		}
-		f[N*n] = s
-		return nil
-	}
-	jac := func(z []float64) (newton.LinearSolve, error) {
-		omega := z[N*n]
-		jj := la.NewDense(N*n+1, N*n+1)
-		core := asm.jacobian(z[:N*n], us, omega)
-		for i := 0; i < N*n; i++ {
-			copy(jj.Row(i)[:N*n], core.Row(i))
-		}
-		// ∂residual/∂ω = D·q(x).
-		dq := asm.dTimesQ(z[:N*n])
-		for i := 0; i < N*n; i++ {
-			jj.Set(i, N*n, dq[i])
-		}
-		for m := 0; m < N; m++ {
-			jj.Set(N*n, m*n+k, d[m])
-		}
-		return la.FactorLU(jj)
-	}
-	if _, err := newton.Solve(newton.Problem{N: N*n + 1, Eval: eval, Jacobian: jac}, z,
-		newton.Options{MaxIter: opt.MaxIter, TolF: opt.Tol, Damping: opt.Damping}); err != nil {
-		return nil, fmt.Errorf("hb: autonomous solve: %w", err)
-	}
-	omega := z[N*n]
-	if omega <= 0 {
-		return nil, errors.New("hb: converged to non-positive frequency")
-	}
-	return unpack(z[:N*n], N, n, 1/omega), nil
+	return solution(res), nil
 }
 
-func unpack(z []float64, N, n int, T float64) *Solution {
-	s := &Solution{T: T, Omega: 2 * math.Pi / T, X: make([][]float64, N)}
-	for j := 0; j < N; j++ {
-		s.X[j] = append([]float64(nil), z[j*n:(j+1)*n]...)
-	}
-	return s
-}
-
-// assembler evaluates the collocation residual
-//
-//	r_j = ω·Σ_m D[j,m]·q(x_m) + f(x_j, u_j)
-//
-// (normalized time τ = t/T with period 1, so ω = 1/T) and its Jacobian.
-type assembler struct {
-	sys  dae.System
-	N, n int
-	d    []float64
-	q    []float64 // N*n sample charges
-	scr  []float64
-	jq   *la.Dense
-	jf   *la.Dense
-}
-
-func newAssembler(sys dae.System, N, n int, d []float64) *assembler {
-	return &assembler{
-		sys: sys, N: N, n: n, d: d,
-		q:   make([]float64, N*n),
-		scr: make([]float64, n),
-		jq:  la.NewDense(n, n),
-		jf:  la.NewDense(n, n),
-	}
-}
-
-func (a *assembler) computeQ(z []float64) {
-	for j := 0; j < a.N; j++ {
-		a.sys.Q(z[j*a.n:(j+1)*a.n], a.q[j*a.n:(j+1)*a.n])
-	}
-}
-
-// dTimesQ returns (D ⊗ I)·q(x) flattened.
-func (a *assembler) dTimesQ(z []float64) []float64 {
-	a.computeQ(z)
-	out := make([]float64, a.N*a.n)
-	for j := 0; j < a.N; j++ {
-		row := a.d[j*a.N : (j+1)*a.N]
-		for m, w := range row {
-			if w == 0 {
-				continue
-			}
-			qm := a.q[m*a.n : (m+1)*a.n]
-			for i := 0; i < a.n; i++ {
-				out[j*a.n+i] += w * qm[i]
-			}
-		}
-	}
-	return out
-}
-
-func (a *assembler) residual(z []float64, us [][]float64, omega float64, f []float64) {
-	dq := a.dTimesQ(z)
-	for j := 0; j < a.N; j++ {
-		a.sys.F(z[j*a.n:(j+1)*a.n], us[j], a.scr)
-		for i := 0; i < a.n; i++ {
-			f[j*a.n+i] = omega*dq[j*a.n+i] + a.scr[i]
-		}
-	}
-}
-
-func (a *assembler) jacobian(z []float64, us [][]float64, omega float64) *la.Dense {
-	N, n := a.N, a.n
-	jj := la.NewDense(N*n, N*n)
-	for m := 0; m < N; m++ {
-		xm := z[m*n : (m+1)*n]
-		a.sys.JQ(xm, a.jq)
-		for j := 0; j < N; j++ {
-			w := omega * a.d[j*N+m]
-			if w == 0 {
-				continue
-			}
-			for r := 0; r < n; r++ {
-				row := jj.Row(j*n + r)
-				jqRow := a.jq.Row(r)
-				for c := 0; c < n; c++ {
-					row[m*n+c] += w * jqRow[c]
-				}
-			}
-		}
-		a.sys.JF(xm, us[m], a.jf)
-		for r := 0; r < n; r++ {
-			row := jj.Row(m*n + r)
-			jfRow := a.jf.Row(r)
-			for c := 0; c < n; c++ {
-				row[m*n+c] += jfRow[c]
-			}
-		}
-	}
-	return jj
+// solution unpacks the one-line grid: its ω is the frequency 1/T.
+func solution(res *core.QPResult) *Solution {
+	T := 1 / res.Omega[0]
+	return &Solution{X: res.X[0], T: T, Omega: 2 * math.Pi / T}
 }

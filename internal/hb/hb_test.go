@@ -1,12 +1,14 @@
 package hb
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"repro/internal/dae"
 	"repro/internal/shooting"
+	"repro/internal/solverr"
 	"repro/internal/transient"
 )
 
@@ -56,7 +58,7 @@ func TestForcedMatchesShooting(t *testing.T) {
 		t.Fatal(err)
 	}
 	N := 65
-	hbSol, err := Forced(sys, T, orbitGuess(t, sh.Orbit, T, N, 2), Options{N: N, Damping: true, MaxIter: 200})
+	hbSol, err := Forced(sys, T, orbitGuess(t, sh.Orbit, T, N, 2), Options{N: N, MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestAutonomousMatchesShootingLargeMu(t *testing.T) {
 		t.Fatal(err)
 	}
 	N := 101
-	sol, err := Autonomous(sys, sh.T, orbitGuess(t, sh.Orbit, sh.T, N, 2), Options{N: N, Damping: true, MaxIter: 300})
+	sol, err := Autonomous(sys, sh.T, orbitGuess(t, sh.Orbit, sh.T, N, 2), Options{N: N, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,24 +133,49 @@ func TestSampleInterpolatesSolution(t *testing.T) {
 
 func TestForcedBadArgs(t *testing.T) {
 	sys := &dae.LinearRC{C: 1, R: 1}
-	if _, err := Forced(sys, -1, nil, Options{}); err == nil {
-		t.Fatal("negative period should fail")
-	}
-	if _, err := Forced(sys, 1, make([][]float64, 3), Options{N: 5}); err == nil {
-		t.Fatal("wrong guess length should fail")
+	for name, call := range map[string]func() error{
+		"negative period": func() error { _, err := Forced(sys, -1, nil, Options{}); return err },
+		"infinite period": func() error { _, err := Forced(sys, math.Inf(1), nil, Options{}); return err },
+		"guess length":    func() error { _, err := Forced(sys, 1, make([][]float64, 3), Options{N: 5}); return err },
+	} {
+		if err := call(); !solverr.IsKind(err, solverr.KindBadInput) {
+			t.Errorf("%s: err = %v, want %v", name, err, solverr.KindBadInput)
+		}
 	}
 }
 
+// noOscVar is a system without an oscillation variable to phase-lock.
+type noOscVar struct{ *dae.VanDerPol }
+
+func (noOscVar) OscVar() int { return -1 }
+
 func TestAutonomousBadArgs(t *testing.T) {
 	sys := &dae.VanDerPol{Mu: 1}
-	if _, err := Autonomous(sys, 1, nil, Options{}); err == nil {
-		t.Fatal("nil guess should fail")
+	for name, call := range map[string]func() error{
+		"nil guess":             func() error { _, err := Autonomous(sys, 1, nil, Options{}); return err },
+		"negative period guess": func() error { _, err := Autonomous(sys, -2, cosGuess(33, 2, 1), Options{N: 33}); return err },
+		"guess length":          func() error { _, err := Autonomous(sys, 2, cosGuess(5, 2, 1), Options{N: 33}); return err },
+		"guess point length":    func() error { _, err := Autonomous(sys, 2, make([][]float64, 33), Options{N: 33}); return err },
+		"no oscillation var":    func() error { _, err := Autonomous(noOscVar{sys}, 2, cosGuess(33, 2, 1), Options{N: 33}); return err },
+	} {
+		if err := call(); !solverr.IsKind(err, solverr.KindBadInput) {
+			t.Errorf("%s: err = %v, want %v", name, err, solverr.KindBadInput)
+		}
 	}
-	if _, err := Autonomous(sys, -2, cosGuess(33, 2, 1), Options{N: 33}); err == nil {
-		t.Fatal("negative period guess should fail")
+}
+
+// TestCanceledContext: a canceled Ctx stops both solves at their first
+// Newton iteration with a typed cancellation.
+func TestCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{N: 33, Ctx: ctx}
+	if _, err := Autonomous(&dae.VanDerPol{Mu: 1}, 2*math.Pi, cosGuess(33, 2, 1), opt); !solverr.IsKind(err, solverr.KindCanceled) {
+		t.Errorf("autonomous: err = %v, want %v", err, solverr.KindCanceled)
 	}
-	if _, err := Autonomous(sys, 2, cosGuess(5, 2, 1), Options{N: 33}); err == nil {
-		t.Fatal("wrong guess length should fail")
+	rc := &dae.LinearRC{C: 1e-6, R: 1e3, IFunc: func(t float64) float64 { return 1e-3 * math.Sin(2*math.Pi*1e3*t) }}
+	if _, err := Forced(rc, 1e-3, nil, opt); !solverr.IsKind(err, solverr.KindCanceled) {
+		t.Errorf("forced: err = %v, want %v", err, solverr.KindCanceled)
 	}
 }
 

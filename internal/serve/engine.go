@@ -117,30 +117,14 @@ func (CircuitEngine) buildSystem(c *Canonical) (*circuit.System, error) {
 		if err != nil {
 			return nil, solverr.Wrap(solverr.KindBadInput, "serve.engine", err)
 		}
-		ckt, err := netlist.Parse(src)
-		if err != nil {
-			return nil, solverr.Wrap(solverr.KindUnknown, "serve.engine", err)
-		}
-		sys, err := ckt.Build()
-		if err != nil {
-			return nil, solverr.Wrap(solverr.KindUnknown, "serve.engine", err)
-		}
-		return sys, nil
+		return compile(src, solverr.KindUnknown)
 	}
 	if base, duty, fsw, _ := parseConverterCircuit(c.Circuit); base != "" {
 		src, err := converterGeneratorFor(base)(duty, fsw)
 		if err != nil {
 			return nil, solverr.Wrap(solverr.KindBadInput, "serve.engine", err)
 		}
-		ckt, err := netlist.Parse(src)
-		if err != nil {
-			return nil, solverr.Wrap(solverr.KindUnknown, "serve.engine", err)
-		}
-		sys, err := ckt.Build()
-		if err != nil {
-			return nil, solverr.Wrap(solverr.KindUnknown, "serve.engine", err)
-		}
-		return sys, nil
+		return compile(src, solverr.KindUnknown)
 	}
 	if c.Circuit != "" {
 		p := circuit.DefaultVCOParams()
@@ -158,13 +142,20 @@ func (CircuitEngine) buildSystem(c *Canonical) (*circuit.System, error) {
 		}
 		return vco.System, nil
 	}
-	ckt, err := netlist.Parse(c.Netlist)
+	return compile(c.Netlist, solverr.KindBadInput)
+}
+
+// compile parses and builds netlist source. A failure has the given kind: a
+// client's netlist is bad input, while a generated one failing is the
+// server's own fault.
+func compile(src string, kind solverr.Kind) (*circuit.System, error) {
+	ckt, err := netlist.Parse(src)
 	if err != nil {
-		return nil, solverr.Wrap(solverr.KindBadInput, "serve.engine", err)
+		return nil, solverr.Wrap(kind, "serve.engine", err)
 	}
 	sys, err := ckt.Build()
 	if err != nil {
-		return nil, solverr.Wrap(solverr.KindBadInput, "serve.engine", err)
+		return nil, solverr.Wrap(kind, "serve.engine", err)
 	}
 	return sys, nil
 }
@@ -273,15 +264,25 @@ func (CircuitEngine) transient(ctx context.Context, sys *circuit.System, c *Cano
 	return err
 }
 
-// initialCondition runs the standard envelope preamble: DC operating point,
-// a kick off the equilibrium, then settle + autonomous shooting onto the
-// limit cycle.
-func (CircuitEngine) initialCondition(ctx context.Context, sys *circuit.System, n1 int, f0 float64) (xhat0 []float64, omega0 float64, err error) {
+// kickedStart is the start of the envelope preamble: the DC operating
+// point, kicked off the equilibrium along the oscillation variable.
+func kickedStart(sys *circuit.System) ([]float64, error) {
 	xg := make([]float64, sys.Dim())
 	if err := transient.DCOperatingPoint(sys, 0, xg, transient.DCOptions{}); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	xg[sys.OscVar()] += 0.5
+	return xg, nil
+}
+
+// initialCondition runs the standard envelope preamble: settle + autonomous
+// shooting onto the limit cycle from the kicked start, sampled onto n1
+// peak-aligned t1 points.
+func (CircuitEngine) initialCondition(ctx context.Context, sys *circuit.System, n1 int, f0 float64) (xhat0 []float64, omega0 float64, err error) {
+	xg, err := kickedStart(sys)
+	if err != nil {
+		return nil, 0, err
+	}
 	return core.InitialCondition(sys, xg, 1/f0, core.ICOptions{
 		N1:       n1,
 		Shooting: shooting.Options{Ctx: ctx},
@@ -304,20 +305,7 @@ func (CircuitEngine) rippleEnvelope(ctx context.Context, sys *circuit.System, c 
 	if res == nil || len(res.T2) == 0 {
 		return err
 	}
-	idx := decimate(len(res.T2))
-	eo := &EnvelopeOut{
-		Steps:      len(res.T2) - 1,
-		T2:         make([]float64, len(idx)),
-		Omega:      make([]float64, len(idx)),
-		Phi:        make([]float64, len(idx)),
-		FinalOmega: res.Omega[len(res.Omega)-1],
-	}
-	for i, j := range idx {
-		eo.T2[i] = res.T2[j]
-		eo.Omega[i] = res.Omega[j]
-		eo.Phi[i] = res.Phi[j]
-	}
-	out.Envelope = eo
+	out.Envelope = envelopeOut(res)
 	out.Supervision = supervision(res.Stats)
 	return err
 }
@@ -342,6 +330,14 @@ func (e CircuitEngine) envelope(ctx context.Context, sys *circuit.System, c *Can
 	if res == nil || len(res.T2) == 0 {
 		return err
 	}
+	out.Envelope = envelopeOut(res)
+	out.Supervision = supervision(res.Stats)
+	return err
+}
+
+// envelopeOut summarizes an envelope run: its local frequency and warping
+// phase, decimated.
+func envelopeOut(res *core.EnvelopeResult) *EnvelopeOut {
 	idx := decimate(len(res.T2))
 	eo := &EnvelopeOut{
 		Steps:      len(res.T2) - 1,
@@ -355,9 +351,7 @@ func (e CircuitEngine) envelope(ctx context.Context, sys *circuit.System, c *Can
 		eo.Omega[i] = res.Omega[j]
 		eo.Phi[i] = res.Phi[j]
 	}
-	out.Envelope = eo
-	out.Supervision = supervision(res.Stats)
-	return err
+	return eo
 }
 
 func (e CircuitEngine) quasiperiodic(ctx context.Context, sys *circuit.System, c *Canonical, out *Outcome, st *Stats) error {
@@ -402,16 +396,21 @@ func (e CircuitEngine) quasiperiodic(ctx context.Context, sys *circuit.System, c
 }
 
 func (CircuitEngine) shooting(ctx context.Context, sys *circuit.System, c *Canonical, out *Outcome) error {
-	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
-		return err
-	}
 	var pss *shooting.PSS
 	var err error
 	if c.Period > 0 {
+		x := make([]float64, sys.Dim())
+		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+			return err
+		}
 		pss, err = shooting.Forced(sys, x, c.Period, shooting.Options{Method: transient.Trap, Ctx: ctx})
 	} else {
-		pss, err = settleAndShoot(ctx, sys, x, 1/c.F0)
+		// The envelope preamble's limit cycle, from the same kicked start.
+		var xg []float64
+		if xg, err = kickedStart(sys); err != nil {
+			return err
+		}
+		pss, err = core.LimitCycle(sys, xg, 1/c.F0, core.ICOptions{Shooting: shooting.Options{Ctx: ctx}})
 	}
 	if err != nil {
 		return err
@@ -424,55 +423,30 @@ func (CircuitEngine) shooting(ctx context.Context, sys *circuit.System, c *Canon
 	return nil
 }
 
-// settleAndShoot kicks the oscillation variable, settles onto the limit
-// cycle by transient integration of the frozen-input system, and sharpens
-// with autonomous shooting (the same preamble core.InitialCondition uses).
-func settleAndShoot(ctx context.Context, sys *circuit.System, x []float64, tGuess float64) (*shooting.PSS, error) {
-	xg := append([]float64(nil), x...)
-	xg[sys.OscVar()] += 0.5
-	frozen := shooting.Freeze(sys, 0)
-	settle, err := transient.Simulate(frozen, xg, 0, 20*tGuess,
-		transient.Options{Method: transient.Trap, H: tGuess / 128, Ctx: ctx})
-	if err != nil {
-		return nil, err
-	}
-	return shooting.Autonomous(sys, settle.X[len(settle.X)-1], tGuess, shooting.Options{Ctx: ctx})
-}
-
-func (CircuitEngine) harmonicBalance(ctx context.Context, sys *circuit.System, c *Canonical, out *Outcome) error {
+func (e CircuitEngine) harmonicBalance(ctx context.Context, sys *circuit.System, c *Canonical, out *Outcome) error {
+	opt := hb.Options{N: c.NHarm, Ctx: ctx}
 	var sol *hb.Solution
+	var err error
 	if c.Period > 0 {
-		var err error
-		sol, err = hb.Forced(sys, c.Period, nil, hb.Options{N: c.NHarm, Damping: true})
-		if err != nil {
-			return err
-		}
+		sol, err = hb.Forced(sys, c.Period, nil, opt)
 	} else {
 		// Autonomous HB needs a non-trivial seed or Newton lands on the
-		// equilibrium; seed from a shooting orbit (cancelable), then polish
-		// in the frequency domain.
-		x := make([]float64, sys.Dim())
-		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
-			return err
+		// equilibrium: seed from the envelope preamble's orbit at N1 = nharm,
+		// whose peak at t1 = 0 already meets HB's derivative-zero phase
+		// condition.
+		xhat0, omega0, ierr := e.initialCondition(ctx, sys, c.NHarm, c.F0)
+		if ierr != nil {
+			return ierr
 		}
-		pss, err := settleAndShoot(ctx, sys, x, 1/c.F0)
-		if err != nil {
-			return err
-		}
-		guess := make([][]float64, c.NHarm)
 		n := sys.Dim()
-		for j := 0; j < c.NHarm; j++ {
-			tt := pss.T * float64(j) / float64(c.NHarm)
-			row := make([]float64, n)
-			for i := 0; i < n; i++ {
-				row[i] = pss.Orbit.At(tt, i)
-			}
-			guess[j] = row
+		guess := make([][]float64, c.NHarm)
+		for j := range guess {
+			guess[j] = xhat0[j*n : (j+1)*n]
 		}
-		sol, err = hb.Autonomous(sys, pss.T, guess, hb.Options{N: c.NHarm, Damping: true})
-		if err != nil {
-			return err
-		}
+		sol, err = hb.Autonomous(sys, 1/omega0, guess, opt)
+	}
+	if err != nil {
+		return err
 	}
 	k := observedVar(sys)
 	harm := sol.Harmonics(k)

@@ -23,7 +23,6 @@ type Options struct {
 	Method          transient.Method
 	MaxIter         int     // Newton iterations, default 30
 	Tol             float64 // residual tolerance on ||Φ_T(x)−x||, default 1e-8
-	FrozenInputTime float64 // autonomous runs freeze inputs at this time
 	// Ctx, when non-nil, makes the shooting solve cancelable: it reaches the
 	// transits, their sensitivity passes and the Newton iteration, which
 	// return a solverr.KindCanceled error when the context expires.
@@ -250,7 +249,7 @@ func Forced(sys dae.System, x0 []float64, T float64, opt Options) (*PSS, error) 
 }
 
 // Autonomous computes the periodic steady state and period of an unforced
-// oscillator. Inputs are frozen at opt.FrozenInputTime. The phase ambiguity
+// oscillator. Inputs are frozen at t = 0. The phase ambiguity
 // is removed by anchoring the oscillation variable: x0[k] is held at its
 // initial-guess value (which must lie within the limit cycle's swing).
 // x0 and T0 are the initial guesses. A period that collapses onto the start
@@ -265,7 +264,7 @@ func Autonomous(sys dae.Autonomous, x0 []float64, T0 float64, opt Options) (*PSS
 	if T0 <= 0 {
 		return nil, solverr.New(solverr.KindBadInput, "shooting.autonomous", "period guess must be positive")
 	}
-	frozen := Freeze(sys, opt.FrozenInputTime)
+	frozen := Freeze(sys, 0)
 	tr := &transit{sys: frozen, opt: opt}
 	k := sys.OscVar()
 	anchor := x0[k]
