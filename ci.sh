@@ -5,13 +5,15 @@
 #   tier 2      gofmt (fails when gofmt -l lists any file), vet + race
 #               detector over the suite (-short skips the longest solver
 #               runs; the three pooled kernels — dense LU trailing
-#               updates, the quasiperiodic fillLines and block-Jacobi
-#               factor/apply — execute under the race detector at 2 and 8
-#               workers via TestFactorIntoWorkerCountInvariant,
-#               TestQuasiperiodicMatrixFreeMatchesDense and the
-#               determinism tests), then vet + tests of the bench/ module,
-#               which is its own Go module and so invisible to the root's
-#               ./... although it imports internal/serve, core and mpde
+#               updates, which dispatch only with >= 256 trailing rows,
+#               the quasiperiodic fillLines and block-Jacobi factor/apply —
+#               execute under the race detector at 2 and 8 workers via
+#               TestFactorIntoWorkerCountInvariant (n = 353),
+#               TestQuasiperiodicMatrixFreeMatchesDense (414 unknowns) and
+#               the determinism tests (305 unknowns)), then vet + tests of
+#               the bench/ module, which is its own Go module and so
+#               invisible to the root's ./... although it imports
+#               internal/serve, core and mpde
 #   fault       fault-injection tier: the armed suite (TestFault*) under the
 #               race detector, without -short so the armed golden-tolerance
 #               Figure-7 runs execute too. Proves every escalation rung fires

@@ -5,8 +5,9 @@ package wampde_test
 // output is bitwise identical at any worker count. These tests run the full
 // WaMPDE envelope pipeline under several pool sizes and compare the results
 // exactly. The dense envelope reaches the pool through its LU trailing
-// updates; the quasiperiodic kernels and LU itself have their own worker
-// sweeps in internal/core and internal/la.
+// updates, once its bordered system is large enough for a panel to dispatch;
+// the quasiperiodic kernels and LU itself have their own worker sweeps in
+// internal/core and internal/la.
 
 import (
 	"fmt"
@@ -18,12 +19,14 @@ import (
 )
 
 // shortVacuumRun envelope-follows the vacuum VCO over a reduced span. N1 =
-// 25 gives the paper's 101-unknown bordered system, whose first LU trailing
-// update splits into several row chunks; a smaller N1 would factor in one
-// chunk and never reach the pool.
+// 76 gives a 305-unknown bordered system, the smallest whose first LU panel
+// leaves enough trailing rows (257) for its update to go to the pool: one
+// dispatch per factorization, 10 per run at two or more workers. A smaller
+// N1 (the paper's 25 gives 101 unknowns) factors serially and never reaches
+// the pool.
 func shortVacuumRun(t *testing.T) *wampde.VCORun {
 	t.Helper()
-	run, err := wampde.RunPaperVCO(wampde.VCORunConfig{N1: 25, T2End: 20e-6, Steps: 60})
+	run, err := wampde.RunPaperVCO(wampde.VCORunConfig{N1: 76, T2End: 10e-6, Steps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,6 +78,11 @@ type EnvelopeOptions struct {
 // factorizations and the reused GMRES harmonic preconditioner are rebuilt.
 const omegaDriftTol = 0.02
 
+// t2EndTol is the relative end tolerance of an envelope run: Envelope stops
+// once it is within t2EndTol·t2End of t2End rather than take a last step of
+// rounding-error size, and GuessFromEnvelope forgives the same shortfall.
+const t2EndTol = 1e-12
+
 func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 	if o.N1 <= 0 {
 		o.N1 = 25
@@ -187,7 +192,7 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 	}
 	h := opt.H2
 	hMin := opt.H2 / 1024
-	endTol := 1e-12 * t2End
+	endTol := t2EndTol * t2End
 	stepIdx := 0
 	sinceGrow := 0
 	// Previous accepted point, for the adaptive predictor.

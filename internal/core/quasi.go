@@ -67,7 +67,9 @@ type QPGuess struct {
 
 // GuessFromEnvelope builds a QP guess by sampling the trailing T2-long
 // window of an envelope run (which, after its transient settles, is the
-// quasiperiodic solution).
+// quasiperiodic solution). A run of exactly one slow period may stop up to
+// Envelope's end tolerance short of it; the window then starts at the run's
+// first point.
 func GuessFromEnvelope(res *EnvelopeResult, t2Period float64, n1, n2 int) (*QPGuess, error) {
 	if len(res.T2) < 2 {
 		return nil, solverr.New(solverr.KindBadInput, "core.quasi", "envelope result too short for a QP guess")
@@ -75,8 +77,11 @@ func GuessFromEnvelope(res *EnvelopeResult, t2Period float64, n1, n2 int) (*QPGu
 	tEnd := res.T2[len(res.T2)-1]
 	t0 := tEnd - t2Period
 	if t0 < res.T2[0] {
-		return nil, solverr.New(solverr.KindBadInput, "core.quasi",
-			"envelope run (%.3g) shorter than one slow period (%.3g)", tEnd-res.T2[0], t2Period)
+		if res.T2[0]-t0 > t2EndTol*t2Period {
+			return nil, solverr.New(solverr.KindBadInput, "core.quasi",
+				"envelope run (%.3g) shorter than one slow period (%.3g)", tEnd-res.T2[0], t2Period)
+		}
+		t0 = res.T2[0]
 	}
 	g := &QPGuess{X: make([][][]float64, n2), Omega: make([]float64, n2)}
 	n := res.N

@@ -5,7 +5,33 @@ import (
 	"testing"
 
 	"repro/internal/fourier"
+	"repro/internal/solverr"
 )
+
+// TestGuessFromEnvelopeEndTolerance: an envelope asked for exactly one slow
+// period may stop up to t2EndTol of that period short of it (Envelope's end
+// tolerance). GuessFromEnvelope must accept that run, starting its window at
+// the run's first point, and still reject a run short by more.
+func TestGuessFromEnvelopeEndTolerance(t *testing.T) {
+	res := &EnvelopeResult{
+		N1: 3, N: 1,
+		T2:    []float64{0, 0.5, 1},
+		X:     [][]float64{{1, 2, 3}, {2, 3, 4}, {3, 4, 5}},
+		Omega: []float64{1, 1.5, 2},
+		Phi:   []float64{0, 0.625, 1.5},
+	}
+	g, err := GuessFromEnvelope(res, 1+t2EndTol/2, 3, 2)
+	if err != nil {
+		t.Fatalf("run short by t2EndTol/2 of the period: %v", err)
+	}
+	if g.Omega[0] != res.Omega[0] {
+		t.Fatalf("window does not start at the run's first point: ω %v", g.Omega)
+	}
+	_, err = GuessFromEnvelope(res, 1+2*t2EndTol, 3, 2)
+	if solverr.KindOf(err) != solverr.KindBadInput {
+		t.Fatalf("run short by 2·t2EndTol of the period: err %v, want bad input", err)
+	}
+}
 
 func TestQPSpectrumIsTwoToneGrid(t *testing.T) {
 	// Eq. (24): the quasiperiodic solution's spectrum consists of lines at

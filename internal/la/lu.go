@@ -18,35 +18,38 @@ type LU struct {
 	lu    *Dense // L (unit diagonal, below) and U (on/above diagonal) packed
 	piv   []int  // row i of the factors came from row piv[i] of A
 	signP int    // determinant sign of the permutation
-
-	// Cached panel-update kernels for FactorInto. Closures handed to par.For
-	// escape, so they are built once per workspace (not per panel) and the
-	// current panel bounds travel through k0/kend — a refactorization then
-	// allocates nothing.
-	k0, kend       int
-	u12Fn, trailFn func(lo, hi int)
 }
 
-// luBlock is the panel width of the blocked right-looking factorization.
-// Panels are factored serially; the O(n²·luBlock) trailing update of each
-// panel is spread over the worker pool.
+// luBlock is the panel width of the blocked right-looking factorization. A
+// matrix with n ≤ luBlock is a single panel, factored by plain
+// column-at-a-time elimination.
 const luBlock = 48
 
-// luRowGrain is the number of trailing rows each parallel chunk updates.
-// Matrices smaller than one grain collapse to a single chunk (serial).
+// luParRows is the number of trailing rows a panel's trailing update needs
+// before it goes to the worker pool; smaller updates run on the calling
+// goroutine, where they finish sooner than a dispatch pays back (on a
+// 2-vCPU VM, two workers lost at n = 150 and won clearly by n = 500).
+// Like every chunk layout the pool runs, it is a constant, never derived
+// from the worker count.
+const luParRows = 256
+
+// luRowGrain is the number of trailing rows each pooled chunk updates.
 const luRowGrain = 16
 
 // FactorLU computes the LU factorization of a (square) with partial pivoting.
 // a is not modified.
 //
 // The elimination is blocked and right-looking: each luBlock-wide panel is
-// factored in place, the panel's block row of U is formed, and the trailing
-// submatrix update — the cubic-cost bulk of the work — runs on the par
-// worker pool, chunked by rows. Every trailing row applies its panel updates
-// in ascending column order, so the factors are bitwise identical to the
-// classic unblocked algorithm at any worker count (the pivot sequence is
-// also identical: panels see a fully updated trailing matrix, exactly as
-// column-at-a-time elimination does).
+// factored in place column by column, then every row below the panel's
+// diagonal applies the panel's updates to its columns right of the panel —
+// first the panel's own rows (the block row of U), in order, then the
+// trailing rows, which go to the par worker pool when there are at least
+// luParRows of them. Every entry receives the products and subtractions of
+// column-at-a-time elimination, in ascending column order, with zero
+// multipliers skipped, so the factors, pivots and permutation sign are
+// bitwise identical to the classic unblocked algorithm at any worker count
+// (the pivot sequence is also identical: panels see a fully updated
+// trailing matrix, exactly as column-at-a-time elimination does).
 func FactorLU(a *Dense) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, solverr.New(solverr.KindBadInput, "la.lu",
@@ -63,52 +66,13 @@ func FactorLU(a *Dense) (*LU, error) {
 // a solver that refactors the same-size system many times (every Newton
 // iteration of every envelope step) reuse one allocation for the factors.
 func NewLU(n int) *LU {
-	f := &LU{lu: NewDense(n, n), piv: make([]int, n), signP: 1}
-	lu := f.lu.Data
-	// Block row of U: U12 = L11⁻¹·A12 (unit-lower triangular solve), over
-	// column chunks [lo, hi) of the trailing width.
-	f.u12Fn = func(lo, hi int) {
-		k0, kend := f.k0, f.kend
-		for k := k0; k < kend; k++ {
-			rk := lu[k*n+kend+lo : k*n+kend+hi]
-			for i := k + 1; i < kend; i++ {
-				m := lu[i*n+k]
-				if m == 0 {
-					continue
-				}
-				ri := lu[i*n+kend+lo : i*n+kend+hi]
-				for j := range ri {
-					ri[j] -= m * rk[j]
-				}
-			}
-		}
-	}
-	// Trailing update A22 -= L21·U12 over row chunks. Each row subtracts its
-	// panel contributions in ascending k — the same order as unblocked
-	// elimination — so chunking cannot change the result.
-	f.trailFn = func(lo, hi int) {
-		k0, kend := f.k0, f.kend
-		for i := kend + lo; i < kend+hi; i++ {
-			ri := lu[i*n : (i+1)*n]
-			for k := k0; k < kend; k++ {
-				m := ri[k]
-				if m == 0 {
-					continue
-				}
-				rk := lu[k*n+kend : k*n+n]
-				dst := ri[kend:n]
-				for j := range dst {
-					dst[j] -= m * rk[j]
-				}
-			}
-		}
-	}
-	return f
+	return &LU{lu: NewDense(n, n), piv: make([]int, n), signP: 1}
 }
 
 // FactorInto refactors a (square, same size as the workspace) into f's
-// existing storage, allocating nothing. a is not modified. On error the
-// factor contents are undefined; the workspace may still be reused.
+// existing storage. It allocates nothing unless a trailing update runs on
+// more than one worker. a is not modified. On error the factor contents are
+// undefined; the workspace may still be reused.
 func (f *LU) FactorInto(a *Dense) error {
 	n := f.lu.Rows
 	if a.Rows != n || a.Cols != n {
@@ -167,14 +131,72 @@ func (f *LU) FactorInto(a *Dense) error {
 		if kend == n {
 			break
 		}
-		// Panel-trailing updates via the cached kernels (see NewLU): the block
-		// row of U in parallel column chunks, then the A22 -= L21·U12 trailing
-		// update in parallel row chunks.
-		f.k0, f.kend = k0, kend
-		par.For(n-kend, 64, f.u12Fn)
-		par.For(n-kend, luRowGrain, f.trailFn)
+		// Block row of U, U12 = L11⁻¹·A12: each panel row needs the final
+		// rows above it, so the rows run in order here.
+		f.eliminateRows(k0, kend, k0+1, kend)
+		// Trailing update A22 -= L21·U12: its rows are independent. At one
+		// worker the pool would run its chunks in order on this goroutine,
+		// so the rows run here directly and no closure is built.
+		if rows := n - kend; rows >= luParRows && par.Workers() > 1 {
+			f.eliminatePooled(k0, kend)
+		} else {
+			f.eliminateRows(k0, kend, kend, n)
+		}
 	}
 	return nil
+}
+
+// eliminatePooled runs the trailing update of panel [k0, kend) over the
+// worker pool in luRowGrain-row chunks. It is split out of FactorInto so
+// that the closure, which escapes to the pool, is built only when the pool
+// runs.
+func (f *LU) eliminatePooled(k0, kend int) {
+	par.For(f.lu.Rows-kend, luRowGrain, func(lo, hi int) {
+		f.eliminateRows(k0, kend, kend+lo, kend+hi)
+	})
+}
+
+// eliminateRows applies panel [k0, kend)'s updates to columns [kend, n) of
+// rows [lo, hi): row i subtracts m·(row k of U) for each nonzero multiplier
+// m = lu[i][k], k0 ≤ k < min(i, kend), in ascending k. It gathers a row's
+// nonzero multipliers first and subtracts four rows of U per pass, so the
+// destination row is loaded and stored once per four updates; each entry
+// still sees the same operations in the same order as one update at a time.
+func (f *LU) eliminateRows(k0, kend, lo, hi int) {
+	n := f.lu.Rows
+	lu := f.lu.Data
+	var ks [luBlock]int
+	for i := lo; i < hi; i++ {
+		ri := lu[i*n : (i+1)*n]
+		nk := 0
+		for k := k0; k < min(i, kend); k++ {
+			if ri[k] != 0 {
+				ks[nk] = k
+				nk++
+			}
+		}
+		d := ri[kend:]
+		q := 0
+		for ; q+4 <= nk; q += 4 {
+			r0, r1, r2, r3 := ks[q], ks[q+1], ks[q+2], ks[q+3]
+			m0, m1, m2, m3 := ri[r0], ri[r1], ri[r2], ri[r3]
+			u0 := lu[r0*n+kend : (r0+1)*n][:len(d)]
+			u1 := lu[r1*n+kend : (r1+1)*n][:len(d)]
+			u2 := lu[r2*n+kend : (r2+1)*n][:len(d)]
+			u3 := lu[r3*n+kend : (r3+1)*n][:len(d)]
+			for j, v := range d {
+				d[j] = v - m0*u0[j] - m1*u1[j] - m2*u2[j] - m3*u3[j]
+			}
+		}
+		for ; q < nk; q++ {
+			k := ks[q]
+			m := ri[k]
+			u := lu[k*n+kend : (k+1)*n][:len(d)]
+			for j := range d {
+				d[j] -= m * u[j]
+			}
+		}
+	}
 }
 
 // N returns the factored dimension.

@@ -1,10 +1,12 @@
 // Package par is the repository's bounded worker pool. It runs only
 // kernels in which each chunk updates or factors a whole matrix: the
-// trailing updates of a dense LU panel (la.LU.FactorInto), the quasiperiodic
-// solve's per-line diagonal blocks (core's fillLines), and the block-Jacobi
-// preconditioner's factor and apply (krylov). Per-collocation-point and
-// per-harmonic kernels do microseconds of work per call, less than a
-// dispatch costs, so they run as plain loops on the calling goroutine.
+// trailing update of a dense LU panel that leaves at least 256 trailing rows
+// (la.LU.FactorInto; smaller updates, every one at n ≤ 303, stay serial),
+// the quasiperiodic solve's per-line diagonal blocks (core's fillLines), and
+// the block-Jacobi preconditioner's factor and apply (krylov).
+// Per-collocation-point and per-harmonic kernels do microseconds of work per
+// call, less than a dispatch costs, so they run as plain loops on the
+// calling goroutine.
 //
 // # Determinism
 //

@@ -383,3 +383,16 @@ func TestShootingCollapsedPeriod(t *testing.T) {
 		t.Fatalf("error body %s (err %v), want kind stagnation", body, err)
 	}
 }
+
+// TestQuasiperiodicWholeSlowPeriod: the served quasiperiodic solve seeds
+// from an envelope run of exactly one slow period, which stops a rounding
+// error short of it. Periods where that happens must still answer 200.
+func TestQuasiperiodicWholeSlowPeriod(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Engine: CircuitEngine{}})
+	for _, period := range []string{"1e-4", "2e-4"} {
+		resp, body := post(t, ts.URL, `{"circuit":"paper-vco","analysis":"quasiperiodic","options":{"period":`+period+`}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("period %s: status %d, want 200 (%s)", period, resp.StatusCode, body)
+		}
+	}
+}
