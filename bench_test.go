@@ -195,17 +195,20 @@ func BenchmarkSpeedupTransientAir1000(b *testing.B) {
 }
 
 // ParSpeedup pins the worker-pool size explicitly (overriding GOMAXPROCS
-// and WAMPDE_WORKERS) and reruns a Fig-10-scale air-damped envelope at a
-// finer warped-axis resolution, where the O((N1·n)³) dense factorizations
-// give the pool real work. The workers=4/workers=1 time ratio is the
-// parallel speedup; on a ≥4-core machine it should exceed 2×. Results are
-// bitwise identical across worker counts (see TestEnvelopeWorkerDeterminism).
+// and WAMPDE_WORKERS) and reruns a Fig-10-scale air-damped envelope at the
+// largest served warped-axis resolution, N1 = 129 (517 unknowns), where the
+// O((N1·n)³) dense factorizations give the pool real work: 5 of each
+// factorization's 11 LU panels leave at least 256 trailing rows and
+// dispatch, and they carry about 87% of the trailing-update flops. The
+// workers=4/workers=1 time ratio is the parallel speedup; on a ≥4-core
+// machine it should exceed 2×. Results are bitwise identical across worker
+// counts (see TestEnvelopeWorkerDeterminism).
 func BenchmarkParSpeedup(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			prev := par.SetWorkers(w)
 			defer par.SetWorkers(prev)
-			benchEnvelope(b, true, 0.5e-3, 100, core.EnvelopeOptions{N1: 49, Trap: true})
+			benchEnvelope(b, true, 0.5e-3, 100, core.EnvelopeOptions{N1: 129, Trap: true})
 		})
 	}
 }

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Repository check tiers, in increasing cost:
 #
-#   tier 1      build + full test suite (the gate every change must pass)
+#   tier 1      build + full test suite (the gate every change must pass);
+#               the build includes the bench/ module, its own Go module
+#               that the root's ./... never reaches although it imports ten
+#               internal packages, so a change to an API it reads fails here
 #   tier 2      gofmt (fails when gofmt -l lists any file), vet + race
 #               detector over the suite (-short skips the longest solver
 #               runs; the three pooled kernels — dense LU trailing
@@ -129,6 +132,7 @@ benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|Benchmar
 if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 	echo "== tier 1: build + tests"
 	go build ./...
+	(cd bench && go build -o /dev/null .)
 	go test ./...
 fi
 

@@ -70,7 +70,7 @@ func main() {
 	switch *analysis {
 	case "dc":
 		x := make([]float64, sys.Dim())
-		fatal(transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}))
+		fatal(transient.DCOperatingPoint(sys, 0, x))
 		for i, v := range x {
 			fmt.Printf("%-16s %.8g\n", sys.StateName(i), v)
 		}
@@ -79,7 +79,7 @@ func main() {
 			fatal(solverr.New(solverr.KindBadInput, "circuitsim", "tran needs -tstop and -h"))
 		}
 		x := make([]float64, sys.Dim())
-		fatal(transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}))
+		fatal(transient.DCOperatingPoint(sys, 0, x))
 		res, err := transient.Simulate(sys, x, 0, tstop, transient.Options{Method: transient.Trap, H: hstep, Ctx: ctx})
 		if err != nil && (res == nil || len(res.T) == 0) {
 			fatal(err)
@@ -96,7 +96,7 @@ func main() {
 			fatal(solverr.New(solverr.KindBadInput, "circuitsim", "pss needs -period"))
 		}
 		x := make([]float64, sys.Dim())
-		fatal(transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}))
+		fatal(transient.DCOperatingPoint(sys, 0, x))
 		pss, err := shooting.Forced(sys, x, period, shooting.Options{Method: transient.Trap, Ctx: ctx})
 		fatal(err)
 		fmt.Printf("# periodic steady state, period %.6g\n", pss.T)
@@ -116,7 +116,7 @@ func main() {
 		}
 		// Kick the oscillation variable off equilibrium for the settling run.
 		xg := make([]float64, sys.Dim())
-		fatal(transient.DCOperatingPoint(sys, 0, xg, transient.DCOptions{}))
+		fatal(transient.DCOperatingPoint(sys, 0, xg))
 		xg[sys.OscVar()] += 0.5
 		xhat0, omega0, err := core.InitialCondition(sys, xg, 1/fGuess, core.ICOptions{N1: *n1})
 		fatal(err)

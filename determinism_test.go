@@ -129,7 +129,7 @@ func TestParSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need >=4 CPUs to measure parallel speedup, have %d", runtime.NumCPU())
 	}
-	cfg := wampde.VCORunConfig{Air: true, N1: 49, T2End: 0.5e-3, Steps: 100}
+	cfg := wampde.VCORunConfig{Air: true, N1: 129, T2End: 0.5e-3, Steps: 100}
 	timeRun := func(workers int) float64 {
 		prev := par.SetWorkers(workers)
 		defer par.SetWorkers(prev)

@@ -12,14 +12,13 @@ import (
 
 	"repro/internal/dae"
 	"repro/internal/la"
-	"repro/internal/sparse"
 )
 
 // Ground is the reference node name; its voltage is identically zero.
 const Ground = "0"
 
-// Stamper accumulates Jacobian entries; both dense and sparse assemblies
-// implement it.
+// Stamper accumulates Jacobian entries; System.JQ and JF stamp through the
+// dense matrix's Adder.
 type Stamper func(i, j int, v float64)
 
 // Device is a circuit element. Indices used by the stamps are resolved node
@@ -239,32 +238,6 @@ func (s *System) JQ(x []float64, j *la.Dense) {
 func (s *System) JF(x, u []float64, j *la.Dense) {
 	j.Zero()
 	add := j.Adder()
-	for _, d := range s.devices {
-		d.StampJF(x, u, add)
-	}
-}
-
-// SparseJQ assembles dq/dx into a triplet accumulator (reset first).
-func (s *System) SparseJQ(x []float64, tr *sparse.Triplet) {
-	tr.Reset()
-	add := func(i, j int, v float64) {
-		if i >= 0 && j >= 0 {
-			tr.Add(i, j, v)
-		}
-	}
-	for _, d := range s.devices {
-		d.StampJQ(x, add)
-	}
-}
-
-// SparseJF assembles df/dx into a triplet accumulator (reset first).
-func (s *System) SparseJF(x, u []float64, tr *sparse.Triplet) {
-	tr.Reset()
-	add := func(i, j int, v float64) {
-		if i >= 0 && j >= 0 {
-			tr.Add(i, j, v)
-		}
-	}
 	for _, d := range s.devices {
 		d.StampJF(x, u, add)
 	}

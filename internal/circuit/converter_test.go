@@ -106,7 +106,7 @@ func TestSwitchConductance(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, sys.Dim())
-		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+		if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 			t.Fatalf("ctl=%g: %v", tc.ctl, err)
 		}
 		iout, _ := sys.NodeIndex("out")
@@ -202,7 +202,7 @@ func TestPWLvsExpDiodeRectifier(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, sys.Dim())
-		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+		if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 			t.Fatal(err)
 		}
 		iout, _ := sys.NodeIndex("out")

@@ -24,7 +24,7 @@ func TestMOSFETSquareLawDC(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, sys.Dim())
-		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+		if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 			t.Fatal(err)
 		}
 		// Drain current = -branch current of VD (current out of supply).
@@ -52,7 +52,7 @@ func TestMOSFETTriodeRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	got := -x[sys.NumNodes()]
@@ -129,7 +129,7 @@ func TestCrossCoupledLCOscillator(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	ia, _ := sys.NodeIndex("a")

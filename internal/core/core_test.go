@@ -471,6 +471,15 @@ func TestMultiTimeInputsRejected(t *testing.T) {
 			_, err := Quasiperiodic(sys, 10, grid(func(g *QPGuess) { g.X[3][4][2] = inf }), qp)
 			return err
 		}},
+		{"spectral/H2=NaN", func() error {
+			_, err := SpectralEnvelope(sys, x, 1, 10, SpectralOptions{M: (n1 - 1) / 2, H2: nan})
+			return err
+		}},
+		{"spectral/omega0=Inf", func() error {
+			_, err := SpectralEnvelope(sys, x, inf, 10, SpectralOptions{M: (n1 - 1) / 2, H2: 1})
+			return err
+		}},
+		{"ic/TGuess=NaN", func() error { _, err := LimitCycle(sys, x[:n], nan, ICOptions{}); return err }},
 		{"forcedqp/omega=NaN", func() error { _, err := ForcedQuasiperiodic(sys, nil, nil, nan, 10, qp); return err }},
 		{"forcedqp/T2=NaN", func() error { _, err := ForcedQuasiperiodic(sys, nil, nil, 1, nan, qp); return err }},
 		{"forcedqp/short-line", func() error {

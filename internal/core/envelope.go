@@ -140,25 +140,16 @@ func checkEnvelopeArgs(n int, xhat0 []float64, omega0, t2End float64, opt Envelo
 		return solverr.New(solverr.KindBadInput, stage,
 			"len(xhat0)=%d, want N1·n=%d", len(xhat0), opt.N1*n)
 	}
-	if err := positive(stage, "EnvelopeOptions.H2", opt.H2); err != nil {
+	if err := solverr.CheckPositive(stage, "EnvelopeOptions.H2", opt.H2); err != nil {
 		return err
 	}
-	if err := positive(stage, "t2End", t2End); err != nil {
+	if err := solverr.CheckPositive(stage, "t2End", t2End); err != nil {
 		return err
 	}
-	if err := positive(stage, "omega0", omega0); err != nil {
+	if err := solverr.CheckPositive(stage, "omega0", omega0); err != nil {
 		return err
 	}
 	return solverr.CheckFinite(stage, xhat0)
-}
-
-// positive rejects a parameter that is not a positive finite number; the
-// negated comparison also catches NaN.
-func positive(stage, name string, v float64) error {
-	if !(v > 0) || math.IsInf(v, 1) {
-		return solverr.New(solverr.KindBadInput, stage, "%s must be positive and finite, got %v", name, v)
-	}
-	return nil
 }
 
 // envelope runs the t2 loop of Envelope and ForcedEnvelope over a one-line

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/dae"
+	"repro/internal/solverr"
 )
 
 // This file is the forced (unwarped-MPDE) entry to the multi-time solvers,
@@ -48,7 +49,7 @@ func (in lineInputs) fill(us []float64, n1, l int, t2 float64) {
 // omega·t2; they are kept so EnvelopeResult consumers (resampling,
 // serving) work unchanged.
 func ForcedEnvelope(sys dae.System, input2 func(tau, t2 float64, u []float64), xhat0 []float64, omega, t2End float64, opt EnvelopeOptions) (*EnvelopeResult, error) {
-	if err := positive("core.forced", "omega", omega); err != nil {
+	if err := solverr.CheckPositive("core.forced", "omega", omega); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
@@ -68,10 +69,10 @@ func ForcedEnvelope(sys dae.System, input2 func(tau, t2 float64, u []float64), x
 // result's Omega is constant at omega.
 func ForcedQuasiperiodic(sys dae.System, input2 func(tau, t2 float64, u []float64), x0 [][][]float64, omega, t2Period float64, opt QPOptions) (*QPResult, error) {
 	const stage = "core.forced"
-	if err := positive(stage, "omega", omega); err != nil {
+	if err := solverr.CheckPositive(stage, "omega", omega); err != nil {
 		return nil, err
 	}
-	if err := positive(stage, "T2", t2Period); err != nil {
+	if err := solverr.CheckPositive(stage, "T2", t2Period); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()

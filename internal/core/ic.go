@@ -76,8 +76,8 @@ func LimitCycle(sys dae.Autonomous, xGuess []float64, TGuess float64, opt ICOpti
 	if len(xGuess) != n {
 		return nil, solverr.New(solverr.KindBadInput, "core.ic", "len(xGuess)=%d, want %d", len(xGuess), n)
 	}
-	if TGuess <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.ic", "TGuess must be positive")
+	if err := solverr.CheckPositive("core.ic", "TGuess", TGuess); err != nil {
+		return nil, err
 	}
 	var pss *shooting.PSS
 	if opt.Warm.HasOrbit(n) {

@@ -28,9 +28,11 @@ type QPOptions struct {
 	// the global Jacobian at all — GMRES applies it through the
 	// spectral-differentiation FFT plans and the per-point device blocks
 	// (see SpectralOp), under a block-Jacobi preconditioner whose blocks are
-	// the per-t2-line systems, built directly from the device slots. Memory
-	// drops from O((N1·N2·n)²) to O(N1·N2·n) — the scalable path for fine
-	// grids.
+	// the per-t2-line systems, built directly from the device slots. Dense
+	// memory drops from two (N1·N2·n + N2)² matrices (the Jacobian and its
+	// LU) to 2·N2·(N1·n)² entries (one block per t2 line, and block
+	// Jacobi's factored copy of each): N2 times less, which still grows
+	// with the square of the t1 grid and the state count.
 	Linear LinearKind
 	// Ctx, when non-nil, makes the solve cancelable: it is checked once per
 	// Newton iteration. On cancellation Quasiperiodic returns the best iterate
@@ -113,7 +115,7 @@ func GuessFromEnvelope(res *EnvelopeResult, t2Period float64, n1, n2 int) (*QPGu
 func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPOptions) (*QPResult, error) {
 	const stage = "core.quasi"
 	opt = opt.withDefaults()
-	if err := positive(stage, "T2", t2Period); err != nil {
+	if err := solverr.CheckPositive(stage, "T2", t2Period); err != nil {
 		return nil, err
 	}
 	if guess == nil {
@@ -133,7 +135,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 // n-state points, and n2 positive finite frequencies.
 func checkGuess(stage string, x [][][]float64, omegas []float64, n1, n2, n int) error {
 	for _, w := range omegas {
-		if err := positive(stage, "guess ω", w); err != nil {
+		if err := solverr.CheckPositive(stage, "guess ω", w); err != nil {
 			return err
 		}
 	}

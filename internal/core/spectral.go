@@ -27,9 +27,6 @@ type SpectralOptions struct {
 	H2     float64 // t2 step (required)
 	Trap   bool    // trapezoidal t2 integration
 	Newton newton.Options
-	// OnStep observes accepted steps (coefficients in signed-harmonic
-	// order, see Coefficients); returning false stops the run.
-	OnStep func(t2, omega float64, coeff []complex128) bool
 }
 
 // SpectralResult is a frequency-domain envelope run: the harmonic
@@ -94,11 +91,14 @@ func SpectralEnvelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64
 		return nil, solverr.New(solverr.KindBadInput, "core.spectral",
 			"spectral IC needs N1=2M+1=%d samples per state, got %d", N, len(xhat0)/n)
 	}
-	if opt.H2 <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.spectral", "SpectralOptions.H2 must be positive")
+	if err := solverr.CheckPositive("core.spectral", "SpectralOptions.H2", opt.H2); err != nil {
+		return nil, err
 	}
-	if t2End <= 0 || omega0 <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "core.spectral", "t2End and omega0 must be positive")
+	if err := solverr.CheckPositive("core.spectral", "t2End", t2End); err != nil {
+		return nil, err
+	}
+	if err := solverr.CheckPositive("core.spectral", "omega0", omega0); err != nil {
+		return nil, err
 	}
 	k := sys.OscVar()
 	if k < 0 || k >= n {
@@ -114,7 +114,7 @@ func SpectralEnvelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64
 	rotateToSpectralPhase(coeff, opt.M, n, k)
 
 	res := &SpectralResult{M: opt.M, N: n}
-	record := func(t2, omega float64, c []complex128) bool {
+	record := func(t2, omega float64, c []complex128) {
 		res.T2 = append(res.T2, t2)
 		res.Omega = append(res.Omega, omega)
 		res.Coeff = append(res.Coeff, append([]complex128(nil), c...))
@@ -125,16 +125,10 @@ func SpectralEnvelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64
 			h := res.T2[kk] - res.T2[kk-1]
 			res.Phi = append(res.Phi, res.Phi[kk-1]+h*(res.Omega[kk]+res.Omega[kk-1])/2)
 		}
-		if opt.OnStep != nil {
-			return opt.OnStep(t2, omega, c)
-		}
-		return true
 	}
 
 	t2, omega := 0.0, omega0
-	if !record(t2, omega, coeff) {
-		return res, nil
-	}
+	record(t2, omega, coeff)
 	h := opt.H2
 	hMin := h / 1024
 	endTol := 1e-12 * t2End
@@ -168,9 +162,7 @@ func SpectralEnvelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64
 		stepIdx++
 		copy(coeff, cNew)
 		omega = omegaNew
-		if !record(t2, omega, coeff) {
-			return res, nil
-		}
+		record(t2, omega, coeff)
 	}
 	return res, nil
 }

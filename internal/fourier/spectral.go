@@ -160,24 +160,3 @@ func Coefficients(x []float64) []complex128 {
 	}
 	return out
 }
-
-// Spectrum1Sided returns the one-sided amplitude spectrum of a real signal:
-// amp[h] is the amplitude of harmonic h for h = 0..n/2.
-func Spectrum1Sided(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	spec := make([]complex128, n)
-	PlanFFT(n).ForwardReal(spec, x)
-	half := n/2 + 1
-	amp := make([]float64, half)
-	for k := 0; k < half; k++ {
-		mag := math.Hypot(real(spec[k]), imag(spec[k])) / float64(n)
-		if k != 0 && !(n%2 == 0 && k == n/2) {
-			mag *= 2
-		}
-		amp[k] = mag
-	}
-	return amp
-}

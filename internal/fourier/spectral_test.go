@@ -180,31 +180,3 @@ func TestCoefficientsOfKnownSignal(t *testing.T) {
 		}
 	}
 }
-
-func TestSpectrum1Sided(t *testing.T) {
-	n := 64
-	x := sampleUniform(n, func(tt float64) float64 {
-		return 3 + 2*math.Sin(2*math.Pi*4*tt) + 0.5*math.Cos(2*math.Pi*10*tt)
-	})
-	amp := Spectrum1Sided(x)
-	if math.Abs(amp[0]-3) > 1e-10 {
-		t.Fatalf("DC amp = %v, want 3", amp[0])
-	}
-	if math.Abs(amp[4]-2) > 1e-10 {
-		t.Fatalf("h=4 amp = %v, want 2", amp[4])
-	}
-	if math.Abs(amp[10]-0.5) > 1e-10 {
-		t.Fatalf("h=10 amp = %v, want 0.5", amp[10])
-	}
-	for _, k := range []int{1, 2, 3, 5, 7, 20} {
-		if amp[k] > 1e-10 {
-			t.Fatalf("spurious amplitude at %d: %v", k, amp[k])
-		}
-	}
-}
-
-func TestSpectrum1SidedEmpty(t *testing.T) {
-	if Spectrum1Sided(nil) != nil {
-		t.Fatal("empty spectrum should be nil")
-	}
-}

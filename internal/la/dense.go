@@ -179,15 +179,6 @@ func (m *Dense) MaxAbs() float64 {
 	return max
 }
 
-// NormFro returns the Frobenius norm.
-func (m *Dense) NormFro() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	var b strings.Builder

@@ -299,30 +299,6 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// CondEstimate returns a cheap lower bound on the infinity-norm condition
-// number using the factor diagonals: max|u_ii| / min|u_ii|. It is a
-// diagnostic, not a rigorous estimate.
-func (f *LU) CondEstimate() float64 {
-	n := f.lu.Rows
-	if n == 0 {
-		return 1
-	}
-	min, max := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		a := math.Abs(f.lu.Data[i*n+i])
-		if a < min {
-			min = a
-		}
-		if a > max {
-			max = a
-		}
-	}
-	if min == 0 {
-		return math.Inf(1)
-	}
-	return max / min
-}
-
 // SolveDense is a convenience: factor a and solve a single right-hand side.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)

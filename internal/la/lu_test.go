@@ -169,24 +169,6 @@ func TestSolveMatrixMultipleRHS(t *testing.T) {
 	}
 }
 
-func TestCondEstimate(t *testing.T) {
-	f, err := FactorLU(Identity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := f.CondEstimate(); !almostEq(c, 1, 1e-14) {
-		t.Fatalf("cond(I) estimate = %v, want 1", c)
-	}
-	ill := DenseFromRows([][]float64{{1, 0}, {0, 1e-12}})
-	f2, err := FactorLU(ill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := f2.CondEstimate(); c < 1e11 {
-		t.Fatalf("cond estimate too small for ill-conditioned matrix: %v", c)
-	}
-}
-
 func TestLUEmptyMatrix(t *testing.T) {
 	f, err := FactorLU(NewDense(0, 0))
 	if err != nil {

@@ -90,31 +90,3 @@ func Sub(dst, x, y []float64) {
 		dst[i] = x[i] - y[i]
 	}
 }
-
-// AddTo computes dst = x + y in place.
-func AddTo(dst, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("la: AddTo length mismatch")
-	}
-	for i := range x {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// WeightedRMS returns sqrt(mean((x_i/(atol+rtol*|ref_i|))^2)), the weighted
-// error norm used by adaptive step controllers. An empty x returns 0.
-func WeightedRMS(x, ref []float64, atol, rtol float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	if len(x) != len(ref) {
-		panic("la: WeightedRMS length mismatch")
-	}
-	s := 0.0
-	for i, v := range x {
-		w := atol + rtol*math.Abs(ref[i])
-		r := v / w
-		s += r * r
-	}
-	return math.Sqrt(s / float64(len(x)))
-}

@@ -81,7 +81,7 @@ R2 mid 0 3k
 		t.Fatal(err)
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	mid, _ := sys.NodeIndex("mid")

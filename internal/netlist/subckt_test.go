@@ -35,7 +35,7 @@ Xb in 0 div
 		t.Fatal("instance-scoped node Xb.mid missing")
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	mid, _ := sys.NodeIndex("Xa.mid")
@@ -70,7 +70,7 @@ Xd in 0 div
 		t.Fatal("node Xd.mid missing")
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	mid, _ := sys.NodeIndex("Xd.mid")

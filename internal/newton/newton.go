@@ -48,7 +48,6 @@ type Problem struct {
 type Options struct {
 	MaxIter   int     // default 50
 	TolF      float64 // residual inf-norm target, default 1e-10
-	TolX      float64 // relative step target, default 1e-12
 	Damping   bool    // enable residual-halving line search
 	MaxHalves int     // damping depth, default 10
 
@@ -79,15 +78,16 @@ type Options struct {
 	Ctx context.Context
 }
 
+// tolX is the relative step size below which an iteration whose residual is
+// within 10·TolF counts as converged.
+const tolX = 1e-12
+
 func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50
 	}
 	if o.TolF <= 0 {
 		o.TolF = 1e-10
-	}
-	if o.TolX <= 0 {
-		o.TolX = 1e-12
 	}
 	if o.MaxHalves <= 0 {
 		o.MaxHalves = 10
@@ -318,7 +318,7 @@ func Solve(p Problem, x []float64, opt Options) (Result, error) {
 		// Small-step stopping criterion. The residual must still be close
 		// to tolerance: with modified (chord) Newton the per-iteration step
 		// shrinks linearly and is no proxy for the remaining error.
-		if la.NormInf(dx)*step <= opt.TolX*(1+la.NormInf(x)) && normF <= 10*opt.TolF {
+		if la.NormInf(dx)*step <= tolX*(1+la.NormInf(x)) && normF <= 10*opt.TolF {
 			return mk(it, normF, true), nil
 		}
 	}

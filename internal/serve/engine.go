@@ -177,6 +177,36 @@ func (c *Canonical) needsOscVar() bool {
 	return false
 }
 
+// denseEntries is the number of float64 entries the solve of c on an
+// n-state system holds in dense matrices, at the largest, with the same
+// matrixFreeCutover selection the solve makes. A dense linear system of
+// total unknowns holds its Jacobian and its LU factors, 2·total². Its total
+// is N1·N2·n + N2 on a dense collocation grid (N2 = 1 for an envelope and
+// for harmonic balance, whose N1 is nharm) and at most n + 1 for the DC,
+// transient and shooting solves every analysis runs. Matrix-free
+// quasiperiodic instead holds N2 line blocks of (N1·n)² and block Jacobi's
+// factored copy of each, 2·N2·(N1·n)²; a matrix-free envelope holds no
+// dense matrix of the grid's size.
+func (c *Canonical) denseEntries(n int) float64 {
+	square := func(m int) float64 { return 2 * float64(m) * float64(m) }
+	switch c.Analysis {
+	case AnalysisEnvelope:
+		// Converter ripple envelopes always take the dense path.
+		base, _, _, _ := parseConverterCircuit(c.Circuit)
+		if m := c.N1*n + 1; m <= matrixFreeCutover || base != "" {
+			return square(m)
+		}
+	case AnalysisHB:
+		return square(c.NHarm*n + 1)
+	case AnalysisQuasiperiodic:
+		if m := c.N1*c.N2*n + c.N2; m <= matrixFreeCutover {
+			return square(m)
+		}
+		return float64(c.N2) * square(c.N1*n)
+	}
+	return square(n + 1)
+}
+
 // Solve implements Engine.
 func (e CircuitEngine) Solve(ctx context.Context, c *Canonical) (*Outcome, Stats, error) {
 	var st Stats
@@ -185,6 +215,10 @@ func (e CircuitEngine) Solve(ctx context.Context, c *Canonical) (*Outcome, Stats
 	st.BuildNS = time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, st, err
+	}
+	if m := c.denseEntries(sys.Dim()); m > MaxDenseEntries {
+		return nil, st, solverr.New(solverr.KindBadInput, "serve.engine",
+			"%s on %d states needs %.3g dense matrix entries, above the %d-entry cap", c.Analysis, sys.Dim(), m, MaxDenseEntries)
 	}
 	if c.needsOscVar() && sys.OscVar() < 0 {
 		return nil, st, solverr.New(solverr.KindBadInput, "serve.engine",
@@ -239,7 +273,7 @@ func (CircuitEngine) transient(ctx context.Context, sys *circuit.System, c *Cano
 		// transient.ConverterNewton).
 		opt.Method = transient.BDF2
 		opt.Newton = transient.ConverterNewton
-	} else if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	} else if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		return err
 	}
 	res, err := transient.Simulate(sys, x, 0, c.TStop, opt)
@@ -268,7 +302,7 @@ func (CircuitEngine) transient(ctx context.Context, sys *circuit.System, c *Cano
 // point, kicked off the equilibrium along the oscillation variable.
 func kickedStart(sys *circuit.System) ([]float64, error) {
 	xg := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, xg, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, xg); err != nil {
 		return nil, err
 	}
 	xg[sys.OscVar()] += 0.5
@@ -400,7 +434,7 @@ func (CircuitEngine) shooting(ctx context.Context, sys *circuit.System, c *Canon
 	var err error
 	if c.Period > 0 {
 		x := make([]float64, sys.Dim())
-		if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+		if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 			return err
 		}
 		pss, err = shooting.Forced(sys, x, c.Period, shooting.Options{Method: transient.Trap, Ctx: ctx})

@@ -116,7 +116,7 @@ func preambleOmega0(t *testing.T, v float64) float64 {
 		t.Fatal(err)
 	}
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	x[sys.OscVar()] += 0.5

@@ -60,6 +60,10 @@ const (
 	MaxN1 = 129
 	// MaxN2 bounds the quasiperiodic slow-axis grid.
 	MaxN2 = 128
+	// MaxDenseEntries bounds the float64 entries one solve holds in dense
+	// matrices (1 GiB), as the engine counts them from the canonical request
+	// and the built system's dimension (see denseEntries).
+	MaxDenseEntries = 1 << 27
 	// MaxSteps bounds envelope t2 steps.
 	MaxSteps = 20000
 	// MaxTransientSteps bounds tstop/h for transient analyses.

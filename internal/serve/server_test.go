@@ -396,3 +396,41 @@ func TestQuasiperiodicWholeSlowPeriod(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseMemoryAdmission: a request whose dense matrices would not fit is
+// refused as bad input before any preamble or solve. Harmonic balance on
+// the 31-stage ring (93 states) at nharm 257 would factor a dense
+// 23,902-unknown system, two matrices of 4.6 GB; matrix-free quasiperiodic
+// at n1 65, n2 64 would hold 64 line blocks of 6,045² and a factored copy of
+// each, 37 GB. Each request carries a short deadline and the engine call a
+// canceled context, so that code without the cap stops in the preamble,
+// before the grid is allocated, instead of running the machine out of
+// memory.
+func TestDenseMemoryAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Engine: CircuitEngine{}})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, body := range []string{
+		`{"circuit":"ring-vco?stages=31","analysis":"hb","options":{"nharm":257}`,
+		`{"circuit":"ring-vco?stages=31","analysis":"quasiperiodic","options":{"period":1e-6,"n1":65,"n2":64}`,
+	} {
+		resp, out := post(t, ts.URL, body+`,"deadline_ms":50}`)
+		var eb ErrorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &eb) != nil || eb.Kind != "bad-input" {
+			t.Errorf("%s: status %d body %s, want 400 bad-input", body, resp.StatusCode, out)
+		}
+
+		req, err := DecodeRequest(strings.NewReader(body + "}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := req.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := CircuitEngine{}.Solve(canceled, c)
+		if !solverr.IsKind(err, solverr.KindBadInput) || res != nil || st.ICNS != 0 || st.SolveNS != 0 {
+			t.Errorf("%s: engine returned %v with stats %+v, want a bad-input error before any preamble or solve", body, err, st)
+		}
+	}
+}

@@ -208,8 +208,8 @@ func Forced(sys dae.System, x0 []float64, T float64, opt Options) (*PSS, error) 
 	if len(x0) != n {
 		return nil, solverr.New(solverr.KindBadInput, "shooting.forced", "len(x0)=%d, want %d", len(x0), n)
 	}
-	if T <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "shooting.forced", "period must be positive")
+	if err := solverr.CheckPositive("shooting.forced", "period", T); err != nil {
+		return nil, err
 	}
 	tr := &transit{sys: sys, opt: opt}
 	x := append([]float64(nil), x0...)
@@ -261,8 +261,8 @@ func Autonomous(sys dae.Autonomous, x0 []float64, T0 float64, opt Options) (*PSS
 	if len(x0) != n {
 		return nil, solverr.New(solverr.KindBadInput, "shooting.autonomous", "len(x0)=%d, want %d", len(x0), n)
 	}
-	if T0 <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "shooting.autonomous", "period guess must be positive")
+	if err := solverr.CheckPositive("shooting.autonomous", "period guess", T0); err != nil {
+		return nil, err
 	}
 	frozen := Freeze(sys, 0)
 	tr := &transit{sys: frozen, opt: opt}

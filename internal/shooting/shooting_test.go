@@ -51,13 +51,33 @@ func TestForcedPeriodicityResidual(t *testing.T) {
 	}
 }
 
+// badPeriods are periods (and period guesses) that are not positive finite
+// numbers; both entry points reject them before any transit, instead of a
+// forced PSS with a NaN or infinite period or an autonomous "period
+// collapsed" stagnation.
+var badPeriods = []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)}
+
 func TestForcedBadArgs(t *testing.T) {
 	sys := &dae.LinearRC{C: 1, R: 1}
-	if _, err := Forced(sys, []float64{0, 0}, 1, Options{}); err == nil {
-		t.Fatal("dimension error expected")
+	if _, err := Forced(sys, []float64{0, 0}, 1, Options{}); !solverr.IsKind(err, solverr.KindBadInput) {
+		t.Fatalf("dimension: %v, want a bad-input error", err)
 	}
-	if _, err := Forced(sys, []float64{0}, -1, Options{}); err == nil {
-		t.Fatal("period error expected")
+	for _, T := range badPeriods {
+		if pss, err := Forced(sys, []float64{0}, T, Options{}); !solverr.IsKind(err, solverr.KindBadInput) {
+			t.Errorf("period %v: err = %v (PSS %v), want a bad-input error", T, err, pss)
+		}
+	}
+}
+
+func TestAutonomousBadArgs(t *testing.T) {
+	sys := &dae.VanDerPol{Mu: 1}
+	if _, err := Autonomous(sys, []float64{2}, 6.6, Options{}); !solverr.IsKind(err, solverr.KindBadInput) {
+		t.Fatalf("dimension: %v, want a bad-input error", err)
+	}
+	for _, T := range badPeriods {
+		if pss, err := Autonomous(sys, []float64{2, 0}, T, Options{}); !solverr.IsKind(err, solverr.KindBadInput) {
+			t.Errorf("period guess %v: err = %v (PSS %v), want a bad-input error", T, err, pss)
+		}
 	}
 }
 
@@ -319,7 +339,7 @@ func TestSensitivityOnConsistentSubspace(t *testing.T) {
 	sys := buildMOSVCO(t)
 	frozen := Freeze(sys, 0)
 	x := make([]float64, sys.Dim())
-	if err := transient.DCOperatingPoint(sys, 0, x, transient.DCOptions{}); err != nil {
+	if err := transient.DCOperatingPoint(sys, 0, x); err != nil {
 		t.Fatal(err)
 	}
 	x[sys.OscVar()] += 0.1
@@ -460,7 +480,7 @@ func TestAutonomousRejectsCollapsedPeriod(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, vco.Dim())
-		if err := transient.DCOperatingPoint(vco, 0, x, transient.DCOptions{}); err != nil {
+		if err := transient.DCOperatingPoint(vco, 0, x); err != nil {
 			t.Fatal(err)
 		}
 		x[vco.OscVar()] += 0.5

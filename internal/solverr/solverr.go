@@ -270,3 +270,13 @@ func CheckFinite(stage string, x []float64) error {
 	}
 	return New(KindNonFinite, stage, "non-finite value %v", x[i]).WithUnknown(i)
 }
+
+// CheckPositive returns nil when v is a positive finite number, and a
+// KindBadInput error naming the parameter otherwise. The negated comparison
+// also catches NaN.
+func CheckPositive(stage, name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return New(KindBadInput, stage, "%s must be positive and finite, got %v", name, v)
+	}
+	return nil
+}

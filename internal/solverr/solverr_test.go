@@ -98,3 +98,16 @@ func TestCheckFiniteDoesNotAllocateOnSuccess(t *testing.T) {
 		t.Fatalf("CheckFinite on finite input allocated %v times", allocs)
 	}
 }
+
+func TestCheckPositive(t *testing.T) {
+	for _, v := range []float64{1e-300, 1, math.MaxFloat64} {
+		if err := CheckPositive("stage", "h", v); err != nil {
+			t.Errorf("%v: %v, want nil", v, err)
+		}
+	}
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckPositive("stage", "h", v); !IsKind(err, KindBadInput) {
+			t.Errorf("%v: %v, want a bad-input error", v, err)
+		}
+	}
+}

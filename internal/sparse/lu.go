@@ -388,13 +388,3 @@ func (f *LU) Solve(b, x []float64) {
 		copy(x, y)
 	}
 }
-
-// FillIn returns the number of stored entries in L and U combined (including
-// the unit diagonal of L), a measure of factorization fill.
-func (f *LU) FillIn() int {
-	nnz := f.n // unit diagonal of L
-	for j := 0; j < f.n; j++ {
-		nnz += len(f.lcol[j]) + len(f.ucol[j])
-	}
-	return nnz
-}

@@ -261,9 +261,12 @@ func TestSparseLUFillIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Diagonal matrix: L has only the implied unit diagonal (3), U has 3.
-	if lu.FillIn() != 6 {
-		t.Fatalf("FillIn = %d, want 6", lu.FillIn())
+	// Diagonal matrix: no fill, so L stores nothing below its implied unit
+	// diagonal and U one entry per column.
+	for j := 0; j < 3; j++ {
+		if len(lu.lcol[j]) != 0 || len(lu.ucol[j]) != 1 {
+			t.Fatalf("column %d stores %d L and %d U entries, want 0 and 1", j, len(lu.lcol[j]), len(lu.ucol[j]))
+		}
 	}
 	if lu.N() != 3 {
 		t.Fatalf("N = %d", lu.N())

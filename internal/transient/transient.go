@@ -1,9 +1,9 @@
 // Package transient implements direct numerical integration of DAE systems
 // ("transient simulation" in the paper) with Backward Euler, Trapezoidal
-// and BDF2 methods, fixed or adaptive time steps, and DC operating-point
-// analysis. This is the conventional technique the WaMPDE is benchmarked
-// against in §5: accurate for short runs but with unbounded phase-error
-// growth on oscillators (Figure 12).
+// and BDF2 methods on a fixed time step, and DC operating-point analysis.
+// This is the conventional technique the WaMPDE is benchmarked against in
+// §5: accurate for short runs but with unbounded phase-error growth on
+// oscillators (Figure 12).
 package transient
 
 import (
@@ -25,7 +25,7 @@ type Method int
 const (
 	BE   Method = iota // Backward Euler (order 1, L-stable)
 	Trap               // Trapezoidal (order 2, A-stable; the paper's workhorse)
-	BDF2               // 2nd-order backward differentiation (variable step)
+	BDF2               // 2nd-order backward differentiation
 )
 
 // String names the method.
@@ -45,19 +45,9 @@ func (m Method) String() string {
 // Options configures a transient run.
 type Options struct {
 	Method   Method
-	H        float64 // initial (or fixed) step; required
-	Adaptive bool    // enable local-error step control
-	RelTol   float64 // default 1e-6
-	AbsTol   float64 // default 1e-9
-	HMin     float64 // default H*1e-6
-	HMax     float64 // default (t1-t0)/10
-	MaxSteps int     // default 50e6/n safeguard
+	H        float64 // fixed step (the last step is shortened to land on t1); required
+	MaxSteps int     // default 50e6/(n+1) safeguard
 	Newton   newton.Options
-	// OnStep, if non-nil, is called after each accepted step; returning
-	// false aborts the run (Result holds the points so far).
-	OnStep func(t float64, x []float64) bool
-	// Store disables waveform storage when false only if OnStep is set.
-	NoStore bool
 	// Ctx, when non-nil, makes the run cancelable: it is checked before every
 	// step and once per Newton iteration within a step. On cancellation
 	// Simulate returns the partial Result accumulated so far together with a
@@ -65,12 +55,11 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Result holds the accepted time points and states of a transient run.
+// Result holds the time points and states of a transient run.
 type Result struct {
 	T          []float64
 	X          [][]float64 // X[i] is the state at T[i]
-	Steps      int         // accepted steps
-	Rejected   int         // rejected (error-controlled) steps
+	Steps      int         // steps taken
 	NewtonIter int         // cumulative Newton iterations
 }
 
@@ -114,42 +103,28 @@ func (r *Result) Component(k int) []float64 {
 // rows bottom out at the tiny relative floor and the scaled residual hits
 // its roundoff plateau near 1e-6 — below the solver default TolF, which
 // would report stagnation at t=0. TolF 1e-6 is safely above the plateau,
-// and step accuracy is governed by the LTE controller, not the Newton
+// and step accuracy is governed by the step size, not the Newton
 // tolerance, once the state is consistent.
 var ConverterNewton = newton.Options{TolF: 1e-6, MaxIter: 50}
 
-// Simulate integrates sys from x0 at t0 to t1.
+// Simulate integrates sys from x0 at t0 to t1 in steps of Options.H and
+// stores every step's state.
 func Simulate(sys dae.System, x0 []float64, t0, t1 float64, opt Options) (*Result, error) {
 	n := sys.Dim()
 	if len(x0) != n {
 		return nil, solverr.New(solverr.KindBadInput, "transient", "len(x0)=%d, want %d", len(x0), n)
 	}
-	if opt.H <= 0 {
-		return nil, solverr.New(solverr.KindBadInput, "transient", "Options.H must be positive")
+	if err := solverr.CheckPositive("transient", "Options.H", opt.H); err != nil {
+		return nil, err
 	}
-	if t1 <= t0 {
-		return nil, solverr.New(solverr.KindBadInput, "transient", "t1 must exceed t0")
+	if err := solverr.CheckPositive("transient", "t1 − t0", t1-t0); err != nil {
+		return nil, err
 	}
 	if err := solverr.CheckFinite("transient", x0); err != nil {
 		return nil, err
 	}
 	if opt.Ctx != nil && opt.Newton.Ctx == nil {
 		opt.Newton.Ctx = opt.Ctx
-	}
-	if opt.RelTol <= 0 {
-		opt.RelTol = 1e-6
-	}
-	if opt.AbsTol <= 0 {
-		opt.AbsTol = 1e-9
-	}
-	if opt.HMin <= 0 {
-		opt.HMin = opt.H * 1e-6
-	}
-	if opt.HMax <= 0 {
-		opt.HMax = (t1 - t0) / 10
-		if opt.HMax < opt.H {
-			opt.HMax = opt.H
-		}
 	}
 	if opt.MaxSteps <= 0 {
 		opt.MaxSteps = 50_000_000 / (n + 1)
@@ -159,29 +134,20 @@ func Simulate(sys dae.System, x0 []float64, t0, t1 float64, opt Options) (*Resul
 	st.init()
 
 	res := &Result{}
-	store := !(opt.NoStore && opt.OnStep != nil)
 	hist := newHistory(n)
-	record := func(t float64, x []float64) bool {
-		if store {
-			res.T = append(res.T, t)
-			res.X = append(res.X, hist.row(x))
-		}
-		if opt.OnStep != nil {
-			return opt.OnStep(t, x)
-		}
-		return true
+	record := func(t float64, x []float64) {
+		res.T = append(res.T, t)
+		res.X = append(res.X, hist.row(x))
 	}
 
 	t := t0
 	x := append([]float64(nil), x0...)
-	if !record(t, x) {
-		return res, nil
-	}
+	record(t, x)
 	h := opt.H
-	// Previous points for BDF2 and the LTE predictor (filled as steps land).
-	var tPrev, tPrev2 float64
-	var xPrev, xPrev2 []float64
-	havePrev, havePrev2 := false, false
+	// The point before t, for BDF2 (set once the first step lands).
+	xPrev := make([]float64, n)
+	var tPrev float64
+	havePrev := false
 
 	endTol := 1e-12 * (t1 - t0)
 	xNew := make([]float64, n)
@@ -201,66 +167,24 @@ func Simulate(sys dae.System, x0 []float64, t0, t1 float64, opt Options) (*Resul
 			if solverr.IsKind(err, solverr.KindCanceled) {
 				return res, err
 			}
-			if !opt.Adaptive || h <= opt.HMin {
-				k := solverr.KindOf(err)
-				if k == solverr.KindUnknown {
-					k = solverr.KindStagnation
-				}
-				return res, solverr.Wrap(k, "transient", err).
-					WithMsg("step at t=%.6g h=%.3g failed", t, h).WithStep(res.Steps)
+			k := solverr.KindOf(err)
+			if k == solverr.KindUnknown {
+				k = solverr.KindStagnation
 			}
-			res.Rejected++
-			h = math.Max(h/4, opt.HMin)
-			continue
+			return res, solverr.Wrap(k, "transient", err).
+				WithMsg("step at t=%.6g h=%.3g failed", t, h).WithStep(res.Steps)
 		}
 		if i := solverr.FirstNonFinite(xNew); i >= 0 {
 			return res, solverr.New(solverr.KindNonFinite, "transient",
 				"state became non-finite at t=%.6g (%v)", t+h, xNew[i]).WithUnknown(i).WithStep(res.Steps)
 		}
-		advance := func() bool {
-			if xPrev2 == nil {
-				xPrev2 = make([]float64, n)
-			}
-			if havePrev {
-				copy(xPrev2, xPrev)
-				tPrev2 = tPrev
-				havePrev2 = true
-			}
-			if xPrev == nil {
-				xPrev = make([]float64, n)
-			}
-			copy(xPrev, x)
-			tPrev = t
-			havePrev = true
-			t += h
-			copy(x, xNew)
-			res.Steps++
-			return record(t, x)
-		}
-		if opt.Adaptive {
-			errNorm := st.lteEstimate(h, x, xNew, xPrev, xPrev2, t, tPrev, tPrev2, havePrev, havePrev2, opt)
-			if errNorm > 1 && h > opt.HMin {
-				res.Rejected++
-				fac := 0.9 * math.Pow(1/errNorm, 1.0/float64(st.order()+1))
-				h = math.Max(h*math.Max(fac, 0.2), opt.HMin)
-				continue
-			}
-			// Accept and propose the next step.
-			fac := 5.0
-			if errNorm > 0 {
-				fac = 0.9 * math.Pow(1/errNorm, 1.0/float64(st.order()+1))
-			}
-			fac = math.Min(math.Max(fac, 0.2), 5)
-			if !advance() {
-				return res, nil
-			}
-			h = math.Min(h*fac, opt.HMax)
-			continue
-		}
-		// Fixed step.
-		if !advance() {
-			return res, nil
-		}
+		copy(xPrev, x)
+		tPrev = t
+		havePrev = true
+		t += h
+		copy(x, xNew)
+		res.Steps++
+		record(t, x)
 	}
 	if t1-t > endTol {
 		return res, solverr.New(solverr.KindBudget, "transient",
@@ -288,8 +212,6 @@ type stepper struct {
 	qTmp   []float64
 	fTmp   []float64
 	scale  []float64
-	pred   []float64
-	diff   []float64
 	jq     *la.Dense
 	jf     *la.Dense
 	jac    *la.Dense
@@ -314,8 +236,6 @@ func (st *stepper) init() {
 	st.qTmp = make([]float64, n)
 	st.fTmp = make([]float64, n)
 	st.scale = make([]float64, n)
-	st.pred = make([]float64, n)
-	st.diff = make([]float64, n)
 	st.jq = la.NewDense(n, n)
 	st.jf = la.NewDense(n, n)
 	st.jac = la.NewDense(n, n)
@@ -389,13 +309,6 @@ func stepFormula(method Method, h, t, tPrev float64, havePrev bool) formula {
 	}
 }
 
-func (st *stepper) order() int {
-	if st.opt.Method == BE {
-		return 1
-	}
-	return 2
-}
-
 // step solves the implicit equations for the state at t+h into xNew
 // (which enters holding the predictor/old state).
 func (st *stepper) step(t, h float64, xOld, xPrev []float64, tPrev float64, havePrev bool, xNew []float64) (int, error) {
@@ -446,56 +359,16 @@ func (st *stepper) step(t, h float64, xOld, xPrev []float64, tPrev float64, have
 	return resN.Iterations, err
 }
 
-// lteEstimate returns the weighted local-truncation-error norm (<=1 accepts)
-// from the difference between the implicit solution and a polynomial
-// predictor through the previous points. With two history points the
-// predictor is quadratic, so the difference scales like the order-2
-// correctors' true local error.
-func (st *stepper) lteEstimate(h float64, xOld, xNew, xPrev, xPrev2 []float64, t, tPrev, tPrev2 float64, havePrev, havePrev2 bool, opt Options) float64 {
-	n := st.n
-	pred := st.pred
-	tNew := t + h
-	switch {
-	case havePrev2 && st.order() >= 2:
-		// Quadratic Lagrange extrapolation through (tPrev2, tPrev, t).
-		l0 := (tNew - tPrev) * (tNew - t) / ((tPrev2 - tPrev) * (tPrev2 - t))
-		l1 := (tNew - tPrev2) * (tNew - t) / ((tPrev - tPrev2) * (tPrev - t))
-		l2 := (tNew - tPrev2) * (tNew - tPrev) / ((t - tPrev2) * (t - tPrev))
-		for i := 0; i < n; i++ {
-			pred[i] = l0*xPrev2[i] + l1*xPrev[i] + l2*xOld[i]
-		}
-	case havePrev:
-		r := h / (t - tPrev)
-		for i := 0; i < n; i++ {
-			pred[i] = xOld[i] + r*(xOld[i]-xPrev[i])
-		}
-	default:
-		copy(pred, xOld)
-	}
-	diff := st.diff
-	la.Sub(diff, xNew, pred)
-	la.Scal(0.5, diff)
-	return la.WeightedRMS(diff, xNew, opt.AbsTol, opt.RelTol)
-}
-
-// DCOptions configures operating-point analysis.
-type DCOptions struct {
-	Newton newton.Options
-	// GminMax is the initial added conductance for gmin stepping when the
-	// plain Newton solve fails (default 1e-3).
-	GminMax float64
-}
+// gminMax is the conductance DCOperatingPoint's gmin stepping starts from.
+const gminMax = 1e-3
 
 // DCOperatingPoint solves f(x, u(t0)) = 0. If the direct Newton solve fails
 // it falls back to gmin-stepping continuation: f(x) + g·x = 0 with g ramped
-// from GminMax to 0.
-func DCOperatingPoint(sys dae.System, t0 float64, x []float64, opt DCOptions) error {
+// from gminMax to 0.
+func DCOperatingPoint(sys dae.System, t0 float64, x []float64) error {
 	n := sys.Dim()
 	if len(x) != n {
 		return solverr.New(solverr.KindBadInput, "transient.dc", "len(x)=%d, want %d", len(x), n)
-	}
-	if opt.GminMax <= 0 {
-		opt.GminMax = 1e-3
 	}
 	u := make([]float64, sys.NumInputs())
 	sys.Input(t0, u)
@@ -517,14 +390,13 @@ func DCOperatingPoint(sys dae.System, t0 float64, x []float64, opt DCOptions) er
 				return nil
 			})
 	}
-	nopt := opt.Newton
-	nopt.Damping = true
+	nopt := newton.Options{Damping: true}
 	if _, err := newton.Solve(mk(0), x, nopt); err == nil {
 		return nil
 	}
-	// Gmin stepping: λ=0 -> g=GminMax, λ=1 -> g=0.
+	// Gmin stepping: λ=0 -> g=gminMax, λ=1 -> g=0.
 	_, err := newton.Homotopy(func(lambda float64) newton.Problem {
-		return mk(opt.GminMax * (1 - lambda))
+		return mk(gminMax * (1 - lambda))
 	}, x, nopt)
 	if err != nil {
 		k := solverr.KindOf(err)

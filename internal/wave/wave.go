@@ -1,12 +1,11 @@
 // Package wave provides waveform post-processing used by the experiment
-// harnesses: interpolation (linear and cubic spline), zero-crossing
-// detection, instantaneous-frequency estimation, and the unwrapped-phase
-// error metric that quantifies Figure 12's "phase error builds up in
-// transient simulation" claim.
+// harnesses: linear interpolation, zero-crossing detection,
+// instantaneous-frequency estimation, and the unwrapped-phase error metric
+// that quantifies Figure 12's "phase error builds up in transient
+// simulation" claim.
 package wave
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -50,77 +49,6 @@ func (s *Series) AtLinear(x float64) float64 {
 	// s.T[i-1] < x <= s.T[i]
 	w := (x - s.T[i-1]) / (s.T[i] - s.T[i-1])
 	return (1-w)*s.Y[i-1] + w*s.Y[i]
-}
-
-// Spline is a natural cubic spline through a Series.
-type Spline struct {
-	t, y, m []float64 // m: second derivatives at knots
-}
-
-// NewSpline builds a natural cubic spline (zero second derivative at the
-// ends). Needs at least two points.
-func NewSpline(t, y []float64) (*Spline, error) {
-	n := len(t)
-	if n != len(y) {
-		return nil, errors.New("wave: spline length mismatch")
-	}
-	if n < 2 {
-		return nil, errors.New("wave: spline needs at least 2 points")
-	}
-	for i := 1; i < n; i++ {
-		if t[i] <= t[i-1] {
-			return nil, fmt.Errorf("wave: spline times not increasing at %d", i)
-		}
-	}
-	sp := &Spline{
-		t: append([]float64(nil), t...),
-		y: append([]float64(nil), y...),
-		m: make([]float64, n),
-	}
-	if n == 2 {
-		return sp, nil // linear
-	}
-	// Solve the tridiagonal system for second derivatives (Thomas algorithm).
-	a := make([]float64, n) // sub
-	b := make([]float64, n) // diag
-	c := make([]float64, n) // super
-	d := make([]float64, n) // rhs
-	b[0], b[n-1] = 1, 1
-	for i := 1; i < n-1; i++ {
-		hi := t[i] - t[i-1]
-		hi1 := t[i+1] - t[i]
-		a[i] = hi
-		b[i] = 2 * (hi + hi1)
-		c[i] = hi1
-		d[i] = 6 * ((y[i+1]-y[i])/hi1 - (y[i]-y[i-1])/hi)
-	}
-	for i := 1; i < n; i++ {
-		w := a[i] / b[i-1]
-		b[i] -= w * c[i-1]
-		d[i] -= w * d[i-1]
-	}
-	sp.m[n-1] = d[n-1] / b[n-1]
-	for i := n - 2; i >= 0; i-- {
-		sp.m[i] = (d[i] - c[i]*sp.m[i+1]) / b[i]
-	}
-	return sp, nil
-}
-
-// Eval evaluates the spline at x (clamped extrapolation uses the end cubics).
-func (sp *Spline) Eval(x float64) float64 {
-	n := len(sp.t)
-	i := sort.SearchFloat64s(sp.t, x)
-	if i <= 0 {
-		i = 1
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h := sp.t[i] - sp.t[i-1]
-	A := (sp.t[i] - x) / h
-	B := (x - sp.t[i-1]) / h
-	return A*sp.y[i-1] + B*sp.y[i] +
-		((A*A*A-A)*sp.m[i-1]+(B*B*B-B)*sp.m[i])*h*h/6
 }
 
 // ZeroCrossings returns the times of rising zero crossings (y goes from
@@ -221,22 +149,6 @@ func PeakToPeak(y []float64) float64 {
 		}
 	}
 	return max - min
-}
-
-// Resample evaluates a series on n uniform points spanning [t0, t1] using
-// linear interpolation, returning times and values.
-func Resample(s *Series, t0, t1 float64, n int) ([]float64, []float64) {
-	ts := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := t0
-		if n > 1 {
-			x = t0 + (t1-t0)*float64(i)/float64(n-1)
-		}
-		ts[i] = x
-		ys[i] = s.AtLinear(x)
-	}
-	return ts, ys
 }
 
 // Envelope returns the per-cycle amplitude of an oscillation: between each

@@ -2,9 +2,7 @@ package wave
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func sine(f float64, n int, t1 float64) ([]float64, []float64) {
@@ -39,76 +37,6 @@ func TestAtLinear(t *testing.T) {
 		if got := s.AtLinear(c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("AtLinear(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestSplineInterpolatesKnots(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		ts := make([]float64, n)
-		ys := make([]float64, n)
-		cur := 0.0
-		for i := range ts {
-			cur += 0.1 + rng.Float64()
-			ts[i] = cur
-			ys[i] = rng.NormFloat64()
-		}
-		sp, err := NewSpline(ts, ys)
-		if err != nil {
-			return false
-		}
-		for i := range ts {
-			if math.Abs(sp.Eval(ts[i])-ys[i]) > 1e-9*(1+math.Abs(ys[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplineAccuracyOnSmoothFn(t *testing.T) {
-	n := 50
-	ts := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range ts {
-		ts[i] = float64(i) / float64(n-1)
-		ys[i] = math.Sin(2 * math.Pi * ts[i])
-	}
-	sp, err := NewSpline(ts, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.111, 0.333, 0.781} {
-		want := math.Sin(2 * math.Pi * x)
-		if math.Abs(sp.Eval(x)-want) > 1e-4 {
-			t.Fatalf("spline(%v) = %v, want %v", x, sp.Eval(x), want)
-		}
-	}
-}
-
-func TestSplineTwoPointsIsLinear(t *testing.T) {
-	sp, err := NewSpline([]float64{0, 2}, []float64{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sp.Eval(1)-2) > 1e-12 {
-		t.Fatalf("midpoint = %v, want 2", sp.Eval(1))
-	}
-}
-
-func TestSplineRejectsBadInput(t *testing.T) {
-	if _, err := NewSpline([]float64{0}, []float64{1}); err == nil {
-		t.Fatal("single point should fail")
-	}
-	if _, err := NewSpline([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Fatal("repeated times should fail")
-	}
-	if _, err := NewSpline([]float64{0, 1}, []float64{1}); err == nil {
-		t.Fatal("length mismatch should fail")
 	}
 }
 
@@ -225,17 +153,6 @@ func TestRMSDiff(t *testing.T) {
 	}
 	if d := RMSDiff([]float64{1}, []float64{3}); d != 2 {
 		t.Fatalf("RMSDiff = %v, want 2", d)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := &Series{T: []float64{0, 1}, Y: []float64{0, 10}}
-	ts, ys := Resample(s, 0, 1, 5)
-	if len(ts) != 5 || ts[0] != 0 || ts[4] != 1 {
-		t.Fatalf("resample times %v", ts)
-	}
-	if math.Abs(ys[2]-5) > 1e-12 {
-		t.Fatalf("midpoint = %v", ys[2])
 	}
 }
 

@@ -182,7 +182,7 @@ func RunTransient(sys System, x0 []float64, t0, t1 float64, opt TransientOptions
 
 // DCOperatingPoint solves f(x, u(t0)) = 0 with Newton and gmin stepping.
 func DCOperatingPoint(sys System, t0 float64, x []float64) error {
-	return transient.DCOperatingPoint(sys, t0, x, transient.DCOptions{})
+	return transient.DCOperatingPoint(sys, t0, x)
 }
 
 // ShootingPSS computes a forced periodic steady state by shooting.
