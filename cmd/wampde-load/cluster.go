@@ -199,7 +199,7 @@ type clusterBody struct {
 
 // runClusterMix is the healthy-cluster phase: D distinct requests, each
 // posted to every node twice (second round in seeded-shuffled order).
-func runClusterMix(h *harness, nodes []string, bodiesPath string, distinct int, seed int64, replication int, check, bench bool) {
+func runClusterMix(h *harness, nodes []string, bodiesPath string, distinct int, seed int64, replication int, check bool) {
 	reqs := make([]string, distinct)
 	for i := range reqs {
 		reqs[i] = sweepRequest(1.5+0.05*float64(i), 2e-6, 1e-8)
@@ -255,7 +255,6 @@ func runClusterMix(h *harness, nodes []string, bodiesPath string, distinct int, 
 	solves := sumDelta(m0, m1, "solves")
 	fwdOK := sumDelta(m0, m1, "forward_ok")
 	fwdIn := sumDelta(m0, m1, "forwarded_in")
-	fwdNS := sumDelta(m0, m1, "forward_ns")
 	replSent := sumDelta(m0, m1, "repl_sent")
 	replReceived := sumDelta(m0, m1, "repl_received")
 	fmt.Printf("cluster-mix: %d posts (%d distinct x %d nodes x 2 rounds) in %v — %d engine solves, %d forwards served, %d forwarded-in, %d replicas delivered\n",
@@ -295,14 +294,6 @@ func runClusterMix(h *harness, nodes []string, bodiesPath string, distinct int, 
 			}
 		}
 	}
-	if bench {
-		fmt.Printf("BenchmarkClusterMix %d %d ns/op\n", len(posts), elapsed.Nanoseconds()/int64(len(posts)))
-		fmt.Printf("BenchmarkClusterMixP99 1 %d ns/op\n", percentile(lat, 0.99).Nanoseconds())
-		if fwdOK > 0 {
-			fmt.Printf("BenchmarkClusterForward %d %d ns/op\n", fwdOK, fwdNS/fwdOK)
-		}
-	}
-
 	if bodiesPath != "" {
 		saved := make([]clusterBody, 0, distinct)
 		for i, b := range canonical {
@@ -780,7 +771,6 @@ type clusterOpts struct {
 	distinct    int
 	seed        int64
 	check       bool
-	bench       bool
 }
 
 func splitList(list string) []string {
@@ -802,7 +792,7 @@ func runClusterPhase(h *harness, o clusterOpts) {
 	}
 	switch o.phase {
 	case "mix":
-		runClusterMix(h, nodes, o.bodiesPath, o.distinct, o.seed, o.replication, o.check, o.bench)
+		runClusterMix(h, nodes, o.bodiesPath, o.distinct, o.seed, o.replication, o.check)
 	case "restart":
 		runClusterRestart(h, nodes, o.restarted, o.bodiesPath, o.check)
 	case "replay":

@@ -37,10 +37,10 @@
 //
 // -check enforces the acceptance gates (hit rate ≥ 87%, zero 5xx in the
 // mix, ≥1 rejection, ≥1 deadline exercised, and the sweep gates above);
-// -bench additionally prints `go test -bench`-style result lines, so the
-// output pipes straight into cmd/benchjson:
+// without it the phases only report what they measured. Every gate is a
+// within-run count or ratio, so it needs no stored baseline:
 //
-//	wampde-load -url http://127.0.0.1:8080 -bench | benchjson > BENCH.json
+//	wampde-load -url http://127.0.0.1:8080 -check
 package main
 
 import (
@@ -115,7 +115,6 @@ func main() {
 	sweepPoints := flag.Int("sweep-points", 200, "grid points in the sweep amortization phase")
 	sweepGate := flag.Float64("sweep-gate", 0.5, "amortization gate: sweep per-point wall ≤ gate × a cold single (0 reports only; race-instrumented servers serialize the lanes, so gate against a plain build)")
 	check := flag.Bool("check", false, "enforce the acceptance gates; non-zero exit on violation")
-	bench := flag.Bool("bench", false, "print go test -bench style lines for cmd/benchjson")
 	cluster := flag.String("cluster", "", "comma-separated base URLs of the live cluster nodes; runs the cluster phases instead of the single-node ones")
 	clusterPhase := flag.String("cluster-phase", "mix", "cluster phase: mix, restart, replay, kill, join, breaker, or down")
 	clusterBodies := flag.String("cluster-bodies", "", "file the mix phase saves canonical bodies to and the replay phases load from")
@@ -149,7 +148,6 @@ func main() {
 			distinct:    *distinct,
 			seed:        *seed,
 			check:       *check,
-			bench:       *bench,
 		})
 		if h.fail > 0 {
 			os.Exit(1)
@@ -165,9 +163,6 @@ func main() {
 
 	// ---- Phase 1: seeded closed-loop mix over the tuning sweep.
 	var (
-		results                    []result
-		lat                        []time.Duration
-		elapsed                    time.Duration
 		hits, misses, fiveXX, errs int
 		hitRate                    float64
 	)
@@ -182,7 +177,7 @@ func main() {
 		}
 		rand.New(rand.NewSource(*seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-		results = make([]result, len(order))
+		results := make([]result, len(order))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -205,10 +200,10 @@ func main() {
 			}()
 		}
 		wg.Wait()
-		elapsed = time.Since(start)
+		elapsed := time.Since(start)
 
 		first := make(map[int][]byte)
-		lat = make([]time.Duration, 0, len(results))
+		lat := make([]time.Duration, 0, len(results))
 		for _, r := range results {
 			lat = append(lat, r.latency)
 			switch {
@@ -299,14 +294,7 @@ func main() {
 
 	// ---- Phases 4–6: the /v1/sweep batch endpoint.
 	if *sweepPhases {
-		runSweepPhases(h, *sweepPoints, *sweepGate, *check, *bench)
-	}
-
-	if *bench && len(results) > 0 {
-		mean := elapsed.Nanoseconds() / int64(len(results))
-		fmt.Printf("BenchmarkServeMix %d %d ns/op\n", len(results), mean)
-		fmt.Printf("BenchmarkServeMixP50 1 %d ns/op\n", percentile(lat, 0.50).Nanoseconds())
-		fmt.Printf("BenchmarkServeMixP99 1 %d ns/op\n", percentile(lat, 0.99).Nanoseconds())
+		runSweepPhases(h, *sweepPoints, *sweepGate, *check)
 	}
 
 	if *check {

@@ -192,9 +192,9 @@ func (h *harness) waitSweepDrain(phase string) bool {
 
 // runSweepPhases drives the /v1/sweep phases: cache dedup against single
 // solves, batch amortization vs independent cold solves, and kill/resume.
-func runSweepPhases(h *harness, points int, gate float64, check, bench bool) {
+func runSweepPhases(h *harness, points int, gate float64, check bool) {
 	sweepDedup(h)
-	sweepAmortization(h, points, gate, check, bench)
+	sweepAmortization(h, points, gate, check)
 	sweepResume(h)
 }
 
@@ -279,7 +279,7 @@ func sweepDedup(h *harness) {
 // gate is the acceptance criterion: sweep per-point wall ≤ gate× a cold
 // single (0.5 by default; 0 disables the gate for race-instrumented runs,
 // whose runtime serializes the lanes and distorts the ratio).
-func sweepAmortization(h *harness, points int, gate float64, check, bench bool) {
+func sweepAmortization(h *harness, points int, gate float64, check bool) {
 	// A short solve (~50 steps): the regime a 200-point batch is for, where
 	// per-request overhead (HTTP framing, admission, decode) rivals the solve
 	// itself. The batch amortizes that overhead on any machine; on multi-core
@@ -319,10 +319,6 @@ func sweepAmortization(h *harness, points int, gate float64, check, bench bool) 
 	fmt.Printf("sweep-amortization: %d-point grid in %v (%v/point) vs cold single %v — %.2fx\n",
 		points, sweepWall.Round(time.Millisecond), perPoint.Round(time.Microsecond),
 		coldMean.Round(time.Microsecond), ratio)
-	if bench {
-		fmt.Printf("BenchmarkServeSweepPoint %d %d ns/op\n", points, perPoint.Nanoseconds())
-		fmt.Printf("BenchmarkServeColdSingle %d %d ns/op\n", coldSample, coldMean.Nanoseconds())
-	}
 	if check && gate > 0 && ratio > gate {
 		h.errf("sweep-amortization: per-point cost %.2fx a cold single, gate is %.2fx", ratio, gate)
 	}

@@ -15,12 +15,11 @@ package wampde_test
 // start-up ring — the same tolerance class as the ripple agreement gate
 // (internal/mpde), which owns the accuracy claim.
 //
-// `ci.sh converter` runs this benchmark and gates it with cmd/benchjson
-// -converter-gate (the mpde mode must not be slower than the transient);
-// `ci.sh converter-bench` snapshots the pair into BENCH_pr10.json. The gate
-// is a within-run ratio, so it holds on any machine. The speedup grows with
-// the scale separation fsw·T — 50 ms is the largest horizon worth its CI
-// wall-clock, not the method's ceiling.
+// The benchmark applies converterGate to its own run and fails when the mpde
+// mode is slower than the transient (`ci.sh converter` runs it). The gate
+// is a within-run ratio, so it needs no stored baseline. The speedup grows
+// with the scale separation fsw·T — 50 ms is the largest horizon worth its
+// CI wall-clock, not the method's ceiling.
 
 import (
 	"strings"
@@ -56,6 +55,7 @@ func BenchmarkConverterRipple(b *testing.B) {
 	const fsw = 1e5
 	const t2End = 5e-2
 	tsw := 1 / fsw
+	times := convTimes{}
 	b.Run("buck/mpde", func(b *testing.B) {
 		sys := converterBenchSystem(b, fsw)
 		n1 := netlist.BuckN1
@@ -74,6 +74,7 @@ func BenchmarkConverterRipple(b *testing.B) {
 			}
 			sinkF = res.Omega[len(res.Omega)-1]
 		}
+		times.record(b, "buck", "mpde")
 	})
 	b.Run("buck/transient", func(b *testing.B) {
 		sys := converterBenchSystem(b, fsw)
@@ -91,5 +92,8 @@ func BenchmarkConverterRipple(b *testing.B) {
 			}
 			sinkF = res.At(t2End, iout)
 		}
+		times.record(b, "buck", "transient")
 	})
+	report, ok := converterGate(times)
+	gate(b, report, ok)
 }

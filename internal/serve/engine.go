@@ -185,8 +185,10 @@ func (c *Canonical) needsOscVar() bool {
 // for harmonic balance, whose N1 is nharm) and at most n + 1 for the DC,
 // transient and shooting solves every analysis runs. Matrix-free
 // quasiperiodic instead holds N2 line blocks of (N1·n)² and block Jacobi's
-// factored copy of each, 2·N2·(N1·n)²; a matrix-free envelope holds no
-// dense matrix of the grid's size.
+// factored copy of each, 2·N2·(N1·n)². A matrix-free envelope holds the
+// grid's per-point n×n JQ and JF blocks, 2·N1·n², and the harmonic
+// preconditioner's N1 complex n×n factors, another 2·N1·n², which exceed
+// the preamble's 2·(n + 1)² at any N1 the cutover sends there.
 func (c *Canonical) denseEntries(n int) float64 {
 	square := func(m int) float64 { return 2 * float64(m) * float64(m) }
 	switch c.Analysis {
@@ -196,6 +198,7 @@ func (c *Canonical) denseEntries(n int) float64 {
 		if m := c.N1*n + 1; m <= matrixFreeCutover || base != "" {
 			return square(m)
 		}
+		return 2 * float64(c.N1) * square(n)
 	case AnalysisHB:
 		return square(c.NHarm*n + 1)
 	case AnalysisQuasiperiodic:

@@ -434,3 +434,34 @@ func TestDenseMemoryAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseEntries pins the admission count of each solve path. A
+// matrix-free envelope counts the grid's per-point JQ/JF blocks and the
+// harmonic preconditioner's per-bin complex factors, 4·N1·n²: a 1,000-state
+// netlist at n1 129 holds about 5.2e8 entries, four times the cap, not the
+// 2.0e6 of its preamble.
+func TestDenseEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Canonical
+		n    int
+		want float64
+	}{
+		{"transient", Canonical{Analysis: AnalysisTransient}, 1000, 2 * 1001 * 1001},
+		{"dense envelope", Canonical{Analysis: AnalysisEnvelope, N1: 25}, 4, 2 * 101 * 101},
+		{"matrix-free envelope", Canonical{Analysis: AnalysisEnvelope, N1: 129}, 1000, 4 * 129 * 1000 * 1000},
+		{"converter envelope stays dense",
+			Canonical{Circuit: "buck-converter?duty=0.5&fsw=100000", Analysis: AnalysisEnvelope, N1: 129}, 20, 2 * 2581 * 2581},
+		{"hb", Canonical{Analysis: AnalysisHB, NHarm: 257}, 93, 2 * 23902 * 23902},
+		{"dense quasiperiodic", Canonical{Analysis: AnalysisQuasiperiodic, N1: 15, N2: 15}, 4, 2 * 915 * 915},
+		{"matrix-free quasiperiodic", Canonical{Analysis: AnalysisQuasiperiodic, N1: 65, N2: 64}, 93, 64 * 2 * 6045 * 6045},
+	} {
+		if got := tc.c.denseEntries(tc.n); got != tc.want {
+			t.Errorf("%s on %d states: denseEntries = %.4g, want %.4g", tc.name, tc.n, got, tc.want)
+		}
+	}
+	mf := Canonical{Analysis: AnalysisEnvelope, N1: MaxN1}
+	if got := mf.denseEntries(1000); got <= MaxDenseEntries {
+		t.Errorf("matrix-free envelope of 1,000 states at n1 %d counted %.3g entries, want above the %d cap", MaxN1, got, MaxDenseEntries)
+	}
+}

@@ -8,9 +8,10 @@ package wampde_test
 // matvecs as stages grows. BenchmarkQPRingScaling makes the same comparison
 // for the quasiperiodic solver, whose dense Jacobian couples the whole
 // N1×N2 bivariate grid at once and hits the cubic wall much sooner.
-// `ci.sh ring-bench` snapshots both curves into BENCH_pr9.json and
-// `ci.sh ring-bench-check` gates that matrix-free wins from 15 stages up in
-// each family (see cmd/benchjson -ring-gate).
+// Each family applies ringGate to its own run: matrix-free must win by 3×
+// at its first stage count of 15 or more run in both modes and must not be
+// slower above it, or the benchmark fails (`ci.sh ring-bench-check` runs
+// both families).
 //
 // The envelope starts from the true limit cycle: the standard settle+shoot
 // preamble (core.InitialCondition), seeded with the analytic dominant-mode
@@ -175,6 +176,7 @@ func BenchmarkRingScaling(b *testing.B) {
 	// dominates the matrix-free profile; N1=32 keeps the differentiation on
 	// the radix-2 path — the configuration anyone scaling N1 up would pick.
 	const n1 = 32
+	times := ringTimes{}
 	for _, stages := range ringBenchStages {
 		for _, mode := range []string{"dense", "matfree"} {
 			b.Run(fmt.Sprintf("stages=%d/%s", stages, mode), func(b *testing.B) {
@@ -196,9 +198,12 @@ func BenchmarkRingScaling(b *testing.B) {
 					}
 					sinkF = res.Omega[len(res.Omega)-1]
 				}
+				times.record(b, stages, mode)
 			})
 		}
 	}
+	report, ok := ringGate(times)
+	gate(b, report, ok)
 }
 
 // BenchmarkQPRingScaling is BenchmarkRingScaling's claim for the other §4.1
@@ -208,13 +213,14 @@ func BenchmarkRingScaling(b *testing.B) {
 // (N1·N2·n + N2)-unknown bivariate system, so it falls off the O(total³)
 // cliff far sooner than the envelope (whose dense steps are only
 // N1·n+1-sized) — the quasiperiodic solver is where the matrix-free operator
-// pays first. `ci.sh ring-bench` snapshots both families and cmd/benchjson
-// -ring-gate enforces each family's crossover independently.
+// pays first. It applies ringGate to its own pairs, independently of the
+// envelope family.
 func BenchmarkQPRingScaling(b *testing.B) {
 	// N1=16 keeps the fast-axis differentiation on the radix-2 FFT path
 	// (see BenchmarkRingScaling's n1 note); N2=8 resolves the sinusoidal
 	// control modulation, which is spectrally almost pure on the slow axis.
 	const n1, n2 = 16, 8
+	times := ringTimes{}
 	for _, stages := range ringQPStages {
 		for _, mode := range []string{"dense", "matfree"} {
 			b.Run(fmt.Sprintf("stages=%d/%s", stages, mode), func(b *testing.B) {
@@ -232,7 +238,10 @@ func BenchmarkQPRingScaling(b *testing.B) {
 					}
 					sinkF = qp.OmegaMean()
 				}
+				times.record(b, stages, mode)
 			})
 		}
 	}
+	report, ok := ringGate(times)
+	gate(b, report, ok)
 }
