@@ -25,7 +25,9 @@
 // The t1 axis is discretized by spectral collocation on N1 uniform points;
 // because the spectral differentiation matrix is the DFT conjugation of the
 // harmonic-balance jiω(t2) factor, this is exactly the truncated-Fourier
-// formulation of eq. (19) expressed in sample space.
+// formulation of eq. (19) expressed in sample space. SpectralEnvelope is
+// therefore not a third solver but a view of Envelope at N1 = 2M+1 that
+// reports harmonic coefficients.
 package core
 
 import (

@@ -40,14 +40,6 @@ type EnvelopeOptions struct {
 	Phase  PhaseKind  // default PhaseDerivativeZero
 	Linear LinearKind // default LinearDenseLU
 	Newton newton.Options
-	// Adaptive enables local-error control of the t2 step: H2 becomes the
-	// initial (and maximum) step, shrunk and regrown against RelTol/AbsTol.
-	Adaptive bool
-	RelTol   float64 // default 1e-4
-	AbsTol   float64 // default 1e-7
-	// OnStep, if non-nil, observes each accepted t2 point; returning false
-	// stops the run early.
-	OnStep func(t2, omega float64, xhat []float64) bool
 	// ChordNewton carries the chord (modified-Newton) factorization across
 	// accepted t2 steps instead of refreshing it at the start of every step:
 	// the Jacobian of the step system drifts slowly along a smooth envelope,
@@ -94,12 +86,6 @@ func (o EnvelopeOptions) withDefaults() EnvelopeOptions {
 		// Residual rows are normalized by their own scale (see stepScales),
 		// so this is a relative tolerance.
 		o.Newton.TolF = 1e-8
-	}
-	if o.RelTol <= 0 {
-		o.RelTol = 1e-4
-	}
-	if o.AbsTol <= 0 {
-		o.AbsTol = 1e-7
 	}
 	if o.ChordContraction <= 0 {
 		o.ChordContraction = 0.05
@@ -158,7 +144,7 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 	n1, n := opt.N1, sys.Dim()
 	res := &EnvelopeResult{N1: n1, N: n}
 	asm := newEnvAssembler(sys, bord, in, opt, &res.Stats)
-	record := func(t2, omega float64, x []float64) bool {
+	record := func(t2, omega float64, x []float64) {
 		res.T2 = append(res.T2, t2)
 		res.Omega = append(res.Omega, omega)
 		res.X = append(res.X, append([]float64(nil), x...))
@@ -169,27 +155,17 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 			h := res.T2[kk] - res.T2[kk-1]
 			res.Phi = append(res.Phi, res.Phi[kk-1]+h*(res.Omega[kk]+res.Omega[kk-1])/2)
 		}
-		if opt.OnStep != nil {
-			return opt.OnStep(t2, omega, x)
-		}
-		return true
 	}
 
 	t2 := 0.0
 	x := append([]float64(nil), xhat0...)
 	omega := omega0
-	if !record(t2, omega, x) {
-		return res, nil
-	}
+	record(t2, omega, x)
 	h := opt.H2
 	hMin := opt.H2 / 1024
 	endTol := t2EndTol * t2End
 	stepIdx := 0
 	sinceGrow := 0
-	// Previous accepted point, for the adaptive predictor.
-	var t2Prev, omegaPrev float64
-	var xPrev []float64
-	havePrev := false
 	xNew := make([]float64, len(x))
 	for t2End-t2 > endTol {
 		if opt.Ctx != nil {
@@ -235,41 +211,12 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 			sinceGrow = 0
 			continue
 		}
-		// Accept. An adaptive step first checks its local error and, once
-		// accepted, proposes the next step within [hMin, H2] from it.
-		adapt := opt.Adaptive && havePrev && stepIdx >= 2
-		fac := 2.0
-		if adapt {
-			errNorm := envelopeLTE(x, xNew, xPrev, omega, omegaNew, omegaPrev,
-				t2, t2Prev, h, opt.AbsTol, opt.RelTol)
-			if errNorm > 1 && h > hMin {
-				res.Rejected++
-				shrink := 0.9 * math.Pow(1/errNorm, 1.0/3)
-				h = math.Max(h*math.Max(shrink, 0.2), hMin)
-				sinceGrow = 0
-				continue
-			}
-			if errNorm > 0 {
-				fac = math.Min(0.9*math.Pow(1/errNorm, 1.0/3), 2)
-			}
-		}
-		if xPrev == nil {
-			xPrev = make([]float64, len(x))
-		}
-		copy(xPrev, x)
-		t2Prev, omegaPrev = t2, omega
-		havePrev = true
 		t2 += h
 		stepIdx++
 		copy(x, xNew)
 		omega = omegaNew
-		if !record(t2, omega, x) {
-			break
-		}
-		switch {
-		case adapt:
-			h = math.Min(math.Max(h*fac, hMin), opt.H2)
-		case h < opt.H2:
+		record(t2, omega, x)
+		if h < opt.H2 {
 			sinceGrow++
 			if sinceGrow >= 4 {
 				h = math.Min(2*h, opt.H2)
@@ -278,32 +225,6 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 		}
 	}
 	return res, nil
-}
-
-// envelopeLTE estimates the local truncation error of an accepted step by
-// comparing the implicit solution with linear extrapolation through the two
-// previous points, weighted by AbsTol/RelTol (≤1 accepts). ω is included as
-// an additional component: frequency error is what integrates into phase
-// error, the quantity the WaMPDE exists to control.
-func envelopeLTE(xOld, xNew, xPrev []float64, omegaOld, omegaNew, omegaPrev,
-	t2, t2Prev, h, atol, rtol float64) float64 {
-	r := h / (t2 - t2Prev)
-	worst := 0.0
-	acc := 0.0
-	cnt := 0
-	for i := range xNew {
-		pred := xOld[i] + r*(xOld[i]-xPrev[i])
-		w := atol + rtol*math.Abs(xNew[i])
-		d := (xNew[i] - pred) / w
-		acc += d * d
-		cnt++
-	}
-	predW := omegaOld + r*(omegaOld-omegaPrev)
-	dw := (omegaNew - predW) / (atol + rtol*math.Abs(omegaNew))
-	acc += dw * dw
-	cnt++
-	worst = math.Sqrt(acc/float64(cnt)) / 2 // ÷2: the predictor is first order
-	return worst
 }
 
 // envAssembler drives the one-line grid through implicit t2 steps: BE

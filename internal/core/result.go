@@ -10,11 +10,13 @@ import (
 
 // Stats is the cost and supervision accounting both WaMPDE solvers report.
 // The quasiperiodic solve has no t2 steps, so its step counters (LinearSolves,
-// Rejected, StepHalvings) stay zero.
+// StepHalvings) stay zero.
 type Stats struct {
 	NewtonIterTotal int // cumulative Newton iterations (cost accounting)
 	LinearSolves    int // cumulative linear solves
-	Rejected        int // error-controlled step rejections (Adaptive mode)
+	// Rejected is always zero (no error-controlled stepping); bench/ and the
+	// served supervision body still read it.
+	Rejected int
 	// JacobianEvals counts Jacobian assemblies + factorizations; JacobianReuses
 	// counts Newton iterations that recycled a stale chord factorization
 	// instead (see EnvelopeOptions.ChordNewton).

@@ -5,53 +5,97 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"repro/internal/fourier"
+	"repro/internal/dae"
 )
 
-func TestSpectralMatchesCollocation(t *testing.T) {
-	// The frequency-domain formulation (eq. (19)-(20)) and the time-domain
-	// collocation are unitarily equivalent; their ω(t2) must agree.
+// TestSpectralStepsSatisfyEq19 checks the returned coefficients against the
+// paper's eq. (19) itself. With Q̂ and F̂ evaluated pseudo-spectrally from
+// them (inverse DFT to samples, device evaluation, DFT back), every step
+// k−1 → k must satisfy, for h = −M..M,
+//
+//	(Q̂ₕ(k) − Q̂ₕ(k−1))/h₂ + θ·rhsₕ(k) + (1−θ)·rhsₕ(k−1) = 0,
+//	rhsₕ = j2πhω·Q̂ₕ + F̂ₕ(u(t2)),
+//
+// with θ = 1 for Backward Euler and θ = 1/2 for the trapezoidal rule after
+// its two Backward Euler startup steps. Each state's residual is scaled by
+// the previous level's maxₕ(|Q̂ₕ|/h₂ + |rhsₕ|).
+func TestSpectralStepsSatisfyEq19(t *testing.T) {
 	T2 := 100.0
 	sys := testVCO(T2)
-	m := 12
-	n1 := 2*m + 1
-	xhat0, omega0 := solveIC(t, sys, n1)
-	// Align the IC onto Im X1 = 0 so both runs start from the same point
-	// (otherwise the collocation run's first-step phase snap leaves a
-	// slowly decaying startup difference).
-	{
-		samples := make([]float64, n1)
-		for j := 0; j < n1; j++ {
-			samples[j] = xhat0[j*sys.Dim()]
+	m := 10
+	xhat0, omega0 := solveIC(t, sys, 2*m+1)
+	for _, trap := range []bool{false, true} {
+		res, err := SpectralEnvelope(sys, xhat0, omega0, T2, SpectralOptions{M: m, H2: T2 / 200, Trap: trap})
+		if err != nil {
+			t.Fatal(err)
 		}
-		c := fourier.Coefficients(samples)
-		shift := -cmplx.Phase(c[(n1-1)/2+1]) / (2 * math.Pi)
-		xhat0 = ShiftBivariate(xhat0, n1, sys.Dim(), shift)
-	}
-	coll, err := Envelope(sys, xhat0, omega0, T2, EnvelopeOptions{
-		N1: n1, H2: T2 / 200, Trap: true, Phase: PhaseSpectralImag,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := SpectralEnvelope(sys, xhat0, omega0, T2, SpectralOptions{
-		M: m, H2: T2 / 200, Trap: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec.T2) != len(coll.T2) {
-		t.Fatalf("step counts differ: %d vs %d", len(spec.T2), len(coll.T2))
-	}
-	// The startup differs slightly (the spectral run pre-rotates its IC
-	// onto Im X1 = 0, the collocation run snaps on its first BE step);
-	// past it the trajectories must coincide.
-	for k := 20; k < len(spec.T2); k += 20 {
-		if math.Abs(spec.Omega[k]-coll.Omega[k]) > 5e-4*coll.Omega[k] {
-			t.Fatalf("ω differs at step %d: spectral %v vs collocation %v",
-				k, spec.Omega[k], coll.Omega[k])
+		n := res.N
+		worst := 0.0
+		qOld, rhsOld := eq19Terms(sys, res, 0)
+		for k := 1; k < len(res.T2); k++ {
+			h2 := res.T2[k] - res.T2[k-1]
+			theta := 1.0
+			if trap && k > 2 {
+				theta = 0.5
+			}
+			q, rhs := eq19Terms(sys, res, k)
+			for i := 0; i < n; i++ {
+				scale, r := 0.0, 0.0
+				for h := -m; h <= m; h++ {
+					b := (h+m)*n + i
+					scale = math.Max(scale, cmplx.Abs(qOld[b])/h2+cmplx.Abs(rhsOld[b]))
+					v := (q[b]-qOld[b])/complex(h2, 0) + complex(theta, 0)*rhs[b] + complex(1-theta, 0)*rhsOld[b]
+					r = math.Max(r, cmplx.Abs(v))
+				}
+				worst = math.Max(worst, r/scale)
+			}
+			qOld, rhsOld = q, rhs
+		}
+		t.Logf("trap=%v: worst scaled eq. (19) residual %.2e over %d steps", trap, worst, len(res.T2)-1)
+		if worst > 1e-7 {
+			t.Fatalf("trap=%v: eq. (19) residual %.2e, want ≤ 1e-7", trap, worst)
 		}
 	}
+}
+
+// eq19Terms evaluates Q̂ₕ and rhsₕ = j2πhω·Q̂ₕ + F̂ₕ at t2 index k of res
+// (layout as Coeff) by direct DFTs: samples x_j = Σₕ cₕ·e^{2πihj/N},
+// device evaluation at u(T2[k]), and Ŷₕ = (1/N)·Σ_j y_j·e^{−2πihj/N}.
+func eq19Terms(sys *dae.SimpleVCO, res *SpectralResult, k int) (qh, rhs []complex128) {
+	m, n := res.M, res.N
+	nPts := 2*m + 1
+	u := make([]float64, sys.NumInputs())
+	sys.Input(res.T2[k], u)
+	qs := make([]float64, nPts*n)
+	fs := make([]float64, nPts*n)
+	x := make([]float64, n)
+	for j := 0; j < nPts; j++ {
+		for i := 0; i < n; i++ {
+			s := complex(0, 0)
+			for h := -m; h <= m; h++ {
+				s += res.Harmonic(k, i, h) * cmplx.Rect(1, 2*math.Pi*float64(h*j)/float64(nPts))
+			}
+			x[i] = real(s)
+		}
+		sys.Q(x, qs[j*n:(j+1)*n])
+		sys.F(x, u, fs[j*n:(j+1)*n])
+	}
+	qh = make([]complex128, nPts*n)
+	rhs = make([]complex128, nPts*n)
+	for h := -m; h <= m; h++ {
+		for i := 0; i < n; i++ {
+			var q, f complex128
+			for j := 0; j < nPts; j++ {
+				e := cmplx.Rect(1/float64(nPts), -2*math.Pi*float64(h*j)/float64(nPts))
+				q += complex(qs[j*n+i], 0) * e
+				f += complex(fs[j*n+i], 0) * e
+			}
+			b := (h+m)*n + i
+			qh[b] = q
+			rhs[b] = complex(0, 2*math.Pi*float64(h)*res.Omega[k])*q + f
+		}
+	}
+	return qh, rhs
 }
 
 func TestSpectralPhaseConditionHolds(t *testing.T) {

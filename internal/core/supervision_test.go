@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dae"
 	"repro/internal/faultinject"
 	"repro/internal/solverr"
 )
@@ -350,19 +351,28 @@ func TestFaultCanceledEnvelopeReturnsPartial(t *testing.T) {
 	}
 }
 
+// cancelPast cancels a run once it reads the system's inputs past t2 = at,
+// which Envelope does as it starts the step that ends beyond at.
+type cancelPast struct {
+	*dae.SimpleVCO
+	at     float64
+	cancel context.CancelFunc
+}
+
+func (c cancelPast) Input(t2 float64, u []float64) {
+	if t2 > c.at {
+		c.cancel()
+	}
+	c.SimpleVCO.Input(t2, u)
+}
+
 func TestFaultMidRunCancellationKeepsProgress(t *testing.T) {
 	sys := testVCO(300)
 	xhat0, omega0 := solveIC(t, sys, 25)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := EnvelopeOptions{N1: 25, H2: 1, Ctx: ctx}
-	opt.OnStep = func(t2, _ float64, _ []float64) bool {
-		if t2 >= 5 {
-			cancel()
-		}
-		return true
-	}
-	res, err := Envelope(sys, xhat0, omega0, 30, opt)
+	res, err := Envelope(cancelPast{sys, 5, cancel}, xhat0, omega0, 30, opt)
 	if !solverr.IsKind(err, solverr.KindCanceled) {
 		t.Fatalf("error kind = %v, want canceled: %v", solverr.KindOf(err), err)
 	}

@@ -80,14 +80,21 @@ func (tc *testCluster) idx(t *testing.T, addr string) int {
 }
 
 // add boots one more node into the cluster after the fact (the join-mode
-// path): a fresh listener, a server built from c with the cluster wiring
-// filled in, appended to the cluster's bookkeeping. Returns its index.
+// path) on a fresh listener; see addOn.
 func (tc *testCluster) add(t *testing.T, c Config) int {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	return tc.addOn(t, ln, c)
+}
+
+// addOn boots one more node on ln, which the caller may have bound early to
+// learn the node's address: a server built from c with the cluster wiring
+// filled in, appended to the cluster's bookkeeping. Returns its index.
+func (tc *testCluster) addOn(t *testing.T, ln net.Listener, c Config) int {
+	t.Helper()
 	addr := ln.Addr().String()
 	eng, _ := c.Engine.(*fakeEngine)
 	if c.Cluster == nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -224,13 +226,35 @@ func TestClusterJoinHandoff(t *testing.T) {
 		cc.HeartbeatInterval = hb
 		return Config{Workers: 2, QueueCap: 8, Engine: &fakeEngine{}, StoreDir: t.TempDir(), Cluster: cc}
 	})
+	// Bind the joiner's listener first, so the seeded keys can be chosen
+	// against the final four-node ring.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	joinAddr := ln.Addr().String()
+	final := NewRing(append(append([]string(nil), tc.addrs...), joinAddr), 0)
+	joinerOwns := func(h string) bool { return slices.Contains(final.Owners(h, 2), joinAddr) }
+
 	// Populate the cluster: a family of distinct hashes, solved wherever
-	// their primaries live, replicated to their secondaries.
+	// their primaries live, replicated to their secondaries. The final ring
+	// must split them, so the joiner's share is strict and non-empty: when
+	// the first keys-1 all fall on one side, the last one is taken from the
+	// other.
 	const keys = 12
-	hashes := make([]string, keys)
-	for i := 0; i < keys; i++ {
+	var hashes []string
+	owned := 0
+	for i := 0; len(hashes) < keys; i++ {
 		req := distinctReq(i)
-		hashes[i] = hashOf(t, req)
+		h := hashOf(t, req)
+		mine := joinerOwns(h)
+		if len(hashes) == keys-1 && (owned == 0 && !mine || owned == keys-1 && mine) {
+			continue
+		}
+		if mine {
+			owned++
+		}
+		hashes = append(hashes, h)
 		if resp, body := post(t, "http://"+tc.addrs[0], req); resp.StatusCode != 200 {
 			t.Fatalf("seed solve %d: status %d (%s)", i, resp.StatusCode, body)
 		}
@@ -242,7 +266,7 @@ func TestClusterJoinHandoff(t *testing.T) {
 	cc.HeartbeatInterval = hb
 	cc.Join = true
 	cc.Peers = []string{tc.addrs[0]}
-	j := tc.add(t, Config{Workers: 2, QueueCap: 8, Engine: &fakeEngine{}, StoreDir: t.TempDir(), Cluster: cc})
+	j := tc.addOn(t, ln, Config{Workers: 2, QueueCap: 8, Engine: &fakeEngine{}, StoreDir: t.TempDir(), Cluster: cc})
 	joiner := tc.servers[j]
 	waitFor(t, "join completion", func() bool { return joiner.joinDone.Load() })
 

@@ -242,8 +242,9 @@ type (
 )
 
 // RunSpectralEnvelope integrates the WaMPDE with the truncated Fourier
-// series of eq. (18) as the t1 representation and the harmonic balance
-// residual of eq. (19) as the step equations.
+// series of eq. (18) as the t1 representation: the collocation envelope at
+// N1 = 2M+1, whose step equation is the eq. (19) residual in sample space,
+// reported as the harmonic coefficients X̂(t2).
 func RunSpectralEnvelope(sys Autonomous, xhat0 []float64, omega0, t2End float64, opt SpectralOptions) (*SpectralResult, error) {
 	return core.SpectralEnvelope(sys, xhat0, omega0, t2End, opt)
 }
