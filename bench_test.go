@@ -168,7 +168,7 @@ func benchVCOTransient(b *testing.B, air bool, t2End, ptsPerCycle float64) {
 
 // Figure 7/8: vacuum VCO envelope over the 60 µs span.
 func BenchmarkFig07VCOEnvelopeVacuum(b *testing.B) {
-	allocBudget(b, 1438, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true}))
+	allocBudget(b, 639, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true}))
 }
 
 // Figure 9: the transient comparison run (200 pts/cycle over 60 µs).
@@ -246,7 +246,7 @@ func BenchmarkAblationGMRES(b *testing.B) {
 
 // Chord-Newton cross-step factorization reuse vs the per-step default.
 func BenchmarkAblationChordNewton(b *testing.B) {
-	allocBudget(b, 1438, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, ChordNewton: true}))
+	allocBudget(b, 638, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, ChordNewton: true}))
 }
 
 // ---------------------------------------------------------- allocation budget
@@ -255,14 +255,17 @@ func BenchmarkAblationChordNewton(b *testing.B) {
 // `ci.sh bench-check` runs: Fig07VCOEnvelopeVacuum, AblationChordNewton,
 // HotLoopAllocs, GMRESAllocs and QuasiperiodicWaMPDE. Each budget is the
 // largest allocs/op its benchmark read when the budget was last taken, plus
-// a slack of 2. Fig07VCOEnvelopeVacuum, AblationChordNewton and GMRESAllocs
-// were last taken over -count 3 at -cpu 1, 2, 4 and 8. The two dense runs
-// read 1,436 at every -cpu. GMRESAllocs reads 2,021–2,025 at bench-check's
-// -benchtime 3x, but up to 2,048 at the default benchtime, which runs it
-// once per op: there the first run's one-off allocations and the FFT plans'
-// pooled scratch, which a GC empties, are not averaged out. Its budget
-// covers both settings. TestHotLoopAllocBudget guards the same two linear
-// paths per run.
+// a slack of 2. Fig07VCOEnvelopeVacuum, AblationChordNewton, HotLoopAllocs
+// and GMRESAllocs were last taken over -count 3 at -cpu 1, 2, 4 and 8, at
+// both bench-check's -benchtime 3x and the default benchtime. The three
+// dense runs read 636 there; Fig07VCOEnvelopeVacuum, the first benchmark
+// bench-check runs, read 637 in three of seven further bench-check runs,
+// and its budget covers that. GMRESAllocs reads 823–826 at -benchtime
+// 3x, but up to 851 at the default benchtime, which runs it once per op:
+// there the first run's one-off allocations and the FFT plans' pooled
+// scratch, which a GC empties, are not averaged out. Its budget covers both
+// settings. TestHotLoopAllocBudget guards the same two linear paths per
+// run.
 
 // BenchmarkHotLoopAllocs measures the Fig. 7 envelope's allocation churn with
 // the worker pool pinned to 1, so goroutine dispatch doesn't obscure the
@@ -275,7 +278,7 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	b.ReportAllocs()
-	allocBudget(b, 1445, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true}))
+	allocBudget(b, 638, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true}))
 }
 
 // BenchmarkGMRESAllocs is the iterative-path counterpart: the same Fig. 7
@@ -288,7 +291,7 @@ func BenchmarkGMRESAllocs(b *testing.B) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	b.ReportAllocs()
-	allocBudget(b, 2050, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearMatrixFree}))
+	allocBudget(b, 853, benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearMatrixFree}))
 }
 
 // ------------------------------------------------------- method baselines

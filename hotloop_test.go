@@ -35,9 +35,9 @@ func fig7IC(t *testing.T) (*wampde.VCO, []float64, float64) {
 // Fig. 7 run (400 t2 steps) at one worker, on each linear path, must stay
 // within a fixed number of heap allocations. With the FFT plans, LU/Newton
 // and Krylov workspaces, Jacobian slots and preconditioner factors all
-// persisting across steps, the dense run measures ~1,440 allocations (~3.6
+// persisting across steps, the dense run measures ~640 allocations (~1.6
 // per accepted step; the per-point result records dominate) and the
-// matrix-free run ~2,020, although it applies its operator ~44,000 times.
+// matrix-free run ~830, although it applies its operator ~44,000 times.
 // The budgets sit ~1.7x and ~4x above those counts: far under the tens of
 // thousands that per-step churn, or one allocation per matvec, would cost.
 func TestHotLoopAllocBudget(t *testing.T) {
@@ -54,8 +54,8 @@ func TestHotLoopAllocBudget(t *testing.T) {
 		linear core.LinearKind
 		budget float64
 	}{
-		{"dense", core.LinearDenseLU, 2500},
-		{"matrix-free", core.LinearMatrixFree, 8000},
+		{"dense", core.LinearDenseLU, 1100},
+		{"matrix-free", core.LinearMatrixFree, 3300},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opt := core.EnvelopeOptions{N1: 25, H2: t2End / 400, Trap: true, Linear: c.linear}

@@ -109,14 +109,6 @@ func NewSwitch(name, n1, n2 string, gon, goff float64, ctl Waveform) *Switch {
 	return &Switch{twoNode: twoNode{name, n1, n2, 0, 0}, Gon: gon, Goff: goff, Ctl: ctl}
 }
 
-// NewPWMSwitch creates a switch driven by a PWM control on both scales:
-// transient solves see the diagonal waveform, MPDE solves the bivariate one.
-func NewPWMSwitch(name, n1, n2 string, gon, goff float64, p PWMControl) *Switch {
-	sw := NewSwitch(name, n1, n2, gon, goff, p.Waveform())
-	sw.Ctl2 = p.Waveform2()
-	return sw
-}
-
 // NumExtra implements Device.
 func (d *Switch) NumExtra() int { return 0 }
 

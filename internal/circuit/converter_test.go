@@ -124,7 +124,10 @@ func TestSwitchConductance(t *testing.T) {
 func TestConverterDeviceJacobians(t *testing.T) {
 	ckt := New()
 	ckt.MustAdd(NewVSource("V1", "in", Ground, DC(12)))
-	ckt.MustAdd(NewPWMSwitch("S1", "in", "sw", 100, 1e-6, NewPWMControl(DC(0.5), 1e5, 0.05)))
+	pwm := NewPWMControl(DC(0.5), 1e5, 0.05)
+	sw := NewSwitch("S1", "in", "sw", 100, 1e-6, pwm.Waveform())
+	sw.Ctl2 = pwm.Waveform2()
+	ckt.MustAdd(sw)
 	ckt.MustAdd(NewPWLDiode("D1", Ground, "sw", 0.4, 20, 1e-6))
 	ckt.MustAdd(NewResistor("R1", "sw", "out", 0.01))
 	ckt.MustAdd(NewCapacitor("C1", "out", Ground, 1e-5))

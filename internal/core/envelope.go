@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 
 	"repro/internal/dae"
@@ -197,11 +198,7 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 			// state so the smaller step starts from a fresh linearization, and
 			// retry, growing back gradually afterwards.
 			if h <= hMin {
-				k := solverr.KindOf(err)
-				if k == solverr.KindUnknown {
-					k = solverr.KindStagnation
-				}
-				return res, solverr.Wrap(k, "core.envelope", err).
+				return res, solverr.Wrap(kindOr(err, solverr.KindStagnation), "core.envelope", err).
 					WithMsg("envelope step failed at minimum step h=%.3g", h).
 					WithT2(t2).WithStep(stepIdx)
 			}
@@ -233,9 +230,11 @@ func envelope(sys dae.System, bord border, in lineInputs, xhat0 []float64, omega
 //
 // or trapezoidal (the ω·D·q and f terms averaged between the levels), plus
 // the border. It owns what is the envelope's own: the step (stepAxis), the
-// row scales, the chord carry and the harmonic preconditioner.
+// row scales, the chord carry and its gates, and the harmonic
+// preconditioner; its grid solver runs each step's Newton solve.
 type envAssembler struct {
 	g   *grid
+	gs  *gridSolver
 	st  stepAxis
 	in  lineInputs
 	opt EnvelopeOptions
@@ -243,70 +242,41 @@ type envAssembler struct {
 	rhsOld []float64 // ω·D·q + f at the previous level (Trap)
 	zOld   []float64 // [x̂; ω] at the previous level
 	z      []float64
-	// usAtFactor: per-point inputs at the last factorization, for the
-	// chord's input-drift gate (nil for slow-only inputs).
-	usAtFactor []float64
+	// t2 is the slow time the current step starts from, whose inputs
+	// continuation starts at.
+	t2 float64
 
-	// Persistent solver state: the dense factorization workspace refactored
-	// in place every Jacobian refresh, the Newton iteration scratch, and the
-	// chord factorization carried between solves.
-	lu    *la.LU
-	nws   *newton.Workspace
-	reuse newton.ReuseState
-	// Cross-step chord bookkeeping: the step parameters and ω at the last
-	// factorization, checked before reusing it on the next step.
-	lastH, lastTheta, omegaAtFactor float64
+	// The chord factorization carried between steps, and the step
+	// parameters it was factored at, checked (with the ω and inputs the grid
+	// solver recorded at that linearization) before reusing it on the next
+	// step.
+	reuse            newton.ReuseState
+	lastH, lastTheta float64
 
 	// The GMRES harmonic preconditioner, reused across iterations and steps
 	// (built lazily on first use), and the parameters it was built at.
 	prec                        *harmonicPrec
 	precH, precTheta, precOmega float64
-	// The supervision ladders: the linear one the matrix-free path solves
-	// through, and the nonlinear rescue ladder of every step. t2 is the slow
-	// time the current step starts from, read by the continuation rung's
-	// input snapshot.
-	lad          *linearLadder
-	nl           *nonlinearLadder
-	t2           float64
-	uStart, uEnd []float64 // continuation-rung input scratch
-	jqAvg, jfAvg *la.Dense
-	precM        *la.CDense // one bin's system, factored into prec
+	jqAvg, jfAvg                *la.Dense
+	precM                       *la.CDense // one bin's system, factored into prec
 }
 
 func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOptions, stats *Stats) *envAssembler {
-	n1, n := opt.N1, sys.Dim()
-	nx := n1 * n
+	nx := opt.N1 * sys.Dim()
 	a := &envAssembler{
 		in: in, opt: opt,
 		st:     stepAxis{prev: make([]float64, nx)},
 		rhsOld: make([]float64, nx),
 		zOld:   make([]float64, nx+1),
 		z:      make([]float64, nx+1),
-		nws:    newton.NewWorkspace(nx + 1),
 	}
-	// The dense Jacobian and its LU workspace are the dominant memory of a
-	// large run (O((N1·n)²) each); the matrix-free path must never pay for
-	// them, so only the dense path allocates them.
-	dense := opt.Linear != LinearMatrixFree
-	a.g = newGrid(sys, n1, 1, &a.st, bord, in, dense)
-	if dense {
-		a.lu = la.NewLU(nx + 1)
-	}
-	a.lad = newLinearLadder(stats)
+	// The dense Jacobian and its LU are the dominant memory of a large run
+	// (O((N1·n)²) each); the matrix-free path must never pay for them, so
+	// only the dense path allocates them.
+	a.g = newGrid(sys, opt.N1, 1, &a.st, bord, in, opt.Linear != LinearMatrixFree)
 	// Every rescue rung restarts from the step's initial iterate with a
 	// fresh Jacobian per iteration (opt.Newton already damps).
-	base := opt.Newton
-	base.Work = a.nws
-	a.nl = &nonlinearLadder{
-		stats: stats, chord: true, base: base,
-		z0:      make([]float64, nx+1),
-		restart: a.restartRung, blend: a.blendInputs, restore: a.restoreInputs,
-	}
-	a.uStart = make([]float64, len(a.g.us))
-	a.uEnd = make([]float64, len(a.g.us))
-	if in.input2 != nil {
-		a.usAtFactor = make([]float64, len(a.g.us))
-	}
+	a.gs = newGridSolver(a.g, stats, "core.envelope.step", opt.Newton, a.harmonicPrecFor, a.startInputs)
 	return a
 }
 
@@ -319,9 +289,12 @@ func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOpt
 const inputDriftTol = 1e-2
 
 // inputsDrifted reports whether the per-point inputs have moved past
-// inputDriftTol since the last factorization.
+// inputDriftTol since the last linearization; slow-only inputs never do.
 func (a *envAssembler) inputsDrifted() bool {
-	for i, u := range a.usAtFactor {
+	if a.in.input2 == nil {
+		return false
+	}
+	for i, u := range a.gs.usLin {
 		if abs(a.g.us[i]-u) > inputDriftTol {
 			return true
 		}
@@ -329,23 +302,26 @@ func (a *envAssembler) inputsDrifted() bool {
 	return false
 }
 
+// startInputs fills the inputs continuation starts from: the previous
+// level's, where the step's start iterate solves the system well.
+func (a *envAssembler) startInputs(dst []float64) { a.in.fill(dst, a.g.n1, 0, a.t2) }
+
 // step solves for (xNew, omegaNew) at t2+h given the previous level. The
 // returned Result sums the chord attempt and every rescue rung that ran;
-// the nonlinear ladder has already added that Newton work to the run's
-// Stats.
+// the grid solver has already added that Newton work to the run's Stats.
 func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNew []float64, omegaNew *float64, useTrap bool) (newton.Result, error) {
 	g := a.g
 	nx := g.nx
 	copy(a.zOld, xOld)
 	a.zOld[nx] = omegaOld
-	omegas := a.zOld[nx:]
+	omegas, prev := a.zOld[nx:], a.st.prev
 	a.in.fill(g.us, g.n1, 0, t2)
-	g.sample(xOld, a.st.prev)
+	g.sample(xOld, prev)
 	theta := 1.0 // BE
 	a.st.old = nil
 	if useTrap {
 		theta = 0.5
-		g.rhsAt(xOld, omegas, a.rhsOld)
+		g.rhsAt(xOld, omegas, prev, a.rhsOld)
 		a.st.old = a.rhsOld
 	}
 	a.st.h, a.st.th = h, theta
@@ -354,10 +330,10 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	// Residual scales from the previous level, so the Newton tolerance is
 	// effectively relative per row (g.rhs is scratch until the first
 	// residual evaluation).
-	g.rhsAt(xOld, omegas, g.rhs)
+	g.rhsAt(xOld, omegas, prev, g.rhs)
 	maxScale := 0.0
 	for j := 0; j < nx; j++ {
-		s := abs(a.st.prev[j])/h + abs(g.rhs[j])
+		s := abs(prev[j])/h + abs(g.rhs[j])
 		g.scale[j] = s
 		if s > maxScale {
 			maxScale = s
@@ -381,30 +357,6 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	copy(z, xNew)
 	z[nx] = *omegaNew
 
-	jac := func(z []float64) (newton.LinearSolve, error) {
-		if a.opt.Linear == LinearMatrixFree {
-			// Matrix-free linearization: refresh the operator's snapshots and
-			// device-Jacobian slots — no (N1·n+1)² assembly, no factorization.
-			// The harmonic preconditioner averages the same slots, and the
-			// ladder's direct rescue assembles sparsely from them.
-			op := g.operator(z)
-			a.omegaAtFactor = z[nx]
-			copy(a.usAtFactor, g.us)
-			prec, err := a.harmonicPrecFor(z[nx], h, theta)
-			if err != nil {
-				return nil, err
-			}
-			a.lad.reset(op, prec, op.assembleSparse)
-			return a.lad, nil
-		}
-		jj := g.jacobian(z)
-		a.omegaAtFactor = z[nx]
-		copy(a.usAtFactor, g.us)
-		if err := a.lu.FactorInto(jj); err != nil {
-			return nil, err
-		}
-		return a.lu, nil
-	}
 	// Modified Newton: the Jacobian changes little within one t2 step, so
 	// factor once and reuse the factors across iterations — and, in
 	// ChordNewton mode, across steps while the system keeps its shape. If
@@ -414,11 +366,11 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	chordOpts.MaxIter = 3 * a.opt.Newton.MaxIter
 	chordOpts.JacobianReuse = true
 	chordOpts.Reuse = &a.reuse
-	chordOpts.Work = a.nws
 	if a.opt.ChordNewton {
 		chordOpts.ReuseContraction = a.opt.ChordContraction
 		if a.reuse.Cached() {
-			drift := abs(omegaOld-a.omegaAtFactor) > omegaDriftTol*abs(a.omegaAtFactor)
+			w := a.gs.omegaLin[0]
+			drift := abs(omegaOld-w) > omegaDriftTol*abs(w)
 			if h != a.lastH || theta != a.lastTheta || drift || a.inputsDrifted() {
 				a.reuse.Invalidate()
 			}
@@ -431,45 +383,18 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 	}
 	a.lastH, a.lastTheta = h, theta
 	a.t2 = t2
-	resN, err := a.nl.solve(newton.Problem{N: nx + 1, Eval: g.residual, Jacobian: jac}, z, chordOpts)
+	resN, err := a.gs.solve(z, chordOpts)
 	if err != nil {
-		if solverr.IsKind(err, solverr.KindCanceled) {
-			return resN, err
+		var e *solverr.Error
+		if errors.As(err, &e) && e.Stage == a.gs.stage {
+			e.WithT2(t2) // the solver's own failures name the step
 		}
-		return resN, a.nl.exhausted(err, "core.envelope.step", resN).
-			WithMsg("nonlinear ladder exhausted").WithT2(t2)
-	}
-	if serr := checkState("core.envelope.step", z); serr != nil {
-		return resN, serr
-	}
-	if z[nx] <= 0 {
-		return resN, solverr.New(solverr.KindStagnation, "core.envelope.step",
-			"local frequency went non-positive (ω=%g)", z[nx]).WithT2(t2)
+		return resN, err
 	}
 	copy(xNew, z[:nx])
 	*omegaNew = z[nx]
 	return resN, nil
 }
-
-// restartRung prepares nonlinear rescue rung r. Every rung drops the chord
-// factorization, and continuation snapshots the inputs it blends: the
-// previous level's values (where xOld solves the system well) and the new
-// level's.
-func (a *envAssembler) restartRung(r rescueRung) {
-	a.reuse.Invalidate()
-	if r == rungContinuation {
-		copy(a.uEnd, a.g.us)
-		a.in.fill(a.uStart, a.g.n1, 0, a.t2)
-	}
-}
-
-// blendInputs walks the step's inputs from the previous level (λ = 0) to
-// the new one (λ = 1), walking the solution across the step instead of
-// jumping.
-func (a *envAssembler) blendInputs(lambda float64) { lerp(a.g.us, a.uStart, a.uEnd, lambda) }
-
-// restoreInputs puts the true t2+h inputs back exactly.
-func (a *envAssembler) restoreInputs() { copy(a.g.us, a.uEnd) }
 
 func abs(x float64) float64 {
 	if x < 0 {

@@ -19,8 +19,8 @@ import (
 //
 // where the t2 axis supplies T and θ, and row nx+l is line l's border. The
 // grid owns the residual, the dense row assembly, the matrix-free operator
-// and the sparse emission. Drivers own the row scales, the preconditioners
-// and everything around the nonlinear solve.
+// and the sparse emission; a gridSolver runs Newton on it. Drivers own the
+// row scales, the preconditioners and the inputs continuation starts from.
 type grid struct {
 	sys              dae.System
 	n1, n, lines, nx int
@@ -36,7 +36,6 @@ type grid struct {
 	// q(x), ω·D1·q + f and D1·q at the last evaluation; dq shares rhs's
 	// storage, as the next residual rewrites both.
 	q, rhs, dq []float64
-	qBuf       []float64 // rhsAt's own q samples
 	fBuf       []float64 // one point's F evaluation
 	jqs, jfs   []*la.Dense
 	jj         *la.Dense // dense Jacobian; nil on the matrix-free path
@@ -60,7 +59,6 @@ func newGrid(sys dae.System, n1, lines int, t2 t2Axis, bord border, in lineInput
 		scale: make([]float64, nx+lines),
 		q:     make([]float64, nx),
 		rhs:   make([]float64, nx),
-		qBuf:  make([]float64, nx),
 		fBuf:  make([]float64, n),
 		jqs:   make([]*la.Dense, lines*n1),
 		jfs:   make([]*la.Dense, lines*n1),
@@ -127,14 +125,13 @@ func (g *grid) d1q(q, out []float64) {
 	}
 }
 
-// rhsAt computes ω_l·(D1·q)ₚ + f(xₚ, uₚ) into out: it samples q(x) into its
-// own scratch, then fuses each point's spectral row with its F evaluation.
-func (g *grid) rhsAt(x, omegas, out []float64) {
+// rhsAt computes ω_l·(D1·q)ₚ + f(xₚ, uₚ) into out from q, the samples of
+// q(x): it fuses each point's spectral row with its F evaluation.
+func (g *grid) rhsAt(x, omegas, q, out []float64) {
 	n, f := g.n, g.fBuf
-	g.sample(x, g.qBuf)
 	for p := 0; p < g.points(); p++ {
 		dst := out[p*n : (p+1)*n]
-		g.d1Row(p, g.qBuf, dst)
+		g.d1Row(p, q, dst)
 		g.sys.F(x[p*n:(p+1)*n], g.uAt(p), f)
 		omega := omegas[p/g.n1]
 		for i := range dst {
@@ -148,7 +145,7 @@ func (g *grid) rhsAt(x, omegas, out []float64) {
 func (g *grid) residual(z, r []float64) error {
 	nx := g.nx
 	g.sample(z[:nx], g.q)
-	g.rhsAt(z[:nx], z[nx:], g.rhs)
+	g.rhsAt(z[:nx], z[nx:], g.q, g.rhs)
 	g.t2.residual(g, r[:nx])
 	for i := 0; i < nx; i++ {
 		r[i] /= g.scale[i]

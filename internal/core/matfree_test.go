@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dae"
 	"repro/internal/faultinject"
 	"repro/internal/fourier"
 	"repro/internal/la"
@@ -90,6 +91,40 @@ func randVec(rng *rand.Rand, n int, lo, hi float64) []float64 {
 		v[i] = lo + (hi-lo)*rng.Float64()
 	}
 	return v
+}
+
+// qCounting counts the q(x) samples taken of the test VCO.
+type qCounting struct {
+	*dae.SimpleVCO
+	calls int
+}
+
+func (c *qCounting) Q(x, q []float64) { c.calls++; c.SimpleVCO.Q(x, q) }
+
+// TestResidualSamplesQOnce: one residual evaluation samples q once per
+// collocation point on either grid shape; the ω·D1·q + f rows reuse the
+// samples the t2 term reads.
+func TestResidualSamplesQOnce(t *testing.T) {
+	const n1, period = 9, 60.0
+	for _, lines := range []int{1, 3} {
+		sys := &qCounting{SimpleVCO: testVCO(period)}
+		nx := lines * n1 * sys.Dim()
+		var ax t2Axis = newPeriodicAxis(lines, period)
+		if lines == 1 {
+			ax = &stepAxis{h: 0.3, th: 1, prev: make([]float64, nx)}
+		}
+		bord, err := phaseBorder(sys, PhaseDerivativeZero, n1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newGrid(sys, n1, lines, ax, bord, lineInputs{sys: sys}, false)
+		la.Fill(g.scale, 1)
+		z := make([]float64, nx+lines)
+		g.residual(z, make([]float64, nx+lines))
+		if sys.calls != g.points() {
+			t.Errorf("lines=%d: residual sampled q %d times, want %d (once per point)", lines, sys.calls, g.points())
+		}
+	}
 }
 
 func TestSpectralOpMatchesDenseJacobian(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/fourier"
+	"repro/internal/krylov"
 	"repro/internal/la"
 )
 
@@ -31,13 +32,14 @@ type harmonicPrec struct {
 	bh    []complex128
 }
 
-// harmonicPrecFor returns the harmonic preconditioner at the current
-// iterate, recycling the previous build — across Newton iterations and
-// accepted t2 steps — while the step size, integrator weight, and ω stay
-// where they were when it was factored (ω within omegaDriftTol). A slightly
-// stale preconditioner only costs extra Krylov iterations; the Newton
-// tolerance is unaffected.
-func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, error) {
+// harmonicPrecFor returns the harmonic preconditioner at the operator's
+// linearization, recycling the previous build — across Newton iterations
+// and accepted t2 steps — while the step size, integrator weight, and ω
+// stay where they were when it was factored (ω within omegaDriftTol). A
+// slightly stale preconditioner only costs extra Krylov iterations; the
+// Newton tolerance is unaffected.
+func (a *envAssembler) harmonicPrecFor() (krylov.Preconditioner, error) {
+	omega, h, theta := a.g.op.omegas[0], a.st.h, a.st.th
 	if a.prec != nil && h == a.precH && theta == a.precTheta &&
 		abs(omega-a.precOmega) <= omegaDriftTol*abs(a.precOmega) {
 		return a.prec, nil
@@ -51,9 +53,9 @@ func (a *envAssembler) harmonicPrecFor(omega, h, theta float64) (*harmonicPrec, 
 
 // buildHarmonicPrec (re)factors the per-harmonic systems into the
 // persistent workspace, allocating only on the first call. It averages the
-// per-point device Jacobian slots, which the caller (the matrix-free
-// Jacobian of envAssembler.step, through grid.operator) has just filled at
-// the current iterate and inputs.
+// per-point device Jacobian slots, which the grid solver's matrix-free
+// linearization (grid.operator) has just filled at the current iterate and
+// inputs.
 func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	n1, n := a.g.n1, a.g.n
 	if a.prec == nil {

@@ -12,10 +12,10 @@ import (
 	"repro/internal/solverr"
 )
 
-// QPOptions configures the quasiperiodic WaMPDE solver of §4.1.
+// QPOptions configures the quasiperiodic WaMPDE solver of §4.1. Its phase
+// condition is PhaseDerivativeZero.
 type QPOptions struct {
-	N1, N2 int       // grid sizes, defaults 15×15
-	Phase  PhaseKind // default PhaseDerivativeZero
+	N1, N2 int // grid sizes, defaults 15×15
 	Newton newton.Options
 	// ChordNewton reuses the global Jacobian factorization across Newton
 	// iterations while the residual contracts (see newton.Options.
@@ -111,7 +111,8 @@ func GuessFromEnvelope(res *EnvelopeResult, t2Period float64, n1, n2 int) (*QPGu
 // Quasiperiodic solves the WaMPDE with periodic boundary conditions on both
 // axes (§4.1): x̂ is (1, T2)-periodic and ω(t2) is T2-periodic. The forcing
 // inputs must be T2-periodic. guess supplies the initial iterate (required:
-// the trivial equilibrium always solves the system).
+// the trivial equilibrium always solves the system). A solve that converges
+// onto a non-positive ω on some line fails as KindStagnation.
 func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPOptions) (*QPResult, error) {
 	const stage = "core.quasi"
 	opt = opt.withDefaults()
@@ -124,7 +125,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 	if err := checkGuess(stage, guess.X, guess.Omega, opt.N1, opt.N2, sys.Dim()); err != nil {
 		return nil, err
 	}
-	bord, err := phaseBorder(sys, opt.Phase, opt.N1, guess.X[0][0])
+	bord, err := phaseBorder(sys, PhaseDerivativeZero, opt.N1, guess.X[0][0])
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +161,7 @@ func checkGuess(stage string, x [][][]float64, omegas []float64, n1, n2, n int) 
 // ForcedQuasiperiodic on an N1×N2 periodic grid with the given border and
 // inputs, from the guess x0 (nil: zero) and omegas. What is the driver's
 // own: the row scales from the guess, the line-block preconditioner and the
-// continuation hooks.
+// inputs continuation starts from.
 func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64, omegas []float64, t2Period float64, opt QPOptions) (*QPResult, error) {
 	n := sys.Dim()
 	N1, N2 := opt.N1, opt.N2
@@ -217,11 +218,9 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 	// one block per t2 line, plus an identity block for the N2 trailing ω
 	// rows (their diagonal block is structurally zero; the Krylov iteration
 	// resolves the bordering).
-	var flu *la.LU
-	var lineBlocks []*la.Dense
-	var fillLines func(lo, hi int)
+	var prec func() (krylov.Preconditioner, error)
 	if matFree {
-		lineBlocks = make([]*la.Dense, N2+1)
+		lineBlocks := make([]*la.Dense, N2+1)
 		for j2 := 0; j2 < N2; j2++ {
 			lineBlocks[j2] = la.NewDense(N1*n, N1*n)
 		}
@@ -229,7 +228,7 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 		// Line block j2 is the line's own rows and columns, ω_{j2}·D1⊗JQ +
 		// JF, row-scaled like the full system: block Jacobi drops the D2
 		// coupling between lines and the ω border.
-		fillLines = func(lo, hi int) {
+		fillLines := func(lo, hi int) {
 			for j2 := lo; j2 < hi; j2++ {
 				blk := lineBlocks[j2]
 				for j1 := 0; j1 < N1; j1++ {
@@ -239,81 +238,42 @@ func quasiperiodic(sys dae.System, bord border, in lineInputs, x0 [][][]float64,
 				}
 			}
 		}
-	} else {
-		flu = la.NewLU(total)
-	}
-	var st Stats
-	lad := newLinearLadder(&st)
-	jac := func(z []float64) (newton.LinearSolve, error) {
-		if !matFree {
-			if err := flu.FactorInto(g.jacobian(z)); err != nil {
-				return nil, err
-			}
-			return flu, nil
+		prec = func() (krylov.Preconditioner, error) {
+			par.For(N2, 1, fillLines)
+			return krylov.NewBlockJacobiFromBlocks(lineBlocks)
 		}
-		op := g.operator(z)
-		par.For(N2, 1, fillLines)
-		prec, err := krylov.NewBlockJacobiFromBlocks(lineBlocks)
-		if err != nil {
-			return nil, err
-		}
-		lad.reset(op, prec, op.assembleSparse)
-		return lad, nil
 	}
-
-	nopt := opt.Newton
-	nopt.Work = newton.NewWorkspace(total)
-	nopt.JacobianReuse = opt.ChordNewton
-	// The rescue rungs refresh the Jacobian every iteration, each from the
-	// guess. Continuation starts every t2 line at the t2-averaged input — a
+	// Continuation starts every t2 line at the t2-averaged input — a
 	// constant-bias problem much closer to a plain oscillator — and λ walks
 	// the inputs back to their true T2-periodic values.
-	rescueOpts := nopt
-	rescueOpts.JacobianReuse = false
-	var usOrig, uMean []float64
-	nl := &nonlinearLadder{
-		stats: &st, chord: opt.ChordNewton, base: rescueOpts,
-		z0: make([]float64, total),
-		restart: func(r rescueRung) {
-			if r != rungContinuation {
-				return
-			}
-			usOrig = append([]float64(nil), g.us...)
-			line := len(g.us) / N2
-			uMean = make([]float64, len(g.us))
-			for i, v := range g.us {
-				uMean[i%line] += v / float64(N2)
-			}
-			for i := line; i < len(uMean); i++ {
-				uMean[i] = uMean[i%line]
-			}
-		},
-		blend:   func(lambda float64) { lerp(g.us, uMean, usOrig, lambda) },
-		restore: func() { copy(g.us, usOrig) },
-	}
-	resN, err := nl.solve(newton.Problem{N: total, Eval: g.residual, Jacobian: jac}, z, nopt)
-	build := func() *QPResult {
-		res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2),
-			Omega: append([]float64(nil), z[nx:]...), Stats: st}
-		for j2 := 0; j2 < N2; j2++ {
-			res.X[j2] = make([][]float64, N1)
-			for j1 := 0; j1 < N1; j1++ {
-				base := (j2*N1 + j1) * n
-				res.X[j2][j1] = append([]float64(nil), z[base:base+n]...)
-			}
+	meanInputs := func(dst []float64) {
+		line := len(g.us) / N2
+		clear(dst)
+		for i, v := range g.us {
+			dst[i%line] += v / float64(N2)
 		}
-		return res
-	}
-	if err != nil {
-		if solverr.IsKind(err, solverr.KindCanceled) {
-			// Newton left its best iterate in z; hand it back as the partial
-			// result so a deadline still yields something inspectable.
-			return build(), err
+		for i := line; i < len(dst); i++ {
+			dst[i] = dst[i%line]
 		}
-		return nil, nl.exhausted(err, "core.quasi", resN).WithMsg("quasiperiodic solve failed")
 	}
-	if serr := checkState("core.quasi", z); serr != nil {
-		return nil, serr
+	var st Stats
+	gs := newGridSolver(g, &st, "core.quasi", opt.Newton, prec, meanInputs)
+	first := opt.Newton
+	first.JacobianReuse = opt.ChordNewton
+	_, err := gs.solve(z, first)
+	if err != nil && !solverr.IsKind(err, solverr.KindCanceled) {
+		return nil, err
 	}
-	return build(), nil
+	// A canceled solve left Newton's best iterate in z; it goes back as the
+	// partial result so a deadline still yields something inspectable.
+	res := &QPResult{N1: N1, N2: N2, N: n, T2: t2Period, X: make([][][]float64, N2),
+		Omega: append([]float64(nil), z[nx:]...), Stats: st}
+	for j2 := 0; j2 < N2; j2++ {
+		res.X[j2] = make([][]float64, N1)
+		for j1 := 0; j1 < N1; j1++ {
+			base := (j2*N1 + j1) * n
+			res.X[j2][j1] = append([]float64(nil), z[base:base+n]...)
+		}
+	}
+	return res, err
 }

@@ -4,9 +4,47 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dae"
 	"repro/internal/fourier"
+	"repro/internal/shooting"
 	"repro/internal/solverr"
+	"repro/internal/transient"
 )
+
+// TestQuasiperiodicRejectsNegativeOmega: the van der Pol orbit run
+// backwards solves the collocation equations with ω = −1/T, because the
+// phase condition does not fix the sign of the frequency. Seeded with the
+// reversed samples and ω = +1/T on every line, Newton converges there; the
+// solve must fail as stagnation instead of returning that ω.
+func TestQuasiperiodicRejectsNegativeOmega(t *testing.T) {
+	sys := &dae.VanDerPol{Mu: 1}
+	pss, err := shooting.Autonomous(sys, []float64{2, 0}, 6.6,
+		shooting.Options{Method: transient.Trap, PointsPerPeriod: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n1, n2 = 17, 3
+	reversed := make([][]float64, n1)
+	for j := range reversed {
+		tt := pss.T * float64((n1-j)%n1) / float64(n1)
+		reversed[j] = []float64{pss.Orbit.At(tt, 0), pss.Orbit.At(tt, 1)}
+	}
+	guess := &QPGuess{X: make([][][]float64, n2), Omega: make([]float64, n2)}
+	for l := range guess.X {
+		guess.X[l], guess.Omega[l] = reversed, 1/pss.T
+	}
+	res, err := Quasiperiodic(sys, 10, guess, QPOptions{N1: n1, N2: n2})
+	if !solverr.IsKind(err, solverr.KindStagnation) {
+		var omega []float64
+		if res != nil {
+			omega = res.Omega
+		}
+		t.Fatalf("err = %v (ω = %v), want stagnation", err, omega)
+	}
+	if res != nil {
+		t.Fatal("a failed solve must not return a result")
+	}
+}
 
 // TestGuessFromEnvelopeEndTolerance: an envelope asked for exactly one slow
 // period may stop up to t2EndTol of that period short of it (Envelope's end

@@ -12,7 +12,9 @@
 // harmonic balance" formulation). A forced solve pins the frequency at 1/T;
 // an autonomous one leaves it free under the derivative-zero phase
 // condition. Newton's first attempt is undamped; core's rescue ladder
-// supplies damping when it fails.
+// supplies damping when it fails, and core's checks on the converged
+// iterate (finite, ω > 0) are the only ones: a solve that lands on a
+// non-positive frequency fails there as KindStagnation.
 package hb
 
 import (
@@ -108,9 +110,6 @@ func Autonomous(sys dae.Autonomous, T0 float64, x0 [][]float64, opt Options) (*S
 	res, err := core.Quasiperiodic(sys, 1, guess, opt.grid())
 	if err != nil {
 		return nil, solverr.Wrap(solverr.KindOf(err), stage, err)
-	}
-	if w := res.Omega[0]; w <= 0 {
-		return nil, solverr.New(solverr.KindStagnation, stage, "converged to a non-positive frequency (%g)", w)
 	}
 	return solution(res), nil
 }

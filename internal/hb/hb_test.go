@@ -116,6 +116,32 @@ func TestAutonomousMatchesShootingLargeMu(t *testing.T) {
 	}
 }
 
+// TestAutonomousRejectsNegativeFrequency: seeded with the van der Pol
+// orbit run backwards, Newton converges onto ω = −1/T, which the collocation
+// equations admit; the solve must fail as stagnation.
+func TestAutonomousRejectsNegativeFrequency(t *testing.T) {
+	sys := &dae.VanDerPol{Mu: 1}
+	sh, err := shooting.Autonomous(sys, []float64{2, 0}, 6.6,
+		shooting.Options{Method: transient.Trap, PointsPerPeriod: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const N = 17
+	x0 := make([][]float64, N)
+	for j := range x0 {
+		tt := sh.T * float64((N-j)%N) / float64(N)
+		x0[j] = []float64{sh.Orbit.At(tt, 0), sh.Orbit.At(tt, 1)}
+	}
+	sol, err := Autonomous(sys, sh.T, x0, Options{N: N})
+	if !solverr.IsKind(err, solverr.KindStagnation) {
+		var T float64
+		if sol != nil {
+			T = sol.T
+		}
+		t.Fatalf("err = %v (T = %v), want stagnation", err, T)
+	}
+}
+
 func TestSampleInterpolatesSolution(t *testing.T) {
 	sys := &dae.LinearRC{C: 1e-6, R: 1e3, IFunc: func(t float64) float64 { return 1e-3 * math.Sin(2*math.Pi*1e3*t) }}
 	sol, err := Forced(sys, 1e-3, nil, Options{N: 17})

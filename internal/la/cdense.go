@@ -22,15 +22,6 @@ func NewCDense(r, c int) *CDense {
 	return &CDense{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
-// CIdentity returns the n-by-n complex identity.
-func CIdentity(n int) *CDense {
-	m := NewCDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns A[i][j].
 func (m *CDense) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 

@@ -31,7 +31,10 @@ func TestCIdentityMul(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, -1i)
 	a.Set(1, 1, 3-2i)
-	p := a.Mul(CIdentity(2))
+	id := NewCDense(2, 2)
+	id.Set(0, 0, 1)
+	id.Set(1, 1, 1)
+	p := a.Mul(id)
 	for i := range a.Data {
 		if p.Data[i] != a.Data[i] {
 			t.Fatal("A*I != A")

@@ -245,13 +245,6 @@ func (f *LU) Solve(b, x []float64) {
 	}
 }
 
-// SolveMatrix solves A X = B for every column of B, returning X.
-func (f *LU) SolveMatrix(b *Dense) *Dense {
-	x := NewDense(b.Rows, b.Cols)
-	f.SolveMatrixInto(b, x)
-	return x
-}
-
 // SolveMatrixInto solves A X = B for every column of B at once, writing X
 // into x (same shape as b, distinct storage). The substitutions sweep whole
 // rows of x and skip zero factor entries, so the sparse factors of circuit
@@ -308,13 +301,4 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
 	f.Solve(b, x)
 	return x, nil
-}
-
-// Inverse returns A^{-1} (for tests and small diagnostics only).
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows)), nil
 }

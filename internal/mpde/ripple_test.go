@@ -105,7 +105,9 @@ func TestRippleEnvelopeAgainstTransient(t *testing.T) {
 	}
 	const fsw = 1e5
 	tsw := 1 / fsw
-	t2End := netlist.ConverterStartupT2(fsw)
+	// 200 switching periods: the output rings at ≈ fsw/63 with time
+	// constant 2·R·C, and settles within them.
+	t2End := 200 / fsw
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := buildConverter(t, tc.gen, tc.duty, fsw)

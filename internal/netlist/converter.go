@@ -76,11 +76,6 @@ const (
 	BoostN1 = 65
 )
 
-// ConverterStartupT2 is the slow-time horizon that covers the start-up
-// envelope: with L = C = convLCScale/fsw the output rings at ≈ fsw/63 with
-// time constant 2·R·C, so 200 switching periods see it settle.
-func ConverterStartupT2(fsw float64) float64 { return 200 / fsw }
-
 // BuckNominalOut is the ideal steady-state buck output duty·Vin (drops
 // ignored), the sanity anchor for goldens.
 func BuckNominalOut(duty float64) float64 { return duty * BuckVin }

@@ -96,16 +96,13 @@ func TestConverterGeneratorsRejectBadParams(t *testing.T) {
 	}
 }
 
-// TestConverterNominalHelpers pins the ideal conversion ratios and the
-// start-up horizon the goldens anchor to.
+// TestConverterNominalHelpers pins the ideal conversion ratios the goldens
+// anchor to.
 func TestConverterNominalHelpers(t *testing.T) {
 	if got := BuckNominalOut(0.5); got != 6 {
 		t.Fatalf("BuckNominalOut(0.5) = %v, want 6", got)
 	}
 	if got := BoostNominalOut(0.5); got != 10 {
 		t.Fatalf("BoostNominalOut(0.5) = %v, want 10", got)
-	}
-	if got := ConverterStartupT2(1e5); got != 2e-3 {
-		t.Fatalf("ConverterStartupT2(1e5) = %v, want 2e-3", got)
 	}
 }

@@ -63,7 +63,8 @@ type ClusterConfig struct {
 	// forwarded request (default 2: the original try plus one retry).
 	ForwardAttempts int
 	// HeartbeatInterval paces the membership/health heartbeat loop
-	// (default 0 = disabled; cmd/wampde-server defaults it to 1s).
+	// (default 0 = disabled, as is cmd/wampde-server's -heartbeat-interval;
+	// its usage example sets 1s).
 	HeartbeatInterval time.Duration
 	// BreakerThreshold is K, the consecutive transport failures that open
 	// a peer's circuit breaker (default 3).

@@ -114,19 +114,6 @@ func (c *CSR) MulVec(x, y []float64) {
 	}
 }
 
-// Diagonal extracts the diagonal, with 0 for missing entries.
-func (c *CSR) Diagonal() []float64 {
-	n := c.Rows
-	if c.Cols < n {
-		n = c.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = c.At(i, i)
-	}
-	return d
-}
-
 // Transpose returns A^T in CSR form.
 func (c *CSR) Transpose() *CSR {
 	t := &CSR{Rows: c.Cols, Cols: c.Rows, RowPtr: make([]int, c.Cols+1)}

@@ -120,16 +120,6 @@ func TestCSRTranspose(t *testing.T) {
 	}
 }
 
-func TestCSRDiagonal(t *testing.T) {
-	tr := NewTriplet(3, 3)
-	tr.Add(0, 0, 1)
-	tr.Add(2, 2, 3)
-	d := tr.ToCSR().Diagonal()
-	if d[0] != 1 || d[1] != 0 || d[2] != 3 {
-		t.Fatalf("Diagonal = %v", d)
-	}
-}
-
 func TestSparseLUSolveKnown(t *testing.T) {
 	tr := NewTriplet(3, 3)
 	// Same system as the dense LU test.
