@@ -23,13 +23,17 @@ const (
 	// [Saa96]" path for large systems: it solves the Jacobian system with
 	// GMRES applied to a matrix-free operator (core.SpectralOp), under the
 	// harmonic (envelope) or line-block-Jacobi (quasiperiodic)
-	// preconditioner. The spectral-differentiation term runs through the
-	// cached FFT plans and the device Jacobians apply block-diagonally per
-	// collocation point, so the (N1·n+1)² matrix is never formed and
-	// per-iteration cost is near-linear in circuit size. The direct-rescue
-	// rung of the supervision ladder assembles the same entries sparsely.
-	// This is the scalable path for large circuits (N-stage rings); at the
-	// paper's sizes dense LU remains faster.
+	// preconditioner, so the (N1·n+1)² matrix is never formed. On an
+	// envelope step of total = N1·n+1 unknowns, GMRES iteration k costs a
+	// matvec, O(N1·nnz(JQ, JF) + n·N1·log N1): the device Jacobians apply
+	// per collocation point over their nonzeros, and the spectral
+	// differentiation runs through the cached FFT plans. It adds one
+	// harmonic-preconditioner apply over each bin's packed LU factors,
+	// O(N1·(nnz L + nnz U) + n·N1·log N1), and modified Gram–Schmidt's
+	// O(k·total). The direct-rescue rung of the supervision ladder
+	// assembles the same entries sparsely. This is the scalable path for
+	// large circuits (N-stage rings); at the paper's sizes dense LU remains
+	// faster.
 	LinearMatrixFree
 )
 
@@ -258,7 +262,6 @@ type envAssembler struct {
 	prec                        *harmonicPrec
 	precH, precTheta, precOmega float64
 	jqAvg, jfAvg                *la.Dense
-	precM                       *la.CDense // one bin's system, factored into prec
 }
 
 func newEnvAssembler(sys dae.System, bord border, in lineInputs, opt EnvelopeOptions, stats *Stats) *envAssembler {

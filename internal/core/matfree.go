@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/fourier"
+	"repro/internal/la"
 	"repro/internal/sparse"
 )
 
@@ -14,13 +15,13 @@ import (
 //	J·[δx; δω] = scale⁻¹·( T·JQ·δx + θ·ω_l·(D1⊗I)·JQ·δx + θ·JF·δx
 //	              + θ·(D1·q)·δω_l ;  border·[δx; δω] )
 //
-// applies the per-point device Jacobians block-diagonally, D1 through the
-// cached FFT plans in O(n·N1·log N1), and the t2 axis's term T (JQ·δx/h for
-// an envelope step, an FFT along N2 on the periodic grid). The
-// preconditioners only need the averaged or per-line blocks, and the
-// ladder's direct-rescue rung assembles the same entries sparsely and
-// factors them with the sparse LU, far from the O((N1·n)³) dense wall. See
-// DESIGN.md, "Matrix-free operator".
+// applies the per-point device Jacobians block-diagonally over their
+// nonzeros, D1 through the cached FFT plans in O(n·N1·log N1), and the t2
+// axis's term T (JQ·δx/h for an envelope step, an FFT along N2 on the
+// periodic grid). The preconditioners only need the averaged or per-line
+// blocks, and the ladder's direct-rescue rung assembles the same entries
+// sparsely and factors them with the sparse LU, far from the O((N1·n)³)
+// dense wall. See DESIGN.md, "Matrix-free operator".
 
 // SpectralOp is the matrix-free bordered Jacobian of a grid: one envelope
 // t2 step (one line) or the global quasiperiodic system (N2 lines). It
@@ -28,13 +29,17 @@ import (
 // the row scales, the D1·q border columns and the per-line ω — so
 // chord-Newton reuse semantics are identical to the dense path; the
 // per-point JQ/JF slots are the grid's, rewritten only when the operator is
-// rebuilt at a new linearization. The t2 axis is read live: drivers change
-// it (a new step size or integrator weight) only together with a new
-// linearization, which the envelope's chord gates enforce.
+// rebuilt at a new linearization, and so are the nonzero patterns Apply
+// multiplies them over. The t2 axis is read live: drivers change it (a new
+// step size or integrator weight) only together with a new linearization,
+// which the envelope's chord gates enforce.
 type SpectralOp struct {
 	g             *grid
 	omegas, scale []float64 // per-line ω and row scales, snapshot at build
 	dq            []float64 // D1·q at the linearization point, owned
+	// The union over the grid's points of the JQ and JF blocks' nonzeros,
+	// rebuilt with them.
+	jqPat, jfPat *la.Pattern
 
 	// Apply scratch: the block products JQ·x (overwritten in place by its
 	// t2 term) and JF·x, and the per-(line, state) spectral rows along t1.
@@ -50,6 +55,8 @@ func newSpectralOp(g *grid) *SpectralOp {
 		omegas: make([]float64, g.lines),
 		scale:  make([]float64, nx+g.lines),
 		dq:     make([]float64, nx),
+		jqPat:  la.NewPattern(n, n),
+		jfPat:  la.NewPattern(n, n),
 		qv:     blk[:nx],
 		jfv:    blk[nx:],
 		spec:   make([][]complex128, g.lines*n),
@@ -62,14 +69,16 @@ func newSpectralOp(g *grid) *SpectralOp {
 
 // operator (re)builds the grid's matrix-free operator at the iterate z: it
 // samples q, refreshes the per-point device Jacobian slots (as the dense
-// assembly does), computes the D1·q border columns and snapshots the row
-// scales and ω. No dense matrix is touched.
+// assembly does) and their nonzero patterns, computes the D1·q border
+// columns and snapshots the row scales and ω. No dense matrix is touched.
 func (g *grid) operator(z []float64) *SpectralOp {
 	if g.op == nil {
 		g.op = newSpectralOp(g)
 	}
 	op := g.op
 	g.linearize(z)
+	op.jqPat.Union(g.jqs)
+	op.jfPat.Union(g.jfs)
 	g.d1q(g.q, op.dq)
 	copy(op.scale, g.scale)
 	copy(op.omegas, z[g.nx:])
@@ -84,14 +93,15 @@ func (op *SpectralOp) Dim() int { return op.g.nx + op.g.lines }
 // (i·2πk symbol, unpaired Nyquist bin zeroed), so they match the dense
 // DiffMatrix application to roundoff; the t2 pass transforms along N2 only
 // on a periodic grid. Every other term is evaluated with the same arithmetic
-// as the dense row assembly.
+// as the dense row assembly; the block products run over the union
+// patterns, which for finite x equals the dense products bit for bit.
 func (op *SpectralOp) Apply(x, y []float64) {
 	g := op.g
 	n, n1, nx := g.n, g.n1, g.nx
 	for p := 0; p < g.points(); p++ {
 		xp := x[p*n : (p+1)*n]
-		g.jqs[p].MulVec(xp, op.qv[p*n:(p+1)*n])
-		g.jfs[p].MulVec(xp, op.jfv[p*n:(p+1)*n])
+		op.jqPat.MulVec(g.jqs[p], xp, op.qv[p*n:(p+1)*n])
+		op.jfPat.MulVec(g.jfs[p], xp, op.jfv[p*n:(p+1)*n])
 	}
 	// spec row l·n+i holds state i along the t1 axis of line l.
 	for rr, row := range op.spec {

@@ -146,6 +146,56 @@ func TestSpectralOpMatchesDenseJacobian(t *testing.T) {
 	})
 }
 
+// TestSpectralOpBlockPatternsMatchDenseProducts checks Apply's device-block
+// products, taken over the union nonzero patterns, against the dense
+// products they replaced, bit for bit: the reference is the same operator
+// with every entry in both patterns, where each block product is
+// Dense.MulVec term for term. The test VCO's JQ entry (0, 2),
+// −C0·v/(1+u)², vanishes where v = 0. The first linearization sets v = 0 at
+// every point, so the entry leaves the union; the second sets it at every
+// other point, so the entry is back but zero at half the points. A pattern
+// that missed a point's entry, or was not rebuilt at the second
+// linearization, would show.
+func TestSpectralOpBlockPatternsMatchDenseProducts(t *testing.T) {
+	forEachOracle(t, func(t *testing.T, rng *rand.Rand, g *grid, z0 []float64) {
+		n, dim := g.n, len(z0)
+		all := la.NewDense(n, n)
+		la.Fill(all.Data, 1)
+		full := la.NewPattern(n, n)
+		full.Union([]*la.Dense{all})
+		for lin, every := range []int{1, 2} {
+			z := append([]float64(nil), z0...)
+			for p := 0; p < g.points(); p += every {
+				z[p*n] = 0
+			}
+			op := g.operator(z)
+			zeros := 0
+			for _, jq := range g.jqs {
+				if jq.At(0, 2) == 0 {
+					zeros++
+				}
+			}
+			if want := (g.points() + every - 1) / every; zeros != want {
+				t.Fatalf("linearization %d: JQ(0, 2) is zero at %d points, want %d", lin, zeros, want)
+			}
+			for trial := 0; trial < 3; trial++ {
+				v := randVec(rng, dim, -1, 1)
+				got, want := make([]float64, dim), make([]float64, dim)
+				op.Apply(v, got)
+				jq, jf := op.jqPat, op.jfPat
+				op.jqPat, op.jfPat = full, full
+				op.Apply(v, want)
+				op.jqPat, op.jfPat = jq, jf
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("linearization %d trial %d: y[%d] = %v, dense products give %v", lin, trial, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestSpectralOpSparseAssemblyMatchesDense(t *testing.T) {
 	forEachOracle(t, func(t *testing.T, _ *rand.Rand, g *grid, z []float64) {
 		jj := g.jacobian(z)

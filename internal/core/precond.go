@@ -15,18 +15,19 @@ import (
 //
 //	M_h = (2πi·h·ω + 1/h2)·J̄Q + θ·J̄F,
 //
-// factored once per rebuild. Application costs one FFT/IFFT per state plus
-// N1 small solves — O(N1·(n·log N1 + n²)) — independent of the coupling
-// density, which is what makes the paper's "iterative linear techniques
-// [Saa96]" scale to large systems. The bordered ω column and phase row are
-// left to the Krylov iteration (a rank-2 correction).
+// factored once per rebuild, every bin in one shared workspace, and packed
+// by its nonzeros. Application costs one FFT/IFFT per state plus N1 sparse
+// triangular solves, O(N1·(nnz L + nnz U) + n·N1·log N1), which is what
+// makes the paper's "iterative linear techniques [Saa96]" scale to large
+// systems. The bordered ω column and phase row are left to the Krylov
+// iteration (a rank-2 correction).
 //
 // The struct owns its factor storage and application scratch, so a rebuild
 // refactors in place and a preconditioner application allocates nothing.
 type harmonicPrec struct {
 	n1, n int
-	scale []float64 // row scales, snapshot at build time (see buildHarmonicPrec)
-	facts []*la.CLU // one per harmonic bin (length n1), refactored in place
+	scale []float64     // row scales, snapshot at build time (see buildHarmonicPrec)
+	lu    *la.PackedCLU // one factorization per harmonic bin, refactored in place
 	spec  [][]complex128
 	xh    []complex128 // one bin's solve
 	bh    []complex128
@@ -62,13 +63,10 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 		a.prec = &harmonicPrec{
 			n1: n1, n: n,
 			scale: make([]float64, len(a.g.scale)),
-			facts: make([]*la.CLU, n1),
+			lu:    la.NewPackedCLU(n1, n),
 			spec:  make([][]complex128, n),
 			xh:    make([]complex128, n),
 			bh:    make([]complex128, n),
-		}
-		for bin := range a.prec.facts {
-			a.prec.facts[bin] = la.NewCLU(n)
 		}
 		for i := range a.prec.spec {
 			a.prec.spec[i] = make([]complex128, n1)
@@ -83,7 +81,6 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 	if a.jqAvg == nil {
 		a.jqAvg = la.NewDense(n, n)
 		a.jfAvg = la.NewDense(n, n)
-		a.precM = la.NewCDense(n, n)
 	}
 	a.jqAvg.Zero()
 	a.jfAvg.Zero()
@@ -92,8 +89,8 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 		a.jfAvg.AddScaled(1/float64(n1), a.g.jfs[j])
 	}
 	// One small complex refactorization per harmonic bin.
-	jqAvg, jfAvg, m := a.jqAvg, a.jfAvg, a.precM
-	for bin, f := range a.prec.facts {
+	jqAvg, jfAvg := a.jqAvg, a.jfAvg
+	return a.prec.lu.Factor(func(bin int, m *la.CDense) {
 		hh := fourier.HarmonicIndex(bin, n1)
 		lam := complex(1/h, 2*math.Pi*float64(hh)*omega)
 		for r := 0; r < n; r++ {
@@ -101,11 +98,7 @@ func (a *envAssembler) buildHarmonicPrec(omega, h, theta float64) error {
 				m.Set(r, c, lam*complex(jqAvg.At(r, c), 0)+complex(theta*jfAvg.At(r, c), 0))
 			}
 		}
-		if err := f.FactorInto(m); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // Precondition applies z ≈ J⁻¹·r for the row-scaled system: it first
@@ -122,11 +115,11 @@ func (p *harmonicPrec) Precondition(r, z []float64) {
 		}
 	}
 	fourier.FFTRows(spec)
-	for bin, f := range p.facts {
+	for bin := 0; bin < n1; bin++ {
 		for i := range p.bh {
 			p.bh[i] = spec[i][bin]
 		}
-		f.Solve(p.bh, p.xh)
+		p.lu.Solve(bin, p.bh, p.xh)
 		for i, v := range p.xh {
 			spec[i][bin] = v
 		}

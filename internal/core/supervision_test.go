@@ -384,3 +384,43 @@ func TestFaultMidRunCancellationKeepsProgress(t *testing.T) {
 		t.Fatalf("run kept stepping after cancellation: %d points", len(res.T2))
 	}
 }
+
+// cancelOnContinuation cancels the run when the continuation rung reads its
+// start inputs: the first inputs read after the step's first three Newton
+// attempts (chord, full, deep damped) have failed.
+type cancelOnContinuation struct {
+	*dae.SimpleVCO
+	plan   *faultinject.Plan
+	cancel context.CancelFunc
+}
+
+func (c cancelOnContinuation) Input(t2 float64, u []float64) {
+	if c.plan.Seen(faultinject.SiteNewtonFail) >= 3 {
+		c.cancel()
+	}
+	c.SimpleVCO.Input(t2, u)
+}
+
+// TestFaultCancelDuringContinuationIsCanceled checks that a deadline that
+// expires inside the continuation rung ends the run as canceled after one
+// continuation solve, not as the stagnation of an exhausted λ search.
+func TestFaultCancelDuringContinuationIsCanceled(t *testing.T) {
+	sys := testVCO(300)
+	xhat0, omega0 := solveIC(t, sys, 25)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plan := faultinject.NewPlan().Fail(faultinject.SiteNewtonFail, faultinject.Times(3))
+	defer faultinject.Arm(plan)()
+	res, err := Envelope(cancelOnContinuation{sys, plan, cancel}, xhat0, omega0, 30,
+		EnvelopeOptions{N1: 25, H2: 1, Ctx: ctx})
+	if k := solverr.KindOf(err); k != solverr.KindCanceled {
+		t.Fatalf("KindOf = %v, want canceled: %v", k, err)
+	}
+	if res.ContinuationRescues != 1 || len(res.T2) != 1 {
+		t.Fatalf("continuation rescues %d, points %d; want 1 and only the initial point",
+			res.ContinuationRescues, len(res.T2))
+	}
+	if seen := plan.Seen(faultinject.SiteNewtonFail); seen != 4 {
+		t.Fatalf("%d Newton solves ran, want 4 (three attempts, one continuation solve)", seen)
+	}
+}

@@ -198,12 +198,14 @@ func GMRES(a Operator, b, x []float64, opt Options) (Result, error) {
 			a.Apply(v[k], w)
 			mv++
 			opt.Prec.Precondition(w, w)
-			// Modified Gram-Schmidt.
-			for i := 0; i <= k; i++ {
-				hik := la.Dot(w, v[i])
+			// Modified Gram-Schmidt, one pass over w per basis vector.
+			hik := la.Dot(w, v[0])
+			for i := 0; i < k; i++ {
 				h.Set(i, k, hik)
-				la.Axpy(-hik, v[i], w)
+				hik = axpyDot(-hik, v[i], w, v[i+1])
 			}
+			h.Set(k, k, hik)
+			la.Axpy(-hik, v[k], w)
 			wn := la.Norm2(w)
 			h.Set(k+1, k, wn)
 			if wn > 1e-300 {
@@ -254,4 +256,18 @@ func GMRES(a Operator, b, x []float64, opt Options) (Result, error) {
 		solverr.Wrap(solverr.KindStagnation, "krylov.gmres", ErrNoConvergence).
 			WithMsg("GMRES(%d) hit iteration cap", m).WithIter(total).WithResidual(res).
 			WithResidualHistory(append([]float64(nil), ws.hist...))
+}
+
+// axpyDot performs w += a·v and returns the dot product of the updated w
+// with next, in one pass: each entry of w is updated, then multiplied into
+// the sum, so the result is la.Axpy followed by la.Dot bit for bit.
+func axpyDot(a float64, v, w, next []float64) float64 {
+	w, next = w[:len(v)], next[:len(v)]
+	s := 0.0
+	for j, vj := range v {
+		wj := w[j] + a*vj
+		w[j] = wj
+		s += wj * next[j]
+	}
+	return s
 }

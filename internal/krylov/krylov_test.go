@@ -322,3 +322,181 @@ func TestBlockJacobiRejectsBadInput(t *testing.T) {
 		t.Fatal("expected error for a singular block")
 	}
 }
+
+// gmresUnfused is GMRES with modified Gram–Schmidt as it was before the
+// fused sweep: a separate la.Dot and la.Axpy per basis vector. It is the
+// oracle the fused GMRES must reproduce bit for bit.
+func gmresUnfused(a Operator, b, x []float64, opt Options) (Result, error) {
+	n := a.Dim()
+	opt = opt.withDefaults(n)
+	m := opt.Restart
+	ws := opt.Work
+	ws.ensure(n, m)
+	ws.hist = ws.hist[:0]
+	pb := ws.pb
+	opt.Prec.Precondition(b, pb)
+	bnorm := la.Norm2(pb)
+	if bnorm == 0 {
+		la.Fill(x, 0)
+		return Result{Converged: true}, nil
+	}
+	r, pr, w := ws.r, ws.pr, ws.w
+	v, h := ws.v, ws.h
+	cs, sn := ws.cs, ws.sn
+	g, ym := ws.g, ws.ym
+	total, mv := 0, 0
+	res := math.Inf(1)
+	for total < opt.MaxIter {
+		a.Apply(x, r)
+		mv++
+		la.Sub(r, b, r)
+		opt.Prec.Precondition(r, pr)
+		beta := la.Norm2(pr)
+		res = beta / bnorm
+		ws.hist = append(ws.hist, res)
+		if res <= opt.Tol {
+			return Result{Iterations: total, Residual: res, Converged: true, MatVecs: mv}, nil
+		}
+		for i := range g {
+			g[i] = 0
+		}
+		g[0] = beta
+		la.Copy(v[0], pr)
+		la.Scal(1/beta, v[0])
+		k := 0
+		for ; k < m && total < opt.MaxIter; k++ {
+			total++
+			a.Apply(v[k], w)
+			mv++
+			opt.Prec.Precondition(w, w)
+			for i := 0; i <= k; i++ {
+				hik := la.Dot(w, v[i])
+				h.Set(i, k, hik)
+				la.Axpy(-hik, v[i], w)
+			}
+			wn := la.Norm2(w)
+			h.Set(k+1, k, wn)
+			if wn > 1e-300 {
+				la.Copy(v[k+1], w)
+				la.Scal(1/wn, v[k+1])
+			}
+			for i := 0; i < k; i++ {
+				t1 := cs[i]*h.At(i, k) + sn[i]*h.At(i+1, k)
+				t2 := -sn[i]*h.At(i, k) + cs[i]*h.At(i+1, k)
+				h.Set(i, k, t1)
+				h.Set(i+1, k, t2)
+			}
+			d := math.Hypot(h.At(k, k), h.At(k+1, k))
+			if d == 0 {
+				cs[k], sn[k] = 1, 0
+			} else {
+				cs[k] = h.At(k, k) / d
+				sn[k] = h.At(k+1, k) / d
+			}
+			h.Set(k, k, cs[k]*h.At(k, k)+sn[k]*h.At(k+1, k))
+			h.Set(k+1, k, 0)
+			g[k+1] = -sn[k] * g[k]
+			g[k] = cs[k] * g[k]
+			res = math.Abs(g[k+1]) / bnorm
+			if res <= opt.Tol || wn <= 1e-300 {
+				k++
+				break
+			}
+		}
+		for i := k - 1; i >= 0; i-- {
+			s := g[i]
+			for j := i + 1; j < k; j++ {
+				s -= h.At(i, j) * ym[j]
+			}
+			ym[i] = s / h.At(i, i)
+		}
+		for i := 0; i < k; i++ {
+			la.Axpy(ym[i], v[i], x)
+		}
+		if res <= opt.Tol {
+			return Result{Iterations: total, Residual: res, Converged: true, MatVecs: mv}, nil
+		}
+	}
+	return Result{Iterations: total, Residual: res, MatVecs: mv}, ErrNoConvergence
+}
+
+// diagPrec is a Jacobi preconditioner, z = r / d.
+type diagPrec []float64
+
+func (d diagPrec) Precondition(r, z []float64) {
+	for i, di := range d {
+		z[i] = r[i] / di
+	}
+}
+
+// TestGMRESMatchesUnfusedOracle checks the fused Gram–Schmidt sweep
+// against gmresUnfused: x, Residual, Iterations, MatVecs, convergence and
+// the per-restart residual history must all be bitwise equal, through
+// restarts, a happy breakdown and a stagnation.
+func TestGMRESMatchesUnfusedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	restarted := la.NewDense(40, 40)
+	for i := range restarted.Data {
+		restarted.Data[i] = 0.1 * rng.NormFloat64()
+	}
+	dg := make(diagPrec, 40)
+	for i := range dg {
+		restarted.Add(i, i, 1+rng.Float64())
+		dg[i] = restarted.At(i, i)
+	}
+	diag := la.NewDense(10, 10)
+	for i := 0; i < 10; i++ {
+		diag.Set(i, i, float64(i+1))
+	}
+	breakdownRHS := make([]float64, 10)
+	breakdownRHS[2], breakdownRHS[7] = 1, -3
+	shift := la.NewDense(30, 30)
+	for i := 0; i < 30; i++ {
+		shift.Set(i, (i+1)%30, 1)
+	}
+	shiftRHS := make([]float64, 30)
+	shiftRHS[0] = 1
+	for _, c := range []struct {
+		name     string
+		m        *la.Dense
+		b, guess []float64
+		opt      Options
+		restarts bool // the solve needs more than one cycle
+	}{
+		{"restart", restarted, randVec(40, 12), randVec(40, 13), Options{Tol: 1e-13, Restart: 6, Prec: dg}, true},
+		{"happy breakdown", diag, breakdownRHS, make([]float64, 10), Options{Tol: 1e-13, Restart: 10}, false},
+		{"stagnation", shift, shiftRHS, make([]float64, 30), Options{Tol: 1e-12, Restart: 5, MaxIter: 12}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			op := DenseOp{M: c.m}
+			ws, wsOracle := NewWorkspace(), NewWorkspace()
+			x := append([]float64(nil), c.guess...)
+			xOracle := append([]float64(nil), c.guess...)
+			opt, optOracle := c.opt, c.opt
+			opt.Work, optOracle.Work = ws, wsOracle
+			res, err := GMRES(op, c.b, x, opt)
+			want, wantErr := gmresUnfused(op, c.b, xOracle, optOracle)
+			if (err == nil) != (wantErr == nil) || res.Converged != want.Converged ||
+				res.Iterations != want.Iterations || res.MatVecs != want.MatVecs ||
+				math.Float64bits(res.Residual) != math.Float64bits(want.Residual) {
+				t.Fatalf("fused %+v (err %v), oracle %+v (err %v)", res, err, want, wantErr)
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(xOracle[i]) {
+					t.Fatalf("x[%d] = %v, oracle %v", i, x[i], xOracle[i])
+				}
+			}
+			if res.Converged == (c.name == "stagnation") {
+				t.Fatalf("converged %v: the case does not exercise what it is named for", res.Converged)
+			}
+			if len(ws.hist) != len(wsOracle.hist) || (len(ws.hist) > 1) != c.restarts {
+				t.Fatalf("residual history %v, oracle %v", ws.hist, wsOracle.hist)
+			}
+			for i := range ws.hist {
+				if math.Float64bits(ws.hist[i]) != math.Float64bits(wsOracle.hist[i]) {
+					t.Fatalf("residual history %v, oracle %v", ws.hist, wsOracle.hist)
+				}
+			}
+		})
+	}
+}

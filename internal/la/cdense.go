@@ -88,19 +88,6 @@ type CLU struct {
 	piv []int
 }
 
-// FactorCLU computes the LU factorization of a square complex matrix.
-func FactorCLU(a *CDense) (*CLU, error) {
-	if a.Rows != a.Cols {
-		return nil, solverr.New(solverr.KindBadInput, "la.clu",
-			"FactorCLU needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	f := NewCLU(a.Rows)
-	if err := f.FactorInto(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // NewCLU returns an empty n×n complex factorization workspace for FactorInto,
 // so recycled preconditioners can refactor without reallocating.
 func NewCLU(n int) *CLU {
@@ -155,41 +142,136 @@ func (f *CLU) FactorInto(a *CDense) error {
 	return nil
 }
 
-// Solve solves A x = b, writing the solution into x. b and x must either be
-// the same slice or not overlap; distinct storage solves in place in x with
-// no allocation.
-func (f *CLU) Solve(b, x []complex128) {
-	n := f.lu.Rows
+// PackedCLU holds the LU factors of k n×n complex matrices, packed by their
+// nonzeros into storage the k share: per matrix its pivots and U diagonal,
+// and per row the nonzero entries of L, then of U, with their columns, in
+// ascending column. Each matrix is factored in turn in one shared dense CLU
+// workspace, so a solve costs O(n + nnz L + nnz U) and the whole set holds
+// one n×n workspace instead of k.
+type PackedCLU struct {
+	k, n int
+	lu   *CLU    // the shared factorization workspace
+	a    *CDense // the matrix being factored, written by Factor's fill
+	piv  []int   // matrix i's row permutation is piv[i·n:(i+1)·n]
+	diag []complex128
+	// Row r of matrix i has its L entries at [ptr[2(i·n+r)], ptr[2(i·n+r)+1])
+	// and its U entries at [ptr[2(i·n+r)+1], ptr[2(i·n+r)+2]) of val and col.
+	ptr []int
+	val []complex128
+	col []int32
+}
+
+// NewPackedCLU returns empty storage for the factors of k n×n matrices.
+func NewPackedCLU(k, n int) *PackedCLU {
+	return &PackedCLU{
+		k: k, n: n,
+		lu:   NewCLU(n),
+		a:    NewCDense(n, n),
+		piv:  make([]int, k*n),
+		diag: make([]complex128, k*n),
+		ptr:  make([]int, 2*k*n+1),
+	}
+}
+
+// Factor refactors all k matrices: fill(i, a) writes matrix i into a, which
+// is factored with CLU.FactorInto and packed. A singular matrix fails it
+// with FactorInto's error. The nonzero storage is sized exactly: when the
+// factors outgrow it, Factor counts the remaining matrices' nonzeros,
+// reallocates, and refactors the matrix that did not fit.
+func (p *PackedCLU) Factor(fill func(i int, a *CDense)) error {
+	used := 0
+	for i := 0; i < p.k; i++ {
+		if err := p.factor(i, fill); err != nil {
+			return err
+		}
+		if need := used + p.lu.offDiagNNZ(); need > len(p.val) {
+			for j := i + 1; j < p.k; j++ {
+				if err := p.factor(j, fill); err != nil {
+					return err
+				}
+				need += p.lu.offDiagNNZ()
+			}
+			val, col := make([]complex128, need), make([]int32, need)
+			copy(val, p.val[:used])
+			copy(col, p.col[:used])
+			p.val, p.col = val, col
+			if err := p.factor(i, fill); err != nil {
+				return err
+			}
+		}
+		used = p.pack(i, used)
+	}
+	return nil
+}
+
+// factor fills matrix i and factors it into the shared workspace.
+func (p *PackedCLU) factor(i int, fill func(i int, a *CDense)) error {
+	fill(i, p.a)
+	return p.lu.FactorInto(p.a)
+}
+
+// offDiagNNZ counts the nonzero entries of f's L and U off the diagonal.
+func (f *CLU) offDiagNNZ() int {
+	n, nnz := f.lu.Rows, 0
+	for r := 0; r < n; r++ {
+		for c, v := range f.lu.Data[r*n : (r+1)*n] {
+			if c != r && v != 0 {
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
+// pack copies the workspace's factors in as matrix i's, from entry used of
+// the nonzero storage, and returns the entries used after it.
+func (p *PackedCLU) pack(i, used int) int {
+	n, lu := p.n, p.lu.lu.Data
+	copy(p.piv[i*n:(i+1)*n], p.lu.piv)
+	for r := 0; r < n; r++ {
+		row := lu[r*n : (r+1)*n]
+		p.diag[i*n+r] = row[r]
+		p.ptr[2*(i*n+r)] = used
+		for c, v := range row {
+			if c == r {
+				p.ptr[2*(i*n+r)+1] = used
+			} else if v != 0 {
+				p.val[used], p.col[used] = v, int32(c)
+				used++
+			}
+		}
+	}
+	p.ptr[2*(i+1)*n] = used
+	return used
+}
+
+// Solve solves A_i x = b for matrix i, writing the solution into x, which
+// must not overlap b. It subtracts the factors' nonzero terms in the order
+// a dense triangular solve does, so its result equals that solve's for
+// finite b up to the sign of a zero.
+func (p *PackedCLU) Solve(i int, b, x []complex128) {
+	n := p.n
 	if len(b) != n || len(x) != n {
-		panic("la: CLU.Solve length mismatch")
+		panic("la: PackedCLU.Solve length mismatch")
 	}
-	if n == 0 {
-		return
+	for r, q := range p.piv[i*n : (i+1)*n] {
+		x[r] = b[q]
 	}
-	lu := f.lu.Data
-	tmp := x
-	if &b[0] == &x[0] {
-		tmp = make([]complex128, n)
-	}
-	for i := 0; i < n; i++ {
-		tmp[i] = b[f.piv[i]]
-	}
-	for i := 1; i < n; i++ {
-		s := tmp[i]
-		for j := 0; j < i; j++ {
-			s -= lu[i*n+j] * tmp[j]
+	ptr := p.ptr[2*i*n : 2*(i+1)*n+1]
+	for r := 1; r < n; r++ {
+		s := x[r]
+		for e := ptr[2*r]; e < ptr[2*r+1]; e++ {
+			s -= p.val[e] * x[p.col[e]]
 		}
-		tmp[i] = s
+		x[r] = s
 	}
-	for i := n - 1; i >= 0; i-- {
-		s := tmp[i]
-		for j := i + 1; j < n; j++ {
-			s -= lu[i*n+j] * tmp[j]
+	diag := p.diag[i*n : (i+1)*n]
+	for r := n - 1; r >= 0; r-- {
+		s := x[r]
+		for e := ptr[2*r+1]; e < ptr[2*r+2]; e++ {
+			s -= p.val[e] * x[p.col[e]]
 		}
-		tmp[i] = s / lu[i*n+i]
-	}
-	if &tmp[0] != &x[0] {
-		copy(x, tmp)
+		x[r] = s / diag[r]
 	}
 }
 

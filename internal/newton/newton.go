@@ -364,7 +364,8 @@ func DenseProblem(n int, eval func(x, f []float64) error, jac func(x []float64, 
 // λ = 0, adapting the λ step: on failure the step halves, on success it
 // grows. make(λ) must return the problem at that continuation parameter.
 // Used for source-stepping DC operating points of oscillators whose Newton
-// basin at full bias is small.
+// basin at full bias is small. A canceled solve is no failed step: x is
+// restored to the last accepted λ and the cancellation returned as is.
 func Homotopy(make func(lambda float64) Problem, x []float64, opt Options) (Result, error) {
 	lambda, step := 0.0, 0.25
 	var last Result
@@ -377,6 +378,9 @@ func Homotopy(make func(lambda float64) Problem, x []float64, opt Options) (Resu
 		res, err := Solve(make(next), x, opt)
 		if err != nil {
 			copy(x, xSave)
+			if solverr.IsKind(err, solverr.KindCanceled) {
+				return res, err
+			}
 			step /= 2
 			if step < 1e-6 {
 				return res, solverr.Wrap(solverr.KindStagnation, "newton.homotopy", err).

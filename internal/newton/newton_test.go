@@ -1,6 +1,7 @@
 package newton
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/la"
+	"repro/internal/solverr"
 )
 
 func quadraticProblem() Problem {
@@ -178,6 +180,32 @@ func TestHomotopyStallsGracefully(t *testing.T) {
 	x := []float64{0}
 	if _, err := Homotopy(mk, x, Options{MaxIter: 10}); err == nil {
 		t.Fatal("expected homotopy to fail")
+	}
+}
+
+// TestHomotopyCanceledReturnsAtOnce checks that a canceled inner solve ends
+// the continuation at once, with x restored and the cancellation's kind,
+// instead of being taken for a failed λ step and halved into stagnation.
+func TestHomotopyCanceledReturnsAtOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls := 0
+	mk := func(lambda float64) Problem {
+		calls++
+		return DenseProblem(1,
+			func(x, f []float64) error { f[0] = x[0]*x[0]*x[0] + x[0] - 10*lambda; return nil },
+			func(x []float64, j *la.Dense) error { j.Set(0, 0, 3*x[0]*x[0]+1); return nil })
+	}
+	x := []float64{0.5}
+	_, err := Homotopy(mk, x, Options{Damping: true, Ctx: ctx})
+	if k := solverr.KindOf(err); k != solverr.KindCanceled {
+		t.Fatalf("KindOf = %v, want canceled: %v", k, err)
+	}
+	if calls != 1 {
+		t.Errorf("made %d problems, want 1 (no retry after a cancellation)", calls)
+	}
+	if x[0] != 0.5 {
+		t.Errorf("x = %v, want the start 0.5 restored", x[0])
 	}
 }
 

@@ -187,8 +187,12 @@ func (c *Canonical) needsOscVar() bool {
 // quasiperiodic instead holds N2 line blocks of (N1·n)² and block Jacobi's
 // factored copy of each, 2·N2·(N1·n)². A matrix-free envelope holds the
 // grid's per-point n×n JQ and JF blocks, 2·N1·n², and the harmonic
-// preconditioner's N1 complex n×n factors, another 2·N1·n², which exceed
-// the preamble's 2·(n + 1)² at any N1 the cutover sends there.
+// preconditioner: one complex n×n factorization workspace plus the N1
+// bins' packed LU nonzeros. Those are counted at 2·N1·n², the size of
+// their values were every factor dense; their int32 column indices would
+// add a quarter of that, but the factors fill far less (559 of 2,025
+// entries per bin on the 15-stage ring). Together they exceed the
+// preamble's 2·(n + 1)² at any N1 the cutover sends there.
 func (c *Canonical) denseEntries(n int) float64 {
 	square := func(m int) float64 { return 2 * float64(m) * float64(m) }
 	switch c.Analysis {

@@ -4,10 +4,13 @@ package wampde_test
 // WaMPDE operator: envelope-following on the generated N-stage ring VCO, dense
 // bordered Jacobian versus core.LinearMatrixFree, as the circuit grows. Each
 // step's bordered system has N1·(3·stages)+1 unknowns, so the dense path's
-// O(total³) factorizations fall behind the matrix-free path's O(total·log N1)
-// matvecs as stages grows. BenchmarkQPRingScaling makes the same comparison
-// for the quasiperiodic solver, whose dense Jacobian couples the whole
-// N1×N2 bivariate grid at once and hits the cubic wall much sooner.
+// O(total³) factorizations fall behind the matrix-free path's GMRES
+// iterations as stages grows. Iteration k costs a matvec,
+// O(N1·nnz(JQ, JF) + n·N1·log N1), a harmonic-preconditioner apply,
+// O(N1·(nnz L + nnz U) + n·N1·log N1), and Gram–Schmidt's O(k·total).
+// BenchmarkQPRingScaling makes the same comparison for the quasiperiodic
+// solver, whose dense Jacobian couples the whole N1×N2 bivariate grid at
+// once and hits the cubic wall much sooner.
 // Each family applies ringGate to its own run: matrix-free must win by 3×
 // at its first stage count of 15 or more run in both modes and must not be
 // slower above it, or the benchmark fails (`ci.sh ring-bench-check` runs
