@@ -11,7 +11,7 @@
 #               updates, which dispatch only with >= 256 trailing rows,
 #               the quasiperiodic fillLines and block-Jacobi factor/apply —
 #               execute under the race detector at 2 and 8 workers via
-#               TestFactorIntoWorkerCountInvariant (n = 353),
+#               TestFactorIntoWorkerCountInvariant (n = 289),
 #               TestQuasiperiodicMatrixFreeMatchesDense (414 unknowns) and
 #               the determinism tests (305 unknowns)), then vet + tests of
 #               the bench/ module, which is its own Go module and so
@@ -28,8 +28,10 @@
 #               gates_test.go): each fails when its allocs/op over the timed
 #               loop exceeds its budget; go test's exit status is the
 #               verdict. Counts are not timings: only the pooled
-#               QuasiperiodicWaMPDE's moves with GOMAXPROCS (1,186 allocs/op
-#               at 1 to 1,428 at 8, against its budget of 1,626).
+#               QuasiperiodicWaMPDE's moves with GOMAXPROCS, and by one
+#               object, the LU workspace's pooled kernel, since the pool's
+#               helpers live for the process (1,183 allocs/op at 1, 1,184 to
+#               1,189 at 2 to 8, against its budget of 1,214).
 #   ring-bench-check N-stage ring-VCO scaling sweep: BenchmarkRingScaling
 #               (envelope-following, stages 3..31) and BenchmarkQPRingScaling
 #               (global quasiperiodic solve, stages 3..15), dense bordered
@@ -38,8 +40,8 @@
 #               matrix-free >= 3x dense at its first stage count >= 15 and
 #               never slower above it. A within-run ratio, so timing offsets
 #               between machines cancel, but the margin does not: the
-#               15-stage envelope reads 1.3-1.9x on a 2-vCPU VM and fails
-#               there (the ROADMAP's preconditioner item owns it). About
+#               15-stage envelope reads 2.0-3.4x on a 2-vCPU VM and mostly
+#               fails there (the ROADMAP's preconditioner item owns it). About
 #               40 s on that VM, dense factorizations dominating. Not part
 #               of "all", being a timing gate that small machines fail.
 #   serve       service smoke tier: builds wampde-server and wampde-load with

@@ -19,11 +19,12 @@ import (
 )
 
 // shortVacuumRun envelope-follows the vacuum VCO over a reduced span. N1 =
-// 76 gives a 305-unknown bordered system, the smallest whose first LU panel
-// leaves enough trailing rows (257) for its update to go to the pool: one
-// dispatch per factorization, 10 per run at two or more workers. A smaller
-// N1 (the paper's 25 gives 101 unknowns) factors serially and never reaches
-// the pool.
+// 76 gives a 305-unknown bordered system, whose first three LU panels leave
+// enough trailing rows (289, 273 and 257) for their updates to go to the
+// pool: three dispatches per factorization, 30 per run at two or more
+// workers. Below N1 = 68 (273 unknowns, the smallest 4-state envelope
+// whose first panel dispatches), and so at the paper's N1 = 25 (101
+// unknowns), the envelope factors serially and never reaches the pool.
 func shortVacuumRun(t *testing.T) *wampde.VCORun {
 	t.Helper()
 	run, err := wampde.RunPaperVCO(wampde.VCORunConfig{N1: 76, T2End: 10e-6, Steps: 10})

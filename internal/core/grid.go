@@ -92,21 +92,51 @@ func (g *grid) bcol(l, t int) int {
 	return g.nx + l
 }
 
-// d1Row writes (D1·q)ₚ into dst, accumulating point p's D1 row over its
-// line in ascending order.
+// d1Row writes (D1·q)ₚ into dst. Each state sums its weighted samples over
+// point p's line from +0 in ascending order, skipping zero weights (so a
+// non-finite sample under a zero weight stays out); four states at a time
+// accumulate in registers, then a pair, then the last state.
 func (g *grid) d1Row(p int, q, dst []float64) {
 	n, n1 := g.n, g.n1
 	j := p % n1
 	line := q[(p-j)*n : (p-j+n1)*n]
-	clear(dst)
-	for m, wgt := range g.d1[j*n1 : (j+1)*n1] {
-		if wgt == 0 {
-			continue
+	w := g.d1[j*n1 : (j+1)*n1]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		var a0, a1, a2, a3 float64
+		for m, wgt := range w {
+			if wgt == 0 {
+				continue
+			}
+			qm := line[m*n+i:][:4]
+			a0 += wgt * qm[0]
+			a1 += wgt * qm[1]
+			a2 += wgt * qm[2]
+			a3 += wgt * qm[3]
 		}
-		qm := line[m*n : (m+1)*n]
-		for i := range dst {
-			dst[i] += wgt * qm[i]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = a0, a1, a2, a3
+	}
+	if i+2 <= n {
+		var a0, a1 float64
+		for m, wgt := range w {
+			if wgt == 0 {
+				continue
+			}
+			qm := line[m*n+i:][:2]
+			a0 += wgt * qm[0]
+			a1 += wgt * qm[1]
 		}
+		dst[i], dst[i+1] = a0, a1
+		i += 2
+	}
+	if i < n {
+		var a float64
+		for m, wgt := range w {
+			if wgt != 0 {
+				a += wgt * line[m*n+i]
+			}
+		}
+		dst[i] = a
 	}
 }
 

@@ -509,3 +509,77 @@ func TestFaultLinearSparseLURescueMatrixFree(t *testing.T) {
 		t.Fatalf("GMRESStagnations = %d, want 2", res.GMRESStagnations)
 	}
 }
+
+// d1RowOracle is the plain (D1·q)ₚ accumulation: every state of point p
+// starts from +0 and adds its line's weighted samples in ascending m,
+// skipping zero weights. grid.d1Row must reproduce it bit for bit.
+func d1RowOracle(g *grid, p int, q []float64) []float64 {
+	n, n1 := g.n, g.n1
+	j := p % n1
+	line := q[(p-j)*n : (p-j+n1)*n]
+	dst := make([]float64, n)
+	for m, wgt := range g.d1[j*n1 : (j+1)*n1] {
+		if wgt == 0 {
+			continue
+		}
+		for i := range dst {
+			dst[i] += wgt * line[m*n+i]
+		}
+	}
+	return dst
+}
+
+// TestD1RowMatchesAscendingOracle holds the state-blocked spectral rows to
+// the plain accumulation, bitwise, at n = 1–9 (every tail after the
+// four-state blocks), odd and even N1 and N1 = 1 (an all-zero row), on two
+// lines. The samples include +0 and −0, and each point's row reads an Inf
+// at its own sample, where D1's diagonal weight is zero: the row must skip
+// it and stay finite. A second weight matrix mixes +0 and −0 weights into
+// the rows.
+func TestD1RowMatchesAscendingOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const lines = 2
+	for n := 1; n <= 9; n++ {
+		for _, n1 := range []int{1, 6, 7, 25} {
+			sparseD1 := randVec(rng, n1*n1, -3, 3)
+			for i := range sparseD1 {
+				switch rng.Intn(4) {
+				case 0:
+					sparseD1[i] = 0
+				case 1:
+					sparseD1[i] = math.Copysign(0, -1)
+				}
+			}
+			for i := 0; i < n1; i++ {
+				sparseD1[i*n1+i] = 0
+			}
+			for _, d1 := range [][]float64{fourier.DiffMatrix(n1), sparseD1} {
+				g := &grid{n: n, n1: n1, lines: lines, d1: d1}
+				q := randVec(rng, lines*n1*n, -2, 2)
+				for i := range q {
+					switch i % 7 {
+					case 2:
+						q[i] = 0
+					case 5:
+						q[i] = math.Copysign(0, -1)
+					}
+				}
+				got := make([]float64, n)
+				for p := 0; p < g.points(); p++ {
+					qp := append([]float64(nil), q...)
+					qp[p*n+rng.Intn(n)] = math.Inf(1)
+					want := d1RowOracle(g, p, qp)
+					g.d1Row(p, qp, got)
+					for i, v := range want {
+						if math.IsInf(v, 0) || math.IsNaN(v) {
+							t.Fatalf("n=%d N1=%d p=%d: oracle state %d = %v, want finite", n, n1, p, i, v)
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(v) {
+							t.Fatalf("n=%d N1=%d p=%d: state %d = %v, want bitwise %v", n, n1, p, i, got[i], v)
+						}
+					}
+				}
+			}
+		}
+	}
+}

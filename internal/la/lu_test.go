@@ -244,18 +244,25 @@ const workerSweepN = luParRows + 2*luBlock + 1
 
 // TestFactorIntoAllocatesNothing guards the multi-panel paths, which the
 // one-panel TestFactorIntoReuse never reaches: a warm refactorization
-// allocates nothing at one worker above the pool threshold, or at two
-// workers when every trailing update is below it (n = 199).
+// allocates nothing at one worker above the pool threshold, at two workers
+// when every trailing update is below it (n = 199), or at two and eight
+// workers when its trailing updates go to the pool. The average runs over
+// 50 factorizations because a parked goroutine may take a fresh runtime
+// wait record (a sudog) now and then, when it parks on a processor whose
+// cache of them is empty; that is below one object per factorization, where
+// a pool that allocated per dispatch would read at least one.
 func TestFactorIntoAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{workerSweepN, 1},
 		{199, 2},
+		{workerSweepN, 2},
+		{workerSweepN, 8},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		a := randomWellConditioned(rng, tc.n)
 		ws := NewLU(tc.n)
 		prev := par.SetWorkers(tc.workers)
-		allocs := testing.AllocsPerRun(5, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			if err := ws.FactorInto(a); err != nil {
 				t.Fatal(err)
 			}
@@ -402,24 +409,31 @@ type oracleInput struct {
 
 // TestFactorIntoMatchesOracle holds the blocked kernel to FactorLU's
 // promise: factors, pivots and permutation sign bitwise identical to
-// column-at-a-time elimination. The sizes cover one panel (1, 47, 48),
-// panel boundaries (49, 97), the serial multi-panel path (199), each side
-// of the pool threshold (the first trailing update one row short of
-// luParRows, then exactly luParRows) and several pooled panels.
+// column-at-a-time elimination. The sizes cover the one-panel loop (1,
+// luBlock−1, luBlock, luBlock+1, 2·luBlock+1, luOnePanel), the first
+// blocked sizes, whose last panel is one column and then luBlock−1 columns
+// (luOnePanel+1, luOnePanel+luBlock−1), the serial multi-panel path (101,
+// 199), each side of the pool threshold (the first trailing update one row
+// short of luParRows, then exactly luParRows) and several pooled panels.
+// An input the oracle finds singular (the sparse family at n = 16 is one)
+// must fail at the oracle's zero-pivot column.
 func TestFactorIntoMatchesOracle(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(2))
-	sizes := []int{1, 47, 48, 49, 97, 199,
+	sizes := []int{1, luBlock - 1, luBlock, luBlock + 1, 2*luBlock + 1, luOnePanel,
+		luOnePanel + 1, luOnePanel + luBlock - 1, 101, 199,
 		luParRows + luBlock - 1, luParRows + luBlock, luParRows + 3*luBlock + 5}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		for _, in := range oracleInputs(rng, n) {
 			label := fmt.Sprintf("%s n=%d", in.name, n)
 			lu, piv, signP, zeroCol := oracleLU(in.a)
-			if zeroCol >= 0 {
-				t.Fatalf("%s: oracle input is singular at column %d", label, zeroCol)
-			}
 			f := NewLU(n)
-			if err := f.FactorInto(in.a); err != nil {
+			err := f.FactorInto(in.a)
+			if zeroCol >= 0 {
+				sameZeroPivot(t, label, err, zeroCol)
+				continue
+			}
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			sameFactors(t, label, f, lu, piv, signP)
@@ -430,8 +444,8 @@ func TestFactorIntoMatchesOracle(t *testing.T) {
 // TestFactorIntoSingularMatchesOracle builds a matrix whose rows split into
 // 70 that span columns 0..70 and the rest, which are zero in those columns,
 // then shuffles the rows: elimination must report the zero pivot at column
-// 70, in the second panel, after a pooled first trailing update — the same
-// column the oracle finds.
+// 70, in a later panel than the two whose trailing updates were pooled —
+// the same column the oracle finds.
 func TestFactorIntoSingularMatchesOracle(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(2))
 	const c = 70
@@ -448,13 +462,91 @@ func TestFactorIntoSingularMatchesOracle(t *testing.T) {
 	if _, _, _, zeroCol := oracleLU(a); zeroCol != c {
 		t.Fatalf("oracle zero pivot at column %d, want %d", zeroCol, c)
 	}
-	err := NewLU(n).FactorInto(a)
+	sameZeroPivot(t, "", NewLU(n).FactorInto(a), c)
+}
+
+// sameZeroPivot fails unless err reports a singular matrix at column col.
+func sameZeroPivot(t *testing.T, label string, err error, col int) {
+	t.Helper()
 	var se *solverr.Error
 	if !errors.As(err, &se) || se.Kind != solverr.KindSingular || !errors.Is(err, ErrSingular) {
-		t.Fatalf("FactorInto error %v, want a singular *solverr.Error", err)
+		t.Fatalf("%s: FactorInto error %v, want a singular *solverr.Error", label, err)
 	}
-	if se.Unknown != c {
-		t.Fatalf("zero pivot reported at column %d, want %d (%v)", se.Unknown, c, err)
+	if se.Unknown != col {
+		t.Fatalf("%s: zero pivot reported at column %d, want %d (%v)", label, se.Unknown, col, err)
+	}
+}
+
+// oracleSolve is textbook substitution with the factors of f: forward
+// through the unit lower triangle, then back through the upper, each row
+// subtracting its terms in ascending column order. Solve must reproduce it
+// bit for bit.
+func oracleSolve(f *LU, b []float64) []float64 {
+	n, lu := f.N(), f.lu.Data
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = b[f.piv[i]]
+	}
+	for i := 0; i < n; i++ {
+		s := y[i]
+		for j := 0; j < i; j++ {
+			s -= lu[i*n+j] * y[j]
+		}
+		y[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for j := i + 1; j < n; j++ {
+			s -= lu[i*n+j] * y[j]
+		}
+		y[i] = s / lu[i*n+i]
+	}
+	return y
+}
+
+// TestLUSolveMatchesOracle holds Solve's four-row forward substitution to
+// the textbook order, bitwise, with distinct and with aliased b and x. The
+// sizes cover every tail length after the four-row blocks (n = 1–9, 16, 17)
+// and the dense envelopes' 101 and 199; the right-hand sides mix random
+// values with +0 and −0.
+func TestLUSolveMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 101, 199} {
+		rng := rand.New(rand.NewSource(int64(1000 + n)))
+		for _, in := range oracleInputs(rng, n) {
+			label := fmt.Sprintf("%s n=%d", in.name, n)
+			f, err := FactorLU(in.a)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			b := make([]float64, n)
+			for i := range b {
+				switch i % 5 {
+				case 1:
+					b[i] = 0
+				case 3:
+					b[i] = math.Copysign(0, -1)
+				default:
+					b[i] = rng.NormFloat64()
+				}
+			}
+			want := oracleSolve(f, b)
+			x := make([]float64, n)
+			f.Solve(b, x)
+			sameBitsVec(t, label+" distinct", x, want)
+			bx := append([]float64(nil), b...)
+			f.Solve(bx, bx)
+			sameBitsVec(t, label+" aliased", bx, want)
+		}
+	}
+}
+
+// sameBitsVec fails unless got equals want bit for bit.
+func sameBitsVec(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i, v := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: x[%d] = %v, want bitwise %v", label, i, got[i], v)
+		}
 	}
 }
 

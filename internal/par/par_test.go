@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withWorkers runs f with a fixed worker-count override.
@@ -112,17 +113,99 @@ func TestForErrReturnsLowestChunkError(t *testing.T) {
 	}
 }
 
+// TestForPanicPropagates panics in one chunk, in the last chunk and in
+// every chunk, so the panic comes from the caller's own claims, a helper's or
+// both, and checks that it reaches the caller and that the pool still runs
+// a full range afterwards.
 func TestForPanicPropagates(t *testing.T) {
-	withWorkers(t, 4, func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("panic in a worker was swallowed")
-			}
-		}()
-		For(64, 4, func(lo, hi int) {
-			if lo == 32 {
-				panic(errors.New("boom"))
+	for _, w := range []int{2, 4, 8} {
+		for _, at := range []int{32, 60, -1} {
+			withWorkers(t, w, func() {
+				func() {
+					defer func() {
+						if r := recover(); r == nil {
+							t.Fatalf("workers=%d panic at %d: the panic was swallowed", w, at)
+						}
+					}()
+					For(64, 4, func(lo, hi int) {
+						if lo == at || at < 0 {
+							panic(errors.New("boom"))
+						}
+					})
+				}()
+				var hits atomic.Int64
+				For(64, 4, func(lo, hi int) { hits.Add(int64(hi - lo)) })
+				if hits.Load() != 64 {
+					t.Fatalf("workers=%d: after a panic the pool covered %d of 64 indices", w, hits.Load())
+				}
+			})
+		}
+	}
+}
+
+// sumKernel is a kernel built once, as la.LU builds its trailing update:
+// dispatching it hands the pool an existing function value.
+type sumKernel struct{ in, out []float64 }
+
+func (k *sumKernel) run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		k.out[i] = 2*k.in[i] + 1
+	}
+}
+
+// TestForPrebuiltKernelAllocatesNothing dispatches a prebuilt kernel at two
+// and eight workers: once the pool is warm a dispatch allocates nothing.
+// The average runs over 200 dispatches because a parked goroutine may take a
+// fresh runtime wait record (a sudog) now and then, when it parks on a
+// processor whose cache of them is empty; that stays below one object per
+// dispatch, where a pool that built its coordination state per dispatch
+// would read several.
+func TestForPrebuiltKernelAllocatesNothing(t *testing.T) {
+	const n = 4096
+	k := &sumKernel{in: make([]float64, n), out: make([]float64, n)}
+	kernel := k.run
+	for _, w := range []int{2, 8} {
+		withWorkers(t, w, func() {
+			allocs := testing.AllocsPerRun(200, func() { For(n, 64, kernel) })
+			if allocs > 0 {
+				t.Errorf("workers=%d: For allocates %.1f objects/op, want 0", w, allocs)
 			}
 		})
-	})
+	}
+}
+
+// TestForNestedDispatchCompletes runs chunks that each call For themselves,
+// with more outer chunks than workers, so nested dispatches find every
+// helper busy: each must finish on its caller, and every index must be
+// covered exactly once.
+func TestForNestedDispatchCompletes(t *testing.T) {
+	const outer, inner = 24, 300
+	for _, w := range []int{2, 8} {
+		withWorkers(t, w, func() {
+			hits := make([]int32, outer*inner)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				For(outer, 1, func(lo, hi int) {
+					for o := lo; o < hi; o++ {
+						For(inner, 7, func(ilo, ihi int) {
+							for i := ilo; i < ihi; i++ {
+								atomic.AddInt32(&hits[o*inner+i], 1)
+							}
+						})
+					}
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("workers=%d: nested dispatch did not finish", w)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d: index %d hit %d times", w, i, h)
+				}
+			}
+		})
+	}
 }
